@@ -9,8 +9,11 @@
     ledsbench sweep breakdown ...
 
 Every flag can also come from a JSON config file (--config); explicit
-flags win. The config file may carry a "policy" block (model, layout
-name/version, schema manifest path) mirroring the retention interface.
+flags win. The config file may carry a "policy" block mirroring the
+retention interface. Its "model" sets the retention model (an explicit
+--model still wins). "layout_name" and "layout_version" may restate what
+the run derives, "<kernel>-map" and 2; any other value, or any other key
+(the run writes its own schema manifest), is a ConfigError.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import sys
 
 import click
 
+from ..errors import ConfigError
 from ..kernels import KINDS
 from .runner import (
     breakdown_report,
@@ -75,6 +79,16 @@ def _build_config(kwargs) -> tuple[WorkloadConfig, str, str | None]:
         merged["model"] = policy_block["model"]
     merged.update({k: v for k, v in kwargs.items() if v is not None})
     cfg = WorkloadConfig(**merged).validate()
+    derived = {"layout_name": cfg.layout_name, "layout_version": 2}
+    for key, value in policy_block.items():
+        if key == "model":
+            continue
+        if key not in derived:
+            raise ConfigError(f"policy key {key!r} is not supported; the run "
+                              f"derives everything but the model")
+        if value != derived[key]:
+            raise ConfigError(f"policy {key} {value!r} disagrees with the "
+                              f"run's {derived[key]!r}")
     return cfg, fmt, out
 
 

@@ -1,4 +1,4 @@
-"""Experiment driver: phase execution, overhead equations, write ledger.
+"""Experiment runner: one trial path, overhead equations, write ledger.
 
 One experiment measures, for a single kernel/pattern/layout-edit/model
 combination, the phases
@@ -13,30 +13,40 @@ and derives the two overhead ratios
   overhead_manual_pct = 100 * t_retain / t_manual
   overhead_auto_pct   = 100 * (t_auto - t_manual) / t_manual
 
-An automatic-model run therefore always carries a manual baseline. Timed
-phases repeat `trials` times, each from a fresh file copy of the original
-pool, and wall-clock means/standard deviations are reported. Everything
-except wall time is required to be identical across trials: byte ledgers,
-migration counts, and final map content (checked against the in-memory
-shadow replay); any drift marks the report invalid.
+An automatic-model run therefore always carries a manual baseline. Every
+phase after `original` is a trial of one variant, and all variants share
+one trial path: copy the lane's original pool, open it under the variant's
+retention policy, build the version-2 kernel, run the retention step (the
+migration inside `open_with_policy` for manual, the timed rebuild for
+reset, nothing for auto), time the update ops, and take the write-counter
+delta. The variants are the baseline (`manual` or `reset`), the automatic
+`base`, and the breakdown's `premat`/`cached`/`shallow` toggles of `base`.
+Trials run round-robin over the variants, `trials` rounds, and wall-clock
+means/standard deviations are reported. Everything except wall time is
+required to be identical across trials: byte ledgers, migration counts,
+and the final map content, which every variant checks on its last trial
+against the in-memory shadow replay before validating the structure; any
+drift marks the report invalid.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .. import leds
 from ..errors import ConfigError
 from ..kernels import make_auto_schema, make_kernel, make_manual_migrator
-from ..pool import create_pool, open_pool
+from ..pool import create_pool
 from ..retention import (
     AUTOMATIC,
+    MANUAL,
     RESET,
     RetentionPolicy,
     open_with_policy,
@@ -45,6 +55,7 @@ from .workload import WorkloadConfig, gen_workload, shadow_replay
 
 PHASE_COUNTERS = ("allocations", "translations", "checks", "deep_copies",
                   "ext_bytes", "n_allocs", "n_frees")
+LEDGER = ("bytes_user", "bytes_log", "bytes_meta")
 
 
 @dataclass
@@ -74,40 +85,16 @@ class BenchReport:
     breakdown: dict | None = None
     counters: dict = field(default_factory=dict)
     valid: bool = True
-    t_auto_samples: list = field(default_factory=list)  # raw trials, not serialized
 
     @property
     def migration_bytes_per_node(self) -> float:
         return self.migration_bytes / self.migrations if self.migrations else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "pattern": self.pattern,
-            "n": self.n,
-            "seed": self.seed,
-            "layout": self.layout,
-            "model": self.model,
-            "trials": self.trials,
-            "ratio": self.ratio,
-            "t_original": self.t_original,
-            "t_retain": self.t_retain,
-            "t_manual": self.t_manual,
-            "t_auto": self.t_auto,
-            "t_retain_std": self.t_retain_std,
-            "t_manual_std": self.t_manual_std,
-            "t_auto_std": self.t_auto_std,
-            "overhead_manual_pct": self.overhead_manual_pct,
-            "overhead_auto_pct": self.overhead_auto_pct,
-            "bytes": {"user": self.bytes_user, "log": self.bytes_log,
-                      "meta": self.bytes_meta},
-            "migrations": self.migrations,
-            "migration_bytes": self.migration_bytes,
-            "migration_bytes_per_node": self.migration_bytes_per_node,
-            "breakdown": self.breakdown,
-            "counters": self.counters,
-            "valid": self.valid,
-        }
+        d = asdict(self)
+        d["bytes"] = {k[len("bytes_"):]: d.pop(k) for k in LEDGER}
+        d["migration_bytes_per_node"] = self.migration_bytes_per_node
+        return d
 
 
 def _exec_ops(pool, kernel, ops) -> float:
@@ -127,233 +114,202 @@ def _exec_ops(pool, kernel, ops) -> float:
 
 
 def _rng_for(cfg: WorkloadConfig, salt: int):
-    import random
-
     return random.Random((cfg.seed << 4) ^ salt)
 
 
-class _Lane:
-    """One lane's original pool, built once, copied per trial."""
-
-    def __init__(self, cfg: WorkloadConfig, mode: str, workdir: Path, ops_orig):
-        self.cfg = cfg
-        self.mode = mode
-        self.workdir = workdir
-        self.path = str(workdir / f"orig-{cfg.kernel}-{mode}.pool")
-        pool = create_pool(self.path, cfg.layout_name, cfg.pool_capacity())
-        if mode == "auto":
-            fp = leds.manifest_fingerprint(make_auto_schema(cfg.kernel, None))
-            pool.set_schema_fingerprint(fp)
-        kernel = make_kernel(pool, cfg.kernel, mode=mode, version=1,
-                             rng=_rng_for(cfg, 0x0516))
-        kernel.create()
-        self.t_original = _exec_ops(pool, kernel, ops_orig)
-        pool.close()
-
-    def trial_copy(self, tag: str) -> str:
-        dst = str(self.workdir / f"trial-{self.mode}-{tag}.pool")
-        shutil.copyfile(self.path, dst)
-        return dst
-
-    def cleanup(self) -> None:
-        for stale in (self.path,):
-            if os.path.exists(stale):
-                os.unlink(stale)
+def _pick(d: dict, keys) -> dict:
+    return {k: d[k] for k in keys}
 
 
 def _agg(xs) -> tuple[float, float]:
     return statistics.fmean(xs), statistics.pstdev(xs) if len(xs) > 1 else 0.0
 
 
-def _auto_policy(cfg: WorkloadConfig, workdir: Path) -> RetentionPolicy:
-    """Build the automatic policy through the schema-manifest file format."""
+def _model_of(variant: str) -> str:
+    return variant if variant in (MANUAL, RESET) else AUTOMATIC
+
+
+def _lane_of(variant: str) -> str:
+    """The original pool a variant starts from; reset and manual share one."""
+    return AUTOMATIC if _model_of(variant) == AUTOMATIC else MANUAL
+
+
+def _policy(cfg: WorkloadConfig, model: str, workdir: Path) -> RetentionPolicy:
+    """The version-2 program's open policy for one retention model. The
+    automatic one is built through the schema-manifest file format."""
+    if model == RESET:
+        return RetentionPolicy(RESET, cfg.layout_name,
+                               create_capacity=cfg.pool_capacity())
+    if model == MANUAL:
+        return RetentionPolicy(MANUAL, cfg.layout_name,
+                               migration=make_manual_migrator(cfg.kernel, cfg.layout))
     manifest = str(workdir / f"schema-{cfg.kernel}-{cfg.layout}.json")
     leds.dump_manifest(make_auto_schema(cfg.kernel, cfg.layout), manifest)
     fp = leds.manifest_fingerprint(leds.load_manifest(manifest))
-    return RetentionPolicy(AUTOMATIC, cfg.layout_name, layout_version=2,
-                           schema_fingerprint=fp)
+    return RetentionPolicy(AUTOMATIC, cfg.layout_name, schema_fingerprint=fp)
 
 
-def _same_across_trials(rows: list[dict]) -> bool:
-    return all(r == rows[0] for r in rows[1:])
+def _build_original(cfg: WorkloadConfig, mode: str, workdir: Path,
+                    ops_orig) -> tuple[str, float]:
+    """Build one lane's version-1 pool; returns its path and phase seconds."""
+    path = str(workdir / f"orig-{cfg.kernel}-{mode}.pool")
+    pool = create_pool(path, cfg.layout_name, cfg.pool_capacity())
+    if mode == AUTOMATIC:
+        fp = leds.manifest_fingerprint(make_auto_schema(cfg.kernel, None))
+        pool.set_schema_fingerprint(fp)
+    kernel = make_kernel(pool, cfg.kernel, mode=mode, version=1,
+                         rng=_rng_for(cfg, 0x0516))
+    kernel.create()
+    t_original = _exec_ops(pool, kernel, ops_orig)
+    pool.close()
+    return path, t_original
 
 
-def run_experiment(cfg: WorkloadConfig) -> BenchReport:
-    cfg.validate()
-    workdir = Path(cfg.pool_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    ops_orig, ops_upd = gen_workload(cfg.pattern, cfg.n, cfg.seed, cfg.ratio)
-    expected = shadow_replay(ops_orig, ops_upd)
+def _trial(cfg: WorkloadConfig, variant: str, original: str,
+           policy: RetentionPolicy, ops, expected: dict | None, tag: int):
+    """One trial of one variant on a fresh copy of its lane's original pool.
 
-    report = BenchReport(cfg.kernel, cfg.pattern, cfg.n, cfg.seed, cfg.layout,
-                         cfg.model, cfg.trials, cfg.ratio)
-    lanes: list[_Lane] = []
+    Returns (retain_s, update_s, row, content_ok). `row` holds the
+    variant's deterministic figures; they must repeat exactly across
+    trials. The content is checked only when `expected` is given.
+    """
+    ops_orig, ops_upd = ops
+    path = str(Path(original).with_name(f"trial-{variant}-{tag}.pool"))
+    shutil.copyfile(original, path)
+    pool = open_with_policy(path, policy)
     try:
-        if cfg.model == RESET:
-            _run_reset(cfg, workdir, ops_orig, ops_upd, expected, report, lanes)
-        else:
-            _run_manual_baseline(cfg, workdir, ops_orig, ops_upd, expected,
-                                 report, lanes)
-            if cfg.model == "auto":
-                _run_auto(cfg, workdir, ops_orig, ops_upd, expected, report, lanes)
-        if report.t_retain is not None and report.t_manual:
-            report.overhead_manual_pct = 100.0 * report.t_retain / report.t_manual
-        if report.t_auto is not None and report.t_manual:
-            report.overhead_auto_pct = (
-                100.0 * (report.t_auto - report.t_manual) / report.t_manual
-            )
-    finally:
-        for lane in lanes:
-            lane.cleanup()
-    return report
-
-
-def _run_manual_baseline(cfg, workdir, ops_orig, ops_upd, expected, report, lanes):
-    lane = _Lane(cfg, "manual", workdir, ops_orig)
-    lanes.append(lane)
-    report.t_original = lane.t_original
-    retains, manuals, rows = [], [], []
-    for trial in range(cfg.trials):
-        path = lane.trial_copy(f"m{trial}")
-        pool = open_pool(path, cfg.layout_name)
-        ms = None
-        try:
-            from ..retention import run_migration
-
-            ms = run_migration(pool, make_manual_migrator(cfg.kernel, cfg.layout))
-            kernel = make_kernel(pool, cfg.kernel, mode="manual", version=2,
-                                 change=cfg.layout, rng=_rng_for(cfg, 0x0A11))
-            kernel.attach()
-            manuals.append(_exec_ops(pool, kernel, ops_upd))
-            retains.append(ms.duration_s)
-            rows.append({
-                "nodes_migrated": ms.nodes_migrated,
-                "bytes_node_records": ms.bytes_node_records,
-                "bytes_user": ms.bytes_user,
-                "bytes_log": ms.bytes_log,
-                "bytes_meta": ms.bytes_meta,
-            })
-            if trial == cfg.trials - 1:
-                if dict(kernel.scan()) != expected:
-                    report.valid = False
-                kernel.validate()
-        finally:
-            pool.close()
-            os.unlink(path)
-    report.t_retain, report.t_retain_std = _agg(retains)
-    report.t_manual, report.t_manual_std = _agg(manuals)
-    if not _same_across_trials(rows):
-        report.valid = False
-    if cfg.model == "manual":
-        report.migrations = rows[0]["nodes_migrated"]
-        report.migration_bytes = rows[0]["bytes_node_records"]
-        report.bytes_user = rows[0]["bytes_user"]
-        report.bytes_log = rows[0]["bytes_log"]
-        report.bytes_meta = rows[0]["bytes_meta"]
-    report.counters["manual"] = rows[0]
-
-
-def _run_auto(cfg, workdir, ops_orig, ops_upd, expected, report, lanes):
-    lane = _Lane(cfg, "auto", workdir, ops_orig)
-    lanes.append(lane)
-    report.t_original = lane.t_original
-    policy = _auto_policy(cfg, workdir)
-    autos, rows, ledgers = [], [], []
-    for trial in range(cfg.trials):
-        path = lane.trial_copy(f"a{trial}")
-        pool = open_with_policy(path, policy)
-        try:
-            if cfg.cache_translations:
-                leds.translation_cache(pool, True)
-            kernel = make_kernel(pool, cfg.kernel, mode="auto", version=2,
-                                 change=cfg.layout, shallow_copy=cfg.shallow_copy,
-                                 rng=_rng_for(cfg, 0x0A11))
-            kernel.attach()
-            before = pool.stats.snapshot()
-            autos.append(_exec_ops(pool, kernel, ops_upd))
-            delta = pool.stats.delta(before)
-            rows.append({k: delta[k] for k in PHASE_COUNTERS})
-            ledgers.append({k: delta[k] for k in ("bytes_user", "bytes_log", "bytes_meta")})
-            if trial == cfg.trials - 1:
-                if dict(kernel.scan()) != expected:
-                    report.valid = False
-                kernel.validate()
-        finally:
-            pool.close()
-            os.unlink(path)
-    report.t_auto, report.t_auto_std = _agg(autos)
-    report.t_auto_samples = autos
-    if not (_same_across_trials(rows) and _same_across_trials(ledgers)):
-        report.valid = False
-    report.migrations = rows[0]["allocations"]
-    report.migration_bytes = rows[0]["ext_bytes"]
-    report.bytes_user = ledgers[0]["bytes_user"]
-    report.bytes_log = ledgers[0]["bytes_log"]
-    report.bytes_meta = ledgers[0]["bytes_meta"]
-    report.counters["auto"] = rows[0]
-
-
-def _run_reset(cfg, workdir, ops_orig, ops_upd, expected, report, lanes):
-    lane = _Lane(cfg, "manual", workdir, ops_orig)
-    lanes.append(lane)
-    report.t_original = lane.t_original
-    rebuilds, manuals, ledgers = [], [], []
-    policy = RetentionPolicy(RESET, cfg.layout_name, layout_version=2,
-                             create_capacity=cfg.pool_capacity())
-    for trial in range(cfg.trials):
-        path = lane.trial_copy(f"r{trial}")
-        pool = open_with_policy(path, policy)   # discards: version mismatch
-        try:
+        retain_s = None
+        if policy.model == RESET:   # retention step: the timed rebuild
             before = pool.stats.snapshot()
             t0 = time.perf_counter()
-            kernel = make_kernel(pool, cfg.kernel, mode="manual", version=2,
+            kernel = make_kernel(pool, cfg.kernel, mode=MANUAL, version=2,
                                  change=cfg.layout, rng=_rng_for(cfg, 0x0516))
             kernel.create()
             _exec_ops(pool, kernel, ops_orig)
-            rebuilds.append(time.perf_counter() - t0)
+            retain_s = time.perf_counter() - t0
+            ledger = _pick(pool.stats.delta(before), LEDGER)
+            row = dict(ledger, counters=ledger, migrations=0,
+                       migration_bytes=ledger["bytes_user"])
+        else:
+            if policy.model == MANUAL:   # retention step: the pass run at open
+                ms = pool.last_migration
+                retain_s = ms.duration_s
+                counters = {"nodes_migrated": ms.nodes_migrated,
+                            "bytes_node_records": ms.bytes_node_records,
+                            **{k: getattr(ms, k) for k in LEDGER}}
+                row = dict(counters, counters=counters,
+                           migrations=ms.nodes_migrated,
+                           migration_bytes=ms.bytes_node_records)
+            else:
+                leds.translation_cache(
+                    pool, cfg.cache_translations or variant == "cached")
+            kernel = make_kernel(pool, cfg.kernel, mode=policy.model, version=2,
+                                 change=cfg.layout,
+                                 shallow_copy=cfg.shallow_copy or variant == "shallow",
+                                 rng=_rng_for(cfg, 0x0A11))
+            kernel.attach()
+            if variant == "premat":
+                for _ in kernel.scan():   # materialize everything, untimed
+                    pass
+        before = pool.stats.snapshot()
+        update_s = _exec_ops(pool, kernel, ops_upd)
+        if policy.model == AUTOMATIC:
             delta = pool.stats.delta(before)
-            ledgers.append({k: delta[k] for k in ("bytes_user", "bytes_log", "bytes_meta")})
-            manuals.append(_exec_ops(pool, kernel, ops_upd))
-            if trial == cfg.trials - 1:
-                if dict(kernel.scan()) != expected:
-                    report.valid = False
-                kernel.validate()
-        finally:
-            pool.close()
+            counters = _pick(delta, PHASE_COUNTERS)
+            row = dict(_pick(delta, LEDGER), counters=counters,
+                       migrations=counters["allocations"],
+                       migration_bytes=counters["ext_bytes"])
+        content_ok = True
+        if expected is not None:
+            content_ok = dict(kernel.scan()) == expected
+            kernel.validate()
+    finally:
+        pool.close()
+        os.unlink(path)
+    return retain_s, update_s, row, content_ok
+
+
+def _run_variants(cfg: WorkloadConfig, variants: list[str]):
+    """Run `cfg.trials` rounds over the variants, one trial of each per round.
+
+    The first variant is the baseline (manual or reset). The report takes
+    its retain/update times as t_retain/t_manual, the `base` variant's
+    update times as t_auto, and the ledger of the variant that `cfg.model`
+    names. Returns (report, first row per variant, update times per variant).
+    """
+    cfg.validate()
+    workdir = Path(cfg.pool_dir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    ops = gen_workload(cfg.pattern, cfg.n, cfg.seed, cfg.ratio)
+    expected = shadow_replay(*ops)
+    policies = {m: _policy(cfg, m, workdir)
+                for m in dict.fromkeys(map(_model_of, variants))}
+    originals: dict[str, tuple[str, float]] = {}
+    runs: dict[str, list] = {v: [] for v in variants}
+    try:
+        for trial in range(cfg.trials):
+            last = trial == cfg.trials - 1
+            for v in variants:
+                lane = _lane_of(v)
+                if lane not in originals:
+                    originals[lane] = _build_original(cfg, lane, workdir, ops[0])
+                runs[v].append(_trial(cfg, v, originals[lane][0], policies[_model_of(v)],
+                                      ops, expected if last else None, trial))
+    finally:
+        for path, _ in originals.values():
             os.unlink(path)
-    report.t_retain, report.t_retain_std = _agg(rebuilds)
-    report.t_manual, report.t_manual_std = _agg(manuals)
-    if not _same_across_trials(ledgers):
-        report.valid = False
-    report.bytes_user = ledgers[0]["bytes_user"]
-    report.bytes_log = ledgers[0]["bytes_log"]
-    report.bytes_meta = ledgers[0]["bytes_meta"]
-    report.migration_bytes = ledgers[0]["bytes_user"]
-    report.counters["reset"] = ledgers[0]
+
+    report = BenchReport(cfg.kernel, cfg.pattern, cfg.n, cfg.seed, cfg.layout,
+                         cfg.model, cfg.trials, cfg.ratio)
+    report.t_original = originals[_lane_of(cfg.model)][1]
+    rows, times = {}, {}
+    for v, results in runs.items():
+        retains, times[v], vrows, oks = zip(*results)
+        rows[v] = vrows[0]
+        if not all(oks) or any(r != vrows[0] for r in vrows):
+            report.valid = False
+        if v == variants[0]:
+            report.t_retain, report.t_retain_std = _agg(retains)
+            report.t_manual, report.t_manual_std = _agg(times[v])
+        if v in (variants[0], "base"):
+            report.counters[_model_of(v)] = vrows[0]["counters"]
+    if "base" in times:
+        report.t_auto, report.t_auto_std = _agg(times["base"])
+    own = rows["base" if cfg.model == AUTOMATIC else variants[0]]
+    for name in ("migrations", "migration_bytes", *LEDGER):
+        setattr(report, name, own[name])
+    if report.t_manual:
+        report.overhead_manual_pct = 100.0 * report.t_retain / report.t_manual
+        if report.t_auto is not None:
+            report.overhead_auto_pct = (
+                100.0 * (report.t_auto - report.t_manual) / report.t_manual)
+    return report, rows, times
+
+
+def run_experiment(cfg: WorkloadConfig) -> BenchReport:
+    """The model's baseline, plus the automatic lane when the model is auto."""
+    variants = [RESET if cfg.model == RESET else MANUAL]
+    if cfg.model == AUTOMATIC:
+        variants.append("base")
+    return _run_variants(cfg, variants)[0]
 
 
 # ---------------------------------------------------------------------- sweeps
 
 def sweep_dataset_size(cfg: WorkloadConfig,
                        sizes=(100, 1000, 10000, 100000)) -> list[BenchReport]:
-    reports = []
-    for size in sizes:
-        sub = WorkloadConfig(**{**cfg.__dict__, "n": size, "extras": dict(cfg.extras)})
-        sub.pool_dir = str(Path(cfg.pool_dir) / f"size-{size}")
-        reports.append(run_experiment(sub))
-    return reports
+    return [run_experiment(replace(cfg, n=size,
+                                   pool_dir=str(Path(cfg.pool_dir) / f"size-{size}")))
+            for size in sizes]
 
 
 def sweep_working_set(cfg: WorkloadConfig,
                       ratios=(0.001, 0.01, 0.1, 1.0)) -> list[BenchReport]:
     if cfg.pattern != "del":
         raise ConfigError("working-set sweep is defined for the del pattern")
-    reports = []
-    for ratio in ratios:
-        sub = WorkloadConfig(**{**cfg.__dict__, "ratio": ratio, "extras": dict(cfg.extras)})
-        sub.pool_dir = str(Path(cfg.pool_dir) / f"ratio-{ratio}")
-        reports.append(run_experiment(sub))
-    return reports
+    return [run_experiment(replace(cfg, ratio=ratio,
+                                   pool_dir=str(Path(cfg.pool_dir) / f"ratio-{ratio}")))
+            for ratio in ratios]
 
 
 def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
@@ -362,77 +318,21 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     translation, the shallow-copy toggle removes deep copies; the remainder
     is the extra indirection. Fractions are normalized.
 
-    Variant trials are interleaved round-robin and aggregated by median, so
-    ambient machine load drifts hit every variant alike instead of biasing
-    one differential.
+    The variants run as one experiment with the manual baseline, so the
+    report carries the same ledger as `run_experiment`. Their trials are
+    interleaved round-robin and aggregated by median, so ambient machine
+    load drifts hit every variant alike instead of biasing one differential.
     """
-    if cfg.model != "auto":
+    if cfg.model != AUTOMATIC:
         raise ConfigError("breakdown is defined for the automatic model")
-    cfg.validate()
-    workdir = Path(cfg.pool_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    ops_orig, ops_upd = gen_workload(cfg.pattern, cfg.n, cfg.seed, cfg.ratio)
-    expected = shadow_replay(ops_orig, ops_upd)
-
-    report = BenchReport(cfg.kernel, cfg.pattern, cfg.n, cfg.seed, cfg.layout,
-                         cfg.model, cfg.trials, cfg.ratio)
-    lanes: list[_Lane] = []
-    variants = ["base", "premat", "cached"]
+    variants = [MANUAL, "base", "premat", "cached"]
     if not cfg.shallow_copy:
         variants.append("shallow")
-    times: dict[str, list[float]] = {v: [] for v in variants}
-    counters: dict[str, dict] = {}
-    try:
-        _run_manual_baseline(cfg, workdir, ops_orig, ops_upd, expected,
-                             report, lanes)
-        lane = _Lane(cfg, "auto", workdir, ops_orig)
-        lanes.append(lane)
-        policy = _auto_policy(cfg, workdir)
-        for trial in range(cfg.trials):
-            for v in variants:
-                path = lane.trial_copy(f"bd-{v}{trial}")
-                pool = open_with_policy(path, policy)
-                try:
-                    leds.translation_cache(
-                        pool, v == "cached" or cfg.cache_translations)
-                    kernel = make_kernel(
-                        pool, cfg.kernel, mode="auto", version=2,
-                        change=cfg.layout,
-                        shallow_copy=(v == "shallow") or cfg.shallow_copy,
-                        rng=_rng_for(cfg, 0x0A11))
-                    kernel.attach()
-                    if v == "premat":
-                        for _ in kernel.scan():   # materialize everything, untimed
-                            pass
-                    before = pool.stats.snapshot()
-                    times[v].append(_exec_ops(pool, kernel, ops_upd))
-                    delta = pool.stats.delta(before)
-                    row = {k: delta[k] for k in PHASE_COUNTERS}
-                    if counters.setdefault(v, row) != row:
-                        report.valid = False
-                    if v == "base" and trial == cfg.trials - 1:
-                        if dict(kernel.scan()) != expected:
-                            report.valid = False
-                finally:
-                    pool.close()
-                    os.unlink(path)
-    finally:
-        for l in lanes:
-            l.cleanup()
-
-    report.t_auto, report.t_auto_std = _agg(times["base"])
-    report.t_auto_samples = times["base"]
+    report, rows, times = _run_variants(cfg, variants)
+    counters = {v: rows[v]["counters"] for v in variants[1:]}
     base_row = counters["base"]
-    report.migrations = base_row["allocations"]
-    report.migration_bytes = base_row["ext_bytes"]
-    report.counters["auto"] = base_row
-    if report.t_retain is not None and report.t_manual:
-        report.overhead_manual_pct = 100.0 * report.t_retain / report.t_manual
-    if report.t_manual:
-        report.overhead_auto_pct = (
-            100.0 * (report.t_auto - report.t_manual) / report.t_manual)
 
-    med = {v: statistics.median(ts) for v, ts in times.items()}
+    med = {v: statistics.median(times[v]) for v in variants[1:]}
     overhead = max(med["base"] - report.t_manual, 0.0)
     alloc_t = max(med["base"] - med["premat"], 0.0)
     translate_t = max(med["base"] - med["cached"], 0.0)

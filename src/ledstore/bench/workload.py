@@ -17,7 +17,7 @@ any kernel's final content. Keys stay below 2^31: version-1 records store
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -41,7 +41,6 @@ class WorkloadConfig:
     shallow_copy: bool = False
     pool_dir: str = "."
     capacity: int | None = None
-    extras: dict = field(default_factory=dict)
 
     def validate(self) -> "WorkloadConfig":
         from ..kernels import KINDS

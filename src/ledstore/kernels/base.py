@@ -50,18 +50,6 @@ def check_key(key: int) -> int:
     return key
 
 
-class KernelStats:
-    """Per-kernel-instance tallies, separate from the pool's WriteStats."""
-
-    __slots__ = ("inserts", "removes", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.inserts = 0
-        self.removes = 0
-        self.hits = 0
-        self.misses = 0
-
-
 class MapKernel:
     """Base class: root bookkeeping and the common operation surface."""
 
@@ -83,7 +71,10 @@ class MapKernel:
         self.change = change
         self.shallow_copy = shallow_copy
         self.rng = rng
-        self.kstats = KernelStats()
+        # lane facts: auto v2 keeps key64 in an extension; manual v2 "add"
+        # records carry the name array inline
+        self.key64_ext = mode == "auto" and version == 2 and change == "change"
+        self.inline_name = mode == "manual" and version == 2 and change == "add"
         self.root = NULL_OID
 
     # -- root helpers ------------------------------------------------------

@@ -134,7 +134,7 @@ class BTreeKernel(MapKernel):
         return self._child(node, 0).is_null()
 
     def _confirm(self, node: ObjectId, i: int, key: int) -> None:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             k64 = leds.read_field(self.pool, node, self.item_desc, "key64",
                                   base_off=self._item_off(i))
             assert k64 == key, "key64 invariant violated"
@@ -158,11 +158,9 @@ class BTreeKernel(MapKernel):
     def lookup(self, key: int):
         found = self._find(key)
         if found is None:
-            self.kstats.misses += 1
             return None
         node, pos = found
         self._confirm(node, pos, key)
-        self.kstats.hits += 1
         raw = self.pool.load(node, self._item_off(pos) + self.val_in_item, 16)
         return decode_value(raw)
 
@@ -183,7 +181,6 @@ class BTreeKernel(MapKernel):
             troot = new_root
         self._insert_nonfull(tx, troot, key, value)
         self._bump_count(tx, 1)
-        self.kstats.inserts += 1
         return True
 
     def _insert_nonfull(self, tx, cur: ObjectId, key: int, value: int) -> None:
@@ -198,7 +195,7 @@ class BTreeKernel(MapKernel):
                     self._put_item(tx, cur, j + 1, self._item_raw(cur, j))
                 self._put_item(tx, cur, pos, self._make_item(key, value))
                 self._set_n(tx, cur, n + 1)
-                if self.mode == "auto" and self.version == 2 and self.change == "change":
+                if self.key64_ext:
                     leds.ensure_extension(tx, self.pool, cur, self.item_desc, 1,
                                           base_off=self._item_off(pos))
                 return
@@ -242,7 +239,6 @@ class BTreeKernel(MapKernel):
             tx.write(self.root, 0, self._child(troot, 0).pack())
             tx.free(troot)
         self._bump_count(tx, -1)
-        self.kstats.removes += 1
         return True
 
     def _free_item_chain(self, tx, raw: bytes) -> None:
@@ -368,7 +364,7 @@ class BTreeKernel(MapKernel):
     # -- scan / validate ------------------------------------------------------------
 
     def _entry_key(self, node: ObjectId, i: int) -> int:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             return leds.read_field(self.pool, node, self.item_desc, "key64",
                                    base_off=self._item_off(i))
         raw = self.pool.load(node, self._item_off(i), 8 if self.key_is64 else 4)
@@ -402,7 +398,7 @@ class BTreeKernel(MapKernel):
             assert keys == sorted(set(keys)), "keys not strictly ascending"
             if keys:
                 assert lo < keys[0] and keys[-1] < hi, "key range violated"
-            if self.mode == "auto" and self.version == 2 and self.change == "change":
+            if self.key64_ext:
                 for i in range(n):
                     k64 = _peek_item_key64(self.pool, cur, self._item_off(i),
                                            self.link_in_item)

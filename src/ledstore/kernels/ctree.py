@@ -108,7 +108,7 @@ class CritBitKernel(MapKernel):
         return raw
 
     def _confirm(self, holder: ObjectId, off: int, key: int) -> None:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             k64 = leds.read_field(self.pool, holder, self.entry_desc, "key64", base_off=off)
             assert k64 == key, "key64 invariant violated"
 
@@ -141,11 +141,10 @@ class CritBitKernel(MapKernel):
             tx.write(self.root, ROOT_ENTRY_OFF,
                      self._make_entry(key, encode_value(value)))
             tx.write(self.root, 0, _U64.pack(1))
-            if self.mode == "auto" and self.version == 2 and self.change == "change":
+            if self.key64_ext:
                 leds.ensure_extension(tx, self.pool, self.root, self.entry_desc, 1,
                                       base_off=ROOT_ENTRY_OFF)
             self._bump_count(tx, 1)
-            self.kstats.inserts += 1
             return True
 
         leaf_holder, leaf_off, _ = self._descend(key)[-1]
@@ -174,11 +173,10 @@ class CritBitKernel(MapKernel):
         tx.write(node, 0, _U32.pack(word) + entries[0] + entries[1])
         tx.write(holder, off, self._make_entry(0, node.pack()))
         self._set_entry_leafness(tx, holder, off, False)
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             leds.ensure_extension(tx, self.pool, node, self.entry_desc, 1,
                                   base_off=4 + i * self.stride)
         self._bump_count(tx, 1)
-        self.kstats.inserts += 1
         return True
 
     def remove(self, tx, key: int) -> bool:
@@ -196,7 +194,6 @@ class CritBitKernel(MapKernel):
         if len(path) == 1:
             tx.write(self.root, 0, _U64.pack(0))
             self._bump_count(tx, -1)
-            self.kstats.removes += 1
             return True
         node = holder
         j = (off - 4) // self.stride
@@ -209,23 +206,19 @@ class CritBitKernel(MapKernel):
         self._set_entry_leafness(tx, g_holder, g_off, sib_leaf)
         tx.free(node)
         self._bump_count(tx, -1)
-        self.kstats.removes += 1
         return True
 
     def lookup(self, key: int):
         if self.count() == 0:
-            self.kstats.misses += 1
             return None
         holder, off, _ = self._descend(key)[-1]
         if self._entry_key(holder, off) != key:
-            self.kstats.misses += 1
             return None
         self._confirm(holder, off, key)
-        self.kstats.hits += 1
         return decode_value(self.pool.load(holder, off + self.slot_in_entry, 16))
 
     def _observed_key(self, holder: ObjectId, off: int) -> int:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             return leds.read_field(self.pool, holder, self.entry_desc, "key64", base_off=off)
         return self._entry_key(holder, off)
 
@@ -255,7 +248,7 @@ class CritBitKernel(MapKernel):
                 key = self._entry_key(holder, off)
                 for b, v in fixed_bits:
                     assert bit_of(key, b) == v, f"key {key} violates bit {b}={v}"
-                if self.mode == "auto" and self.version == 2 and self.change == "change":
+                if self.key64_ext:
                     k64 = _peek_entry_key64(self.pool, holder,
                                             off + self.link_in_entry)
                     if k64 is not None:

@@ -100,7 +100,7 @@ class HashMapKernel(MapKernel):
 
     def _confirm(self, oid: ObjectId, key: int) -> None:
         """Positive match in auto-change mode reads key64 through the extension."""
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             k64 = leds.read_field(self.pool, oid, self.desc, "key64")
             assert k64 == key, "key64 invariant violated"
 
@@ -123,14 +123,13 @@ class HashMapKernel(MapKernel):
             record = _U64.pack(key) + encode_value(value) + head.pack()
         else:
             record = _U32.pack(key) + encode_value(value) + head.pack()
-        if self.mode == "manual" and self.version == 2 and self.change == "add":
+        if self.inline_name:
             record += bytes(16)  # name, zero-filled
         tx.write(node, 0, record)
         tx.write(buckets, idx * 16, node.pack())
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             leds.ensure_extension(tx, self.pool, node, self.desc, 1)
         self._bump_count(tx, 1)
-        self.kstats.inserts += 1
         if self.count() > nbuckets * MAX_LOAD:
             self._rehash(tx, buckets, nbuckets)
         return True
@@ -153,7 +152,6 @@ class HashMapKernel(MapKernel):
                 else:
                     tx.free(cur)
                 self._bump_count(tx, -1)
-                self.kstats.removes += 1
                 return True
             prev, cur = cur, self._node_next(cur)
         return False
@@ -164,14 +162,12 @@ class HashMapKernel(MapKernel):
         while not cur.is_null():
             if self._node_key(cur) == key:
                 self._confirm(cur, key)
-                self.kstats.hits += 1
                 return decode_value(self.pool.load(cur, self.val_off, 16))
             cur = self._node_next(cur)
-        self.kstats.misses += 1
         return None
 
     def _entry_key(self, oid: ObjectId) -> int:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             return leds.read_field(self.pool, oid, self.desc, "key64")
         return self._node_key(oid)
 
@@ -212,7 +208,7 @@ class HashMapKernel(MapKernel):
                 assert key not in seen, f"duplicate key {key}"
                 seen.add(key)
                 assert len(seen) <= expected, "cycle or count drift"
-                if self.mode == "auto" and self.version == 2 and self.change == "change":
+                if self.key64_ext:
                     k64 = _peek_key64(self.pool, cur, self.desc)
                     if k64 is not None:
                         assert k64 == key, "key64 invariant violated"

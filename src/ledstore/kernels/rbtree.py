@@ -106,7 +106,7 @@ class RBTreeKernel(MapKernel):
         return ObjectId.unpack(self.pool.load(oid, off, 16))
 
     def _confirm(self, oid: ObjectId, key: int) -> None:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             k64 = leds.read_field(self.pool, oid, self.desc, "key64")
             assert k64 == key, "key64 invariant violated"
 
@@ -171,11 +171,10 @@ class RBTreeKernel(MapKernel):
             tx.write(y, self.left_off, z.pack())
         else:
             tx.write(y, self.right_off, z.pack())
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             leds.ensure_extension(tx, self.pool, z, self.desc, 1)
         self._insert_fixup(tx, z)
         self._bump_count(tx, 1)
-        self.kstats.inserts += 1
         return True
 
     def _insert_fixup(self, tx, z: ObjectId) -> None:
@@ -262,7 +261,6 @@ class RBTreeKernel(MapKernel):
         else:
             tx.free(z)
         self._bump_count(tx, -1)
-        self.kstats.removes += 1
         return True
 
     def _delete_fixup(self, tx, x: ObjectId) -> None:
@@ -301,14 +299,12 @@ class RBTreeKernel(MapKernel):
     def lookup(self, key: int):
         node = self._search(key)
         if node is None:
-            self.kstats.misses += 1
             return None
         self._confirm(node, key)
-        self.kstats.hits += 1
         return decode_value(self.pool.load(node, self.val_off, 16))
 
     def _entry_key(self, oid: ObjectId) -> int:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             return leds.read_field(self.pool, oid, self.desc, "key64")
         return self._key(oid)
 

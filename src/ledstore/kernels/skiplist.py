@@ -113,7 +113,7 @@ class SkipListKernel(MapKernel):
         return self.head if pos == 0 else self.by_key[keys[pos - 1]]
 
     def _confirm(self, oid: ObjectId, key: int) -> None:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             k64 = leds.read_field(self.pool, oid, self.desc, "key64")
             assert k64 == key, "key64 invariant violated"
 
@@ -133,19 +133,18 @@ class SkipListKernel(MapKernel):
         key_part = _U64.pack(key) if self.key_is64 else _U32.pack(key)
         links = b"".join(s.pack() for s in succs) + bytes(16 * (LEVELS - h))
         record = key_part + encode_value(value) + links
-        if self.mode == "manual" and self.version == 2 and self.change == "add":
+        if self.inline_name:
             record += bytes(16)
         tx.write(node, 0, record)
         for level in range(h):
             tx.write(preds[level], self._next_off(level), node.pack())
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             leds.ensure_extension(tx, self.pool, node, self.desc, 1)
         self.by_key[key] = node
         self.height[key] = h
         for level in range(h):
             insort(self.level_keys[level], key)
         self._bump_count(tx, 1)
-        self.kstats.inserts += 1
         return True
 
     def remove(self, tx, key: int) -> bool:
@@ -165,20 +164,17 @@ class SkipListKernel(MapKernel):
         del self.by_key[key]
         del self.height[key]
         self._bump_count(tx, -1)
-        self.kstats.removes += 1
         return True
 
     def lookup(self, key: int):
         node = self.by_key.get(key)
         if node is None:
-            self.kstats.misses += 1
             return None
         self._confirm(node, key)
-        self.kstats.hits += 1
         return decode_value(self.pool.load(node, self.val_off, 16))
 
     def _entry_key(self, oid: ObjectId) -> int:
-        if self.mode == "auto" and self.version == 2 and self.change == "change":
+        if self.key64_ext:
             return leds.read_field(self.pool, oid, self.desc, "key64")
         return self._node_key(oid)
 

@@ -172,20 +172,17 @@ class _Allocator:
             off = payload + size
         self.frontier = off
 
-    def take(self, size: int, capacity: int) -> tuple[int, bool]:
-        """Pick a payload offset for `size` (rounded) bytes.
-
-        Returns (payload_offset, from_frontier). Does not touch the file.
-        """
+    def take(self, size: int, capacity: int) -> int:
+        """Pick a payload offset for `size` (rounded) bytes. Does not touch the file."""
         lst = self.free_lists.get(size)
         if lst:
-            return lst.pop(), False
+            return lst.pop()
         payload = self.frontier + BLOCK_HDR_SIZE
         if payload + size > capacity:
             raise OutOfSpace(
                 f"heap exhausted: need {size} bytes at {self.frontier}, capacity {capacity}"
             )
-        return payload, True
+        return payload
 
     def commit_take(self, payload: int, size: int) -> None:
         self.block_size[payload] = size
@@ -368,18 +365,18 @@ class PoolHandle:
 
     # ------------------------------------------------------------------ allocation
 
-    def raw_alloc(self, size: int, zeroed: bool = True) -> ObjectId:
-        """Immediate allocation, not crash-protected (transactions use tx.alloc_zeroed)."""
+    def raw_alloc(self, size: int) -> ObjectId:
+        """Immediate zeroed allocation, not crash-protected (transactions use
+        tx.alloc_zeroed). Free blocks are kept zeroed, so only the header is stored."""
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's alloc_zeroed()")
         if size <= 0:
             raise OutOfSpace("allocation size must be positive")
         rsize = _round16(size)
-        payload, _ = self._alloc.take(rsize, self.capacity)
+        payload = self._alloc.take(rsize, self.capacity)
         self._store(payload - BLOCK_HDR_SIZE, _2U64.pack(rsize, ST_ALLOCATED), "meta")
         self._alloc.commit_take(payload, rsize)
         self.stats.n_allocs += 1
-        # free blocks are already zeroed; the flag is honored structurally
         return ObjectId(self.pool_uuid, payload)
 
     def raw_free(self, oid: ObjectId) -> None:

@@ -118,12 +118,6 @@ class Transaction:
             self._covered.add((addr, len(data)))
         self.pool._store(addr, data, category)
 
-    def store_covered(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
-        """Store without snapshotting; caller guarantees the range is fresh or snapshotted."""
-        self._require_active()
-        addr = self.pool._check_range(oid, off, len(data))
-        self.pool._store(addr, data, category)
-
     def write_header(self, off: int, data: bytes) -> None:
         """Snapshotted store into the header page (root id, layout version)."""
         self._require_active()
@@ -148,7 +142,7 @@ class Transaction:
             raise OutOfSpace("allocation size must be positive")
         pool = self.pool
         rsize = _round16(size)
-        payload, _ = pool._alloc.take(rsize, pool.capacity)
+        payload = pool._alloc.take(rsize, pool.capacity)
         hdr_off = payload - BLOCK_HDR_SIZE
         old_hdr = bytes(pool.buf[hdr_off : hdr_off + BLOCK_HDR_SIZE])
         self._append(REC_ALLOC, payload, rsize, old_hdr)

@@ -216,3 +216,22 @@ class TestCli:
         assert loaded["kernel"] == "rbtree"
         assert loaded["model"] == "manual"
         assert loaded["migrations"] == 80
+
+    @pytest.mark.parametrize("policy", [
+        {"model": "manual", "layout_name": "hashmap-map"},
+        {"layout_version": 3},
+        {"manifest": "schema.json"},
+    ])
+    def test_config_policy_mismatch_rejected(self, tmp_path, policy):
+        from click.testing import CliRunner
+
+        from ledstore.bench.cli import main
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "kernel": "rbtree", "n": 80, "trials": 1,
+            "pool_dir": str(tmp_path / "scratch"), "policy": policy,
+        }))
+        result = CliRunner().invoke(main, ["run", "--config", str(config)])
+        assert isinstance(result.exception, ConfigError), result.output
+        assert not (tmp_path / "scratch").exists()

@@ -184,7 +184,7 @@ class TestTranslate:
 
 class TestAlloc:
     def test_zeroed(self, pool):
-        oid = pool.raw_alloc(24, zeroed=True)
+        oid = pool.raw_alloc(24)
         assert pool.load(oid, 0, 24) == bytes(24)
 
     def test_alignment(self, pool):

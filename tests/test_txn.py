@@ -99,7 +99,7 @@ class TestSnapshot:
         pool.store(oid, 0, b"orig" * 8)
         tx = pool.tx_begin()
         tx.snapshot_range(oid, 0, 32)
-        tx.store_covered(oid, 0, b"temp" * 8)
+        tx.write(oid, 0, b"temp" * 8)
         tx.abort()
         assert pool.load(oid, 0, 32) == b"orig" * 8
 
