@@ -9,11 +9,12 @@
     ledsbench sweep breakdown ...
 
 Every flag can also come from a JSON config file (--config); explicit
-flags win. The config file may carry a "policy" block mirroring the
-retention interface. Its "model" sets the retention model (an explicit
---model still wins). "layout_name" and "layout_version" may restate what
-the run derives, "<kernel>-map" and 2; any other value, or any other key
-(the run writes its own schema manifest), is a ConfigError.
+flags win, and a file key that names no flag is a ConfigError. The file
+may carry a "policy" block mirroring the retention interface. Its "model"
+sets the retention model (an explicit --model still wins). "layout_name"
+and "layout_version" may restate what the run derives, "<kernel>-map" and
+2; any other value, or any other key (the run writes its own schema
+manifest), is a ConfigError.
 """
 
 from __future__ import annotations
@@ -66,15 +67,19 @@ def _build_config(kwargs) -> tuple[WorkloadConfig, str, str | None]:
         with open(config_path) as fh:
             file_values = json.load(fh)
     policy_block = file_values.pop("policy", {})
-    fmt = kwargs.pop("fmt", None) or file_values.pop("report", None) or "json"
-    out = kwargs.pop("out", None) or file_values.pop("out", None)
+    file_fmt, file_out = file_values.pop("report", None), file_values.pop("out", None)
+    fmt = kwargs.pop("fmt", None) or file_fmt or "json"
+    out = kwargs.pop("out", None) or file_out
 
     merged = {
         "kernel": "hashmap", "pattern": "del", "n": 1000, "seed": 42,
         "layout": "change", "model": "auto", "trials": 5, "ratio": 1.0,
         "cache_translations": False, "shallow_copy": False, "pool_dir": ".",
     }
-    merged.update({k: v for k, v in file_values.items() if k in merged})
+    unknown = sorted(set(file_values) - set(merged))
+    if unknown:
+        raise ConfigError(f"config file keys {unknown} are not run options")
+    merged.update(file_values)
     if policy_block.get("model"):
         merged["model"] = policy_block["model"]
     merged.update({k: v for k, v in kwargs.items() if v is not None})

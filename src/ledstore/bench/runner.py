@@ -143,9 +143,12 @@ def _policy(cfg: WorkloadConfig, model: str, workdir: Path) -> RetentionPolicy:
     if model == MANUAL:
         return RetentionPolicy(MANUAL, cfg.layout_name,
                                migration=make_manual_migrator(cfg.kernel, cfg.layout))
-    manifest = str(workdir / f"schema-{cfg.kernel}-{cfg.layout}.json")
-    leds.dump_manifest(make_auto_schema(cfg.kernel, cfg.layout), manifest)
-    fp = leds.manifest_fingerprint(leds.load_manifest(manifest))
+    manifest = workdir / f"schema-{cfg.kernel}-{cfg.layout}.json"
+    leds.dump_manifest(make_auto_schema(cfg.kernel, cfg.layout), str(manifest))
+    try:
+        fp = leds.manifest_fingerprint(leds.load_manifest(str(manifest)))
+    finally:
+        manifest.unlink()
     return RetentionPolicy(AUTOMATIC, cfg.layout_name, schema_fingerprint=fp)
 
 

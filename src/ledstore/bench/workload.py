@@ -40,7 +40,6 @@ class WorkloadConfig:
     cache_translations: bool = False
     shallow_copy: bool = False
     pool_dir: str = "."
-    capacity: int | None = None
 
     def validate(self) -> "WorkloadConfig":
         from ..kernels import KINDS
@@ -66,8 +65,6 @@ class WorkloadConfig:
         return f"{self.kernel}-map"
 
     def pool_capacity(self) -> int:
-        if self.capacity:
-            return self.capacity
         return max(64 * 1024 * 1024, self.n * 2048)
 
 

@@ -24,44 +24,28 @@ _CLASSES = {
     "hashmap": hashmap.HashMapKernel,
 }
 
-_MIGRATORS = {
-    "skiplist": skiplist.migrate,
-    "ctree": ctree.migrate,
-    "btree": btree.migrate,
-    "rbtree": rbtree.migrate,
-    "hashmap": hashmap.migrate,
-}
 
-_AUTO_SCHEMAS = {
-    "skiplist": skiplist.auto_node_type,
-    "ctree": ctree.auto_entry_type,
-    "btree": btree.auto_item_type,
-    "rbtree": rbtree.auto_node_type,
-    "hashmap": hashmap.auto_node_type,
-}
+def _kernel_class(kind: str) -> type[MapKernel]:
+    try:
+        return _CLASSES[kind]
+    except KeyError:
+        raise ConfigError(f"unknown kernel kind {kind!r}") from None
 
 
 def make_kernel(pool, kind: str, **kw) -> MapKernel:
-    try:
-        cls = _CLASSES[kind]
-    except KeyError:
-        raise ConfigError(f"unknown kernel kind {kind!r}") from None
-    return cls(pool, **kw)
+    return _kernel_class(kind)(pool, **kw)
 
 
 def make_manual_migrator(kind: str, change: str = "change") -> MigrationPass:
     """Version 1 -> 2 pass for one kernel kind and layout edit."""
-    try:
-        fn = _MIGRATORS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown kernel kind {kind!r}") from None
-    root_size = _CLASSES[kind].ROOT_SIZE
+    cls = _kernel_class(kind)
+    old, new = cls.entry_record(), cls.entry_record(change)
 
     def transform(pool, tx, old_root, temp, ms):
-        fn(pool, tx, old_root, temp, ms, change)
+        cls.migrate(pool, tx, old_root, temp, ms, old, new)
 
     return MigrationPass(from_version=1, to_version=2,
-                         root_size=root_size, transform=transform)
+                         root_size=cls.ROOT_SIZE, transform=transform)
 
 
 def make_auto_schema(kind: str, change: str | None):
@@ -72,11 +56,7 @@ def make_auto_schema(kind: str, change: str | None):
     fingerprint is identical across all three, which is what lets a
     version-2 program open a version-1 pool.
     """
-    try:
-        fn = _AUTO_SCHEMAS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown kernel kind {kind!r}") from None
-    return [fn(change)]
+    return [_kernel_class(kind).entry_type(change)]
 
 
 __all__ = [

@@ -1,20 +1,29 @@
 """Shared machinery for the persistent map kernels.
 
-Every kernel stores map entries as fixed-layout records inside one pool and
-exists in two lanes:
+Every kernel stores map entries as fixed-layout records inside one pool. It
+declares its version-1 entry once, as ENTRY_NAME and ENTRY_FIELDS in leds
+field codes, and MapKernel derives every other entry layout from that list
+by one rule, for the two lanes:
 
-  manual  plain packed records; a version-2 layout is a different record
-          shape and old pools are converted by an explicit migration pass
-  auto    records are extendible (trailing link slot per extendible struct);
-          version 2 appends an extension level instead of changing the base
+  manual  a plain packed record (leds.define_record). Version 2 applies the
+          layout edit in place: "change" widens `key` to u64 and shifts
+          every later field, "add" appends `name bytes16`. Old pools are
+          converted by the kernel's `migrate` pass, which decodes through
+          the version-1 record and encodes through the version-2 one.
+  auto    an extendible record (leds.define_type) over the version-1 fields,
+          ending in a link slot. Version 2 keeps that base and appends the
+          same edit as extension level 1: {key64 u64}, copied from `key`,
+          or {name bytes16}, zero-filled.
 
-Version-2 layout edits come in two flavors: "change" widens the key field
-from 32 to 64 bits, "add" appends a 16-byte name array. In auto mode the
-widened key lives in a {key64} extension whose init rule zero-extends the
-stored 32-bit key; insert paths keep key64 == zext(key32), so ordering and
-equality of live keys can be decided from the base field alone and the
-extension is read (materializing it) only to confirm a positive match.
-That keeps lazy-migration counts equal to the number of matched nodes.
+Kernels read field offsets, the entry size and the key's struct from the
+derived layout, and share the lane-dependent helpers below; each helper
+takes the entry's offset in its holder (`base_off`), so entries embedded in
+B-tree and crit-bit nodes use them too. In auto "change" mode the widened
+key lives in the {key64} extension; insert paths keep key64 == zext(key32),
+so ordering and equality of live keys can be decided from the base field
+alone and the extension is read (materializing it) only to confirm a
+positive match. That keeps lazy-migration counts equal to the number of
+matched entries.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
 Keys must fit in 32 bits: version-1 records could not hold more, and the
@@ -25,13 +34,14 @@ from __future__ import annotations
 
 import struct
 
+from .. import leds
 from ..errors import ConfigError
 from ..pool import NULL_OID, ObjectId, PoolHandle
 from ..txn import Transaction
 
 VALUE_SIZE = 16
 _U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
+_LINK = struct.Struct("<QQ")
 
 KEY_LIMIT = 1 << 32
 
@@ -51,11 +61,13 @@ def check_key(key: int) -> int:
 
 
 class MapKernel:
-    """Base class: root bookkeeping and the common operation surface."""
+    """Base class: root bookkeeping, entry layouts and the operation surface."""
 
     kind = "?"
     ROOT_SIZE = 48
     COUNT_OFF = 32  # u64 entry count, shared slot in every kernel's root
+    ENTRY_NAME = "?"
+    ENTRY_FIELDS: tuple = ()  # version-1 entry, (name, leds code) pairs
 
     def __init__(self, pool: PoolHandle, *, mode: str = "manual", version: int = 1,
                  change: str = "change", shallow_copy: bool = False, rng=None):
@@ -66,16 +78,58 @@ class MapKernel:
         if change not in ("change", "add"):
             raise ConfigError(f"unknown layout edit {change!r}")
         self.pool = pool
-        self.mode = mode
-        self.version = version
-        self.change = change
         self.shallow_copy = shallow_copy
         self.rng = rng
-        # lane facts: auto v2 keeps key64 in an extension; manual v2 "add"
-        # records carry the name array inline
-        self.key64_ext = mode == "auto" and version == 2 and change == "change"
-        self.inline_name = mode == "manual" and version == 2 and change == "add"
+        edit = change if version == 2 else None
+        # entry_size is the allocated (or embedded) size; body_size the bytes
+        # before the auto lane's link slot, padding included
+        if mode == "auto":
+            self.desc = self.entry_type(edit)
+            self.entry = self.entry_record()
+            self.entry_size, self.body_size = self.desc.base_size, self.desc.link_offset
+        else:
+            self.desc = None
+            self.entry = self.entry_record(edit)
+            self.entry_size = self.body_size = self.entry.size
+        key = self.entry.field("key")
+        self.key_off, self.key_struct = key.offset, struct.Struct("<" + key.fmt)
+        # auto "change": key64 lives in an extension, see the module docstring
+        self.key64_ext = mode == "auto" and edit == "change"
         self.root = NULL_OID
+
+    @classmethod
+    def entry_record(cls, edit: str | None = None) -> leds.RecordLayout:
+        """Manual-lane entry: version 1, or version 2 with `edit` applied in place."""
+        fields = list(cls.ENTRY_FIELDS)
+        if edit == "change":
+            fields = [(name, "u64" if name == "key" else code) for name, code in fields]
+        elif edit == "add":
+            fields.append(("name", "bytes16"))
+        elif edit is not None:
+            raise ConfigError(f"unknown layout edit {edit!r}")
+        return leds.define_record(fields)
+
+    @classmethod
+    def entry_type(cls, edit: str | None = None) -> leds.TypeDescriptor:
+        """Auto-lane entry: the version-1 base, plus `edit` as extension level 1."""
+        desc = leds.define_type(cls.ENTRY_NAME, cls.ENTRY_FIELDS)
+        if edit == "change":
+            desc = leds.append_extension(
+                desc, [("key64", "u64")], {"op": "copy_fields", "map": {"key64": "key"}}
+            )
+        elif edit == "add":
+            desc = leds.append_extension(desc, [("name", "bytes16")], {"op": "zero"})
+        elif edit is not None:
+            raise ConfigError(f"unknown layout edit {edit!r}")
+        return desc
+
+    @classmethod
+    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms,
+                old: leds.RecordLayout, new: leds.RecordLayout) -> None:
+        """Manual version 1 -> 2 pass: rebuild the structure under `old_root`
+        into the `temp` root, decoding entries through record `old` and
+        encoding them through record `new`."""
+        raise NotImplementedError
 
     # -- root helpers ------------------------------------------------------
 
@@ -134,3 +188,71 @@ class MapKernel:
 
     def items(self) -> dict[int, int]:
         return dict(self.scan())
+
+    # -- entry helpers: `holder` is the record, `base_off` the entry's offset in it
+
+    def _key(self, holder: ObjectId, base_off: int = 0) -> int:
+        """The stored key field (32-bit in the auto lane)."""
+        raw = self.pool.load(holder, base_off + self.key_off, self.key_struct.size)
+        return self.key_struct.unpack(raw)[0]
+
+    def _observed_key(self, holder: ObjectId, base_off: int = 0) -> int:
+        """The key as the program reads it: key64 through the extension in auto
+        "change" mode, materializing it on first touch."""
+        if self.key64_ext:
+            return leds.read_field(self.pool, holder, self.desc, "key64", base_off=base_off)
+        return self._key(holder, base_off)
+
+    def _confirm(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
+        """A positive match in auto "change" mode reads key64 through the extension."""
+        if self.key64_ext:
+            assert self._observed_key(holder, base_off) == key, "key64 invariant violated"
+
+    def _peek_key64(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
+        """Validation: a materialized key64 must equal `key`. The read is
+        uncounted and materializes nothing."""
+        if not self.key64_ext:
+            return
+        buf = self.pool.buf
+        uuid, target = _LINK.unpack_from(buf, holder.offset + base_off + self.desc.link_offset)
+        if uuid or target:
+            assert _U64.unpack_from(buf, target)[0] == key, "key64 invariant violated"
+
+    def _extend_new(self, tx, holder: ObjectId, base_off: int = 0) -> None:
+        """A new entry in auto "change" mode gets its key64 at once."""
+        if self.key64_ext:
+            leds.ensure_extension(tx, self.pool, holder, self.desc, 1, base_off=base_off)
+
+    def _relocated(self, tx, raw: bytes) -> bytes:
+        """An embedded entry's bytes for a new slot. In the auto lane the
+        extension link moves along (shallow copy) or, with shallow_copy off,
+        the chain is cloned and the original freed."""
+        if self.desc is None or self.shallow_copy:
+            return raw
+        link_off = self.desc.link_offset
+        link = ObjectId.unpack(raw, link_off)
+        if link.is_null():
+            return raw
+        clone = leds.clone_extension_chain(tx, self.pool, link, self.desc)
+        leds.free_extension_chain(tx, self.pool, link, self.desc)
+        self.pool.stats.deep_copies += 1
+        return raw[:link_off] + clone.pack()
+
+    def _free_entry(self, tx, holder: ObjectId, base_off: int | None = None,
+                    raw: bytes | None = None) -> None:
+        """Free an entry with its extension chain. A standalone record (no
+        `base_off`) is freed whole; an embedded entry loses its chain only,
+        read from `raw`, the entry's bytes, when the caller has them."""
+        if self.desc is None:
+            if base_off is None:
+                tx.free(holder)
+        elif base_off is None:
+            leds.free_extendible(tx, self.pool, holder, self.desc)
+        else:
+            link_off = self.desc.link_offset
+            if raw is None:  # read the link slot alone
+                link = ObjectId.unpack(self.pool.load(holder, base_off + link_off, leds.LINK_SIZE))
+            else:
+                link = ObjectId.unpack(raw, link_off)
+            if not link.is_null():
+                leds.free_extension_chain(tx, self.pool, link, self.desc)

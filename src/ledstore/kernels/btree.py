@@ -22,51 +22,36 @@ from __future__ import annotations
 
 import struct
 
-from .. import leds
 from ..pool import ObjectId
 from .base import MapKernel, check_key, decode_value, encode_value
 
 _U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
 
 SLOTS = 8
 MAX_KEYS = 7
 MIN_KEYS = 3
+ITEMS_OFF = 4
 
 
-def auto_item_type(change: str | None) -> leds.TypeDescriptor:
-    desc = leds.define_type("btree_item", [("key", "u32"), ("value", "oid")])
-    if change == "change":
-        desc = leds.append_extension(
-            desc, [("key64", "u64")], {"op": "copy_fields", "map": {"key64": "key"}}
-        )
-    elif change == "add":
-        desc = leds.append_extension(desc, [("name", "bytes16")], {"op": "zero"})
-    return desc
+def node_shape(stride: int) -> tuple[int, int]:
+    """(children offset, node size) for item slots of `stride` bytes."""
+    children_off = ITEMS_OFF + SLOTS * stride
+    return children_off, children_off + SLOTS * 16
 
 
 class BTreeKernel(MapKernel):
     kind = "btree"
+    ENTRY_NAME = "btree_item"
+    ENTRY_FIELDS = (("key", "u32"), ("value", "oid"))
 
     # root: tree root oid @0, count u64 @32
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        if self.mode == "auto":
-            self.item_desc = auto_item_type(self.change if self.version == 2 else None)
-            self.stride, self.key_is64 = self.item_desc.base_size, False
-            self.link_in_item = self.item_desc.link_offset
-        elif self.version == 1:
-            self.stride, self.key_is64 = 20, False
-        elif self.change == "change":
-            self.stride, self.key_is64 = 24, True
-        else:
-            self.stride, self.key_is64 = 36, False
-        self.items_off = 4
-        self.children_off = 4 + SLOTS * self.stride
-        self.node_size = self.children_off + SLOTS * 16
-        self.val_in_item = 8 if self.key_is64 else 4
+        self.stride = self.entry_size
+        self.children_off, self.node_size = node_shape(self.stride)
+        self.val_in_item = self.entry.offsets["value"]
 
     # -- structure ----------------------------------------------------------
 
@@ -88,14 +73,14 @@ class BTreeKernel(MapKernel):
         tx.write(node, 0, _I32.pack(n))
 
     def _item_off(self, i: int) -> int:
-        return self.items_off + i * self.stride
+        return ITEMS_OFF + i * self.stride
 
     def _keys(self, node: ObjectId, n: int) -> list[int]:
         if n == 0:
             return []
-        raw = self.pool.load(node, self.items_off, n * self.stride)
-        fmt = _U64 if self.key_is64 else _U32
-        return [fmt.unpack_from(raw, i * self.stride)[0] for i in range(n)]
+        raw = self.pool.load(node, ITEMS_OFF, n * self.stride)
+        key = self.key_struct
+        return [key.unpack_from(raw, i * self.stride + self.key_off)[0] for i in range(n)]
 
     def _item_raw(self, node: ObjectId, i: int) -> bytes:
         return self.pool.load(node, self._item_off(i), self.stride)
@@ -105,24 +90,10 @@ class BTreeKernel(MapKernel):
 
     def _move_item(self, tx, src: ObjectId, si: int, dst: ObjectId, di: int) -> None:
         """Between-node item move; honors the shallow-copy toggle in auto mode."""
-        raw = self._item_raw(src, si)
-        if self.mode == "auto" and not self.shallow_copy:
-            link = ObjectId.unpack(raw, self.link_in_item)
-            if not link.is_null():
-                clone = leds.clone_extension_chain(
-                    tx, self.pool, link, self.item_desc
-                )
-                leds.free_extension_chain(tx, self.pool, link, self.item_desc)
-                raw = raw[: self.link_in_item] + clone.pack()
-                self.pool.stats.deep_copies += 1
-        self._put_item(tx, dst, di, raw)
+        self._put_item(tx, dst, di, self._relocated(tx, self._item_raw(src, si)))
 
     def _make_item(self, key: int, value: int) -> bytes:
-        if self.key_is64:
-            raw = _U64.pack(key) + encode_value(value)
-        else:
-            raw = _U32.pack(key) + encode_value(value)
-        return raw + bytes(self.stride - len(raw))
+        return self.entry.pack(key, encode_value(value)).ljust(self.stride, b"\0")
 
     def _child(self, node: ObjectId, i: int) -> ObjectId:
         return ObjectId.unpack(self.pool.load(node, self.children_off + i * 16, 16))
@@ -132,12 +103,6 @@ class BTreeKernel(MapKernel):
 
     def _is_leaf(self, node: ObjectId) -> bool:
         return self._child(node, 0).is_null()
-
-    def _confirm(self, node: ObjectId, i: int, key: int) -> None:
-        if self.key64_ext:
-            k64 = leds.read_field(self.pool, node, self.item_desc, "key64",
-                                  base_off=self._item_off(i))
-            assert k64 == key, "key64 invariant violated"
 
     # -- search ------------------------------------------------------------------
 
@@ -160,7 +125,7 @@ class BTreeKernel(MapKernel):
         if found is None:
             return None
         node, pos = found
-        self._confirm(node, pos, key)
+        self._confirm(node, key, self._item_off(pos))
         raw = self.pool.load(node, self._item_off(pos) + self.val_in_item, 16)
         return decode_value(raw)
 
@@ -170,7 +135,7 @@ class BTreeKernel(MapKernel):
         check_key(key)
         if self._find(key) is not None:
             node, pos = self._find(key)
-            self._confirm(node, pos, key)
+            self._confirm(node, key, self._item_off(pos))
             return False
         troot = self._tree_root()
         if self._n(troot) == MAX_KEYS:
@@ -195,9 +160,7 @@ class BTreeKernel(MapKernel):
                     self._put_item(tx, cur, j + 1, self._item_raw(cur, j))
                 self._put_item(tx, cur, pos, self._make_item(key, value))
                 self._set_n(tx, cur, n + 1)
-                if self.key64_ext:
-                    leds.ensure_extension(tx, self.pool, cur, self.item_desc, 1,
-                                          base_off=self._item_off(pos))
+                self._extend_new(tx, cur, self._item_off(pos))
                 return
             child = self._child(cur, pos)
             if self._n(child) == MAX_KEYS:
@@ -232,7 +195,7 @@ class BTreeKernel(MapKernel):
         found = self._find(key)
         if found is None:
             return False
-        self._confirm(found[0], found[1], key)
+        self._confirm(found[0], key, self._item_off(found[1]))
         troot = self._tree_root()
         self._delete_from(tx, troot, key)
         if self._n(troot) == 0 and not self._is_leaf(troot):
@@ -241,12 +204,8 @@ class BTreeKernel(MapKernel):
         self._bump_count(tx, -1)
         return True
 
-    def _free_item_chain(self, tx, raw: bytes) -> None:
-        if self.mode != "auto":
-            return
-        link = ObjectId.unpack(raw, self.link_in_item)
-        if not link.is_null():
-            leds.free_extension_chain(tx, self.pool, link, self.item_desc)
+    def _free_item_chain(self, tx, node: ObjectId, i: int) -> None:
+        self._free_entry(tx, node, self._item_off(i), self._item_raw(node, i))
 
     def _delete_from(self, tx, cur: ObjectId, key: int) -> None:
         n = self._n(cur)
@@ -256,7 +215,7 @@ class BTreeKernel(MapKernel):
             pos += 1
         if pos < n and keys[pos] == key:
             if self._is_leaf(cur):
-                self._free_item_chain(tx, self._item_raw(cur, pos))
+                self._free_item_chain(tx, cur, pos)
                 for j in range(pos + 1, n):
                     self._put_item(tx, cur, j - 1, self._item_raw(cur, j))
                 self._set_n(tx, cur, n - 1)
@@ -264,11 +223,11 @@ class BTreeKernel(MapKernel):
             left, right = self._child(cur, pos), self._child(cur, pos + 1)
             if self._n(left) > MIN_KEYS:
                 raw = self._extract_edge(tx, left, last=True)
-                self._free_item_chain(tx, self._item_raw(cur, pos))
+                self._free_item_chain(tx, cur, pos)
                 self._put_item(tx, cur, pos, raw)
             elif self._n(right) > MIN_KEYS:
                 raw = self._extract_edge(tx, right, last=False)
-                self._free_item_chain(tx, self._item_raw(cur, pos))
+                self._free_item_chain(tx, cur, pos)
                 self._put_item(tx, cur, pos, raw)
             else:
                 self._merge(tx, cur, pos)
@@ -363,13 +322,6 @@ class BTreeKernel(MapKernel):
 
     # -- scan / validate ------------------------------------------------------------
 
-    def _entry_key(self, node: ObjectId, i: int) -> int:
-        if self.key64_ext:
-            return leds.read_field(self.pool, node, self.item_desc, "key64",
-                                   base_off=self._item_off(i))
-        raw = self.pool.load(node, self._item_off(i), 8 if self.key_is64 else 4)
-        return (_U64 if self.key_is64 else _U32).unpack(raw)[0]
-
     def scan(self):
         def walk(cur):
             n = self._n(cur)
@@ -378,7 +330,7 @@ class BTreeKernel(MapKernel):
                 if not leaf:
                     yield from walk(self._child(cur, i))
                 val = self.pool.load(cur, self._item_off(i) + self.val_in_item, 16)
-                yield self._entry_key(cur, i), decode_value(val)
+                yield self._observed_key(cur, self._item_off(i)), decode_value(val)
             if not leaf:
                 yield from walk(self._child(cur, n))
 
@@ -398,12 +350,8 @@ class BTreeKernel(MapKernel):
             assert keys == sorted(set(keys)), "keys not strictly ascending"
             if keys:
                 assert lo < keys[0] and keys[-1] < hi, "key range violated"
-            if self.key64_ext:
-                for i in range(n):
-                    k64 = _peek_item_key64(self.pool, cur, self._item_off(i),
-                                           self.link_in_item)
-                    if k64 is not None:
-                        assert k64 == keys[i], "key64 invariant violated"
+            for i in range(n):
+                self._peek_key64(cur, keys[i], self._item_off(i))
             if self._is_leaf(cur):
                 return 1, n
             depth = None
@@ -420,58 +368,39 @@ class BTreeKernel(MapKernel):
         assert total == self.count(), f"count {self.count()} != walked {total}"
 
 
-def _peek_item_key64(pool, node, item_off, link_off):
-    uuid, target = struct.unpack_from("<QQ", pool.buf, node.offset + item_off + link_off)
-    if uuid == 0 and target == 0:
-        return None
-    return _U64.unpack_from(pool.buf, target)[0]
+    # -- manual migration ------------------------------------------------------
 
+    @classmethod
+    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+        """Clone the tree node-for-node (same shape, same occupancy); children
+        first so every new record is written with a single store."""
+        old_tree = ObjectId.unpack(pool.load(old_root, 0, 16))
+        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
+        old_children, old_size = node_shape(old.size)
+        new_children, new_size = node_shape(new.size)
 
-# -- manual migration --------------------------------------------------------
+        def clone(old_node: ObjectId) -> ObjectId:
+            raw = pool.load(old_node, 0, old_size)
+            n = _I32.unpack_from(raw)[0]
+            record = bytearray(new_size)
+            _I32.pack_into(record, 0, n)
+            for i in range(n):
+                item = new.pack(*old.unpack_from(raw, ITEMS_OFF + i * old.size))
+                dst = ITEMS_OFF + i * new.size
+                record[dst : dst + new.size] = item
+            first_child = ObjectId.unpack(raw, old_children)
+            if not first_child.is_null():
+                for i in range(n + 1):
+                    child = ObjectId.unpack(raw, old_children + i * 16)
+                    dst = new_children + i * 16
+                    record[dst : dst + 16] = clone(child).pack()
+            new_node = tx.alloc_zeroed(new_size)
+            tx.write(new_node, 0, bytes(record))
+            ms.nodes_migrated += 1
+            ms.bytes_node_records += new_size
+            tx.free(old_node)
+            return new_node
 
-def migrate(pool, tx, old_root: ObjectId, temp: ObjectId, ms, change: str) -> None:
-    """Clone the tree node-for-node (same shape, same occupancy); children
-    first so every new record is written with a single store."""
-    old_tree = ObjectId.unpack(pool.load(old_root, 0, 16))
-    count = _U64.unpack_from(pool.load(old_root, 32, 8))[0]
-
-    old_stride, old_items, old_children = 20, 4, 4 + SLOTS * 20
-    if change == "change":
-        new_stride, new_size = 24, 324
-    else:
-        new_stride, new_size = 36, 420
-    new_children = 4 + SLOTS * new_stride
-
-    def clone(old: ObjectId) -> ObjectId:
-        raw = pool.load(old, 0, 292)
-        n = _I32.unpack_from(raw)[0]
-        record = bytearray(new_size)
-        _I32.pack_into(record, 0, n)
-        for i in range(n):
-            base = old_items + i * old_stride
-            key = _U32.unpack_from(raw, base)[0]
-            value = raw[base + 4 : base + 20]
-            dst = 4 + i * new_stride
-            if change == "change":
-                record[dst : dst + 8] = _U64.pack(key)
-                record[dst + 8 : dst + 24] = value
-            else:
-                record[dst : dst + 4] = _U32.pack(key)
-                record[dst + 4 : dst + 20] = value
-        first_child = ObjectId.unpack(raw, old_children)
-        if not first_child.is_null():
-            for i in range(n + 1):
-                child = ObjectId.unpack(raw, old_children + i * 16)
-                new_child = clone(child)
-                dst = new_children + i * 16
-                record[dst : dst + 16] = new_child.pack()
-        new = tx.alloc_zeroed(new_size)
-        tx.write(new, 0, bytes(record))
-        ms.nodes_migrated += 1
-        ms.bytes_node_records += new_size
-        tx.free(old)
-        return new
-
-    new_tree = clone(old_tree)
-    tx.write(temp, 0, new_tree.pack())
-    tx.write(temp, 32, _U64.pack(count))
+        new_tree = clone(old_tree)
+        tx.write(temp, 0, new_tree.pack())
+        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import struct
 
-from .. import leds
 from ..pool import ObjectId
 from .base import MapKernel, check_key, decode_value, encode_value
 
@@ -39,36 +38,18 @@ def crit_bit(a: int, b: int) -> int:
     return 64 - (a ^ b).bit_length()
 
 
-def auto_entry_type(change: str | None) -> leds.TypeDescriptor:
-    desc = leds.define_type("ctree_entry", [("key", "u32"), ("slot", "oid")])
-    if change == "change":
-        desc = leds.append_extension(
-            desc, [("key64", "u64")], {"op": "copy_fields", "map": {"key64": "key"}}
-        )
-    elif change == "add":
-        desc = leds.append_extension(desc, [("name", "bytes16")], {"op": "zero"})
-    return desc
-
-
 class CritBitKernel(MapKernel):
     kind = "ctree"
     ROOT_SIZE = 96
+    ENTRY_NAME = "ctree_entry"
+    ENTRY_FIELDS = (("key", "u32"), ("slot", "oid"))
 
     # root: is_leaf u64 @0, count u64 @32, embedded entry @48
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        if self.mode == "auto":
-            self.entry_desc = auto_entry_type(self.change if self.version == 2 else None)
-            self.stride, self.key_is64 = self.entry_desc.base_size, False
-            self.slot_in_entry = 4
-            self.link_in_entry = self.entry_desc.link_offset
-        elif self.version == 1:
-            self.stride, self.key_is64, self.slot_in_entry = 20, False, 4
-        elif self.change == "change":
-            self.stride, self.key_is64, self.slot_in_entry = 24, True, 8
-        else:
-            self.stride, self.key_is64, self.slot_in_entry = 36, False, 4
+        self.stride = self.entry_size
+        self.slot_in_entry = self.entry.offsets["slot"]
         self.node_size = 4 + 2 * self.stride
 
     # -- structure ----------------------------------------------------------
@@ -78,10 +59,6 @@ class CritBitKernel(MapKernel):
         tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
 
     # -- entry plumbing -------------------------------------------------------
-
-    def _entry_key(self, holder: ObjectId, off: int) -> int:
-        raw = self.pool.load(holder, off, 8 if self.key_is64 else 4)
-        return (_U64 if self.key_is64 else _U32).unpack(raw)[0]
 
     def _entry_slot(self, holder: ObjectId, off: int) -> ObjectId:
         return ObjectId.unpack(self.pool.load(holder, off + self.slot_in_entry, 16))
@@ -93,24 +70,7 @@ class CritBitKernel(MapKernel):
         return _U64.unpack(self.pool.load(self.root, 0, 8))[0] == 1
 
     def _make_entry(self, key: int, slot: bytes) -> bytes:
-        head = (_U64 if self.key_is64 else _U32).pack(key) + slot
-        return head + bytes(self.stride - len(head))
-
-    def _moved_entry(self, tx, raw: bytes) -> bytes:
-        """Entry relocation; honors the shallow-copy toggle in auto mode."""
-        if self.mode == "auto" and not self.shallow_copy:
-            link = ObjectId.unpack(raw, self.link_in_entry)
-            if not link.is_null():
-                clone = leds.clone_extension_chain(tx, self.pool, link, self.entry_desc)
-                leds.free_extension_chain(tx, self.pool, link, self.entry_desc)
-                raw = raw[: self.link_in_entry] + clone.pack()
-                self.pool.stats.deep_copies += 1
-        return raw
-
-    def _confirm(self, holder: ObjectId, off: int, key: int) -> None:
-        if self.key64_ext:
-            k64 = leds.read_field(self.pool, holder, self.entry_desc, "key64", base_off=off)
-            assert k64 == key, "key64 invariant violated"
+        return self.entry.pack(key, slot).ljust(self.stride, b"\0")
 
     def _descend(self, key: int):
         """Walk to the leaf entry key's bits select; returns the path of
@@ -141,16 +101,14 @@ class CritBitKernel(MapKernel):
             tx.write(self.root, ROOT_ENTRY_OFF,
                      self._make_entry(key, encode_value(value)))
             tx.write(self.root, 0, _U64.pack(1))
-            if self.key64_ext:
-                leds.ensure_extension(tx, self.pool, self.root, self.entry_desc, 1,
-                                      base_off=ROOT_ENTRY_OFF)
+            self._extend_new(tx, self.root, ROOT_ENTRY_OFF)
             self._bump_count(tx, 1)
             return True
 
         leaf_holder, leaf_off, _ = self._descend(key)[-1]
-        leafkey = self._entry_key(leaf_holder, leaf_off)
+        leafkey = self._key(leaf_holder, leaf_off)
         if leafkey == key:
-            self._confirm(leaf_holder, leaf_off, key)
+            self._confirm(leaf_holder, key, leaf_off)
             return False
         b = crit_bit(leafkey, key)
 
@@ -164,7 +122,7 @@ class CritBitKernel(MapKernel):
             i = bit_of(key, word & 0xFF)
             holder, off, is_leaf = node, 4 + i * self.stride, bool(word >> (8 + i) & 1)
 
-        displaced = self._moved_entry(tx, self.pool.load(holder, off, self.stride))
+        displaced = self._relocated(tx, self.pool.load(holder, off, self.stride))
         i = bit_of(key, b)
         node = tx.alloc_zeroed(self.node_size)
         word = b | (1 << (8 + i)) | ((1 << (8 + (1 - i))) if is_leaf else 0)
@@ -173,9 +131,7 @@ class CritBitKernel(MapKernel):
         tx.write(node, 0, _U32.pack(word) + entries[0] + entries[1])
         tx.write(holder, off, self._make_entry(0, node.pack()))
         self._set_entry_leafness(tx, holder, off, False)
-        if self.key64_ext:
-            leds.ensure_extension(tx, self.pool, node, self.entry_desc, 1,
-                                  base_off=4 + i * self.stride)
+        self._extend_new(tx, node, 4 + i * self.stride)
         self._bump_count(tx, 1)
         return True
 
@@ -184,13 +140,10 @@ class CritBitKernel(MapKernel):
             return False
         path = self._descend(key)
         holder, off, _ = path[-1]
-        if self._entry_key(holder, off) != key:
+        if self._key(holder, off) != key:
             return False
-        self._confirm(holder, off, key)
-        if self.mode == "auto":
-            link = ObjectId.unpack(self.pool.load(holder, off + self.link_in_entry, 16))
-            if not link.is_null():
-                leds.free_extension_chain(tx, self.pool, link, self.entry_desc)
+        self._confirm(holder, key, off)
+        self._free_entry(tx, holder, off)
         if len(path) == 1:
             tx.write(self.root, 0, _U64.pack(0))
             self._bump_count(tx, -1)
@@ -200,7 +153,7 @@ class CritBitKernel(MapKernel):
         word = self._diff_word(node)
         sib_off = 4 + (1 - j) * self.stride
         sib_leaf = bool(word >> (8 + (1 - j)) & 1)
-        sibling = self._moved_entry(tx, self.pool.load(node, sib_off, self.stride))
+        sibling = self._relocated(tx, self.pool.load(node, sib_off, self.stride))
         g_holder, g_off, _ = path[-2]
         tx.write(g_holder, g_off, sibling)
         self._set_entry_leafness(tx, g_holder, g_off, sib_leaf)
@@ -212,15 +165,10 @@ class CritBitKernel(MapKernel):
         if self.count() == 0:
             return None
         holder, off, _ = self._descend(key)[-1]
-        if self._entry_key(holder, off) != key:
+        if self._key(holder, off) != key:
             return None
-        self._confirm(holder, off, key)
+        self._confirm(holder, key, off)
         return decode_value(self.pool.load(holder, off + self.slot_in_entry, 16))
-
-    def _observed_key(self, holder: ObjectId, off: int) -> int:
-        if self.key64_ext:
-            return leds.read_field(self.pool, holder, self.entry_desc, "key64", base_off=off)
-        return self._entry_key(holder, off)
 
     def scan(self):
         if self.count() == 0:
@@ -245,14 +193,10 @@ class CritBitKernel(MapKernel):
 
         def walk(holder, off, is_leaf, fixed_bits, parent_diff):
             if is_leaf:
-                key = self._entry_key(holder, off)
+                key = self._key(holder, off)
                 for b, v in fixed_bits:
                     assert bit_of(key, b) == v, f"key {key} violates bit {b}={v}"
-                if self.key64_ext:
-                    k64 = _peek_entry_key64(self.pool, holder,
-                                            off + self.link_in_entry)
-                    if k64 is not None:
-                        assert k64 == key, "key64 invariant violated"
+                self._peek_key64(holder, key, off)
                 keys.append(key)
                 return
             node = self._entry_slot(holder, off)
@@ -269,50 +213,32 @@ class CritBitKernel(MapKernel):
         assert len(keys) == self.count(), f"count {self.count()} != leaves {len(keys)}"
 
 
-def _peek_entry_key64(pool, holder, link_abs_in_record):
-    uuid, target = struct.unpack_from("<QQ", pool.buf, holder.offset + link_abs_in_record)
-    if uuid == 0 and target == 0:
-        return None
-    return _U64.unpack_from(pool.buf, target)[0]
+    # -- manual migration ------------------------------------------------------
 
+    @classmethod
+    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+        """Clone node-for-node bottom-up, widening leaf keys; one store per record."""
+        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
+        root_leaf = _U64.unpack_from(pool.load(old_root, 0, 8))[0] == 1
+        new_node_size = 4 + 2 * new.size
 
-# -- manual migration --------------------------------------------------------
+        def clone_entry(holder, off, is_leaf) -> bytes:
+            key, slot = old.unpack_from(pool.load(holder, off, old.size))
+            if is_leaf:
+                return new.pack(key, slot)
+            old_node = ObjectId.unpack(slot)
+            word = _U32.unpack_from(pool.load(old_node, 0, 4))[0]
+            e0 = clone_entry(old_node, 4, bool(word >> 8 & 1))
+            e1 = clone_entry(old_node, 4 + old.size, bool(word >> 9 & 1))
+            new_node = tx.alloc_zeroed(new_node_size)
+            tx.write(new_node, 0, _U32.pack(word) + e0 + e1)
+            ms.nodes_migrated += 1
+            ms.bytes_node_records += new_node_size
+            tx.free(old_node)
+            return new.pack(0, new_node.pack())
 
-def migrate(pool, tx, old_root: ObjectId, temp: ObjectId, ms, change: str) -> None:
-    """Clone node-for-node bottom-up, widening leaf keys; one store per record."""
-    count = _U64.unpack_from(pool.load(old_root, 32, 8))[0]
-    root_leaf = _U64.unpack_from(pool.load(old_root, 0, 8))[0] == 1
-
-    old_stride, old_slot = 20, 4
-    if change == "change":
-        new_stride, key_fmt = 24, _U64
-    else:
-        new_stride, key_fmt = 36, _U32
-    new_node_size = 4 + 2 * new_stride
-
-    def widen(key: int, slot: bytes) -> bytes:
-        head = key_fmt.pack(key) + slot
-        return head + bytes(new_stride - len(head))
-
-    def clone_entry(holder, off, is_leaf) -> bytes:
-        raw = pool.load(holder, off, old_stride)
-        key = _U32.unpack_from(raw)[0]
-        slot = raw[old_slot : old_slot + 16]
-        if is_leaf:
-            return widen(key, slot)
-        old_node = ObjectId.unpack(slot)
-        word = _U32.unpack_from(pool.load(old_node, 0, 4))[0]
-        e0 = clone_entry(old_node, 4, bool(word >> 8 & 1))
-        e1 = clone_entry(old_node, 4 + old_stride, bool(word >> 9 & 1))
-        new_node = tx.alloc_zeroed(new_node_size)
-        tx.write(new_node, 0, _U32.pack(word) + e0 + e1)
-        ms.nodes_migrated += 1
-        ms.bytes_node_records += new_node_size
-        tx.free(old_node)
-        return widen(0, new_node.pack())
-
-    if count > 0:
-        entry = clone_entry(old_root, ROOT_ENTRY_OFF, root_leaf)
-        tx.write(temp, ROOT_ENTRY_OFF, entry)
-    tx.write(temp, 0, _U64.pack(1 if root_leaf else 0))
-    tx.write(temp, 32, _U64.pack(count))
+        if count > 0:
+            entry = clone_entry(old_root, ROOT_ENTRY_OFF, root_leaf)
+            tx.write(temp, ROOT_ENTRY_OFF, entry)
+        tx.write(temp, 0, _U64.pack(1 if root_leaf else 0))
+        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))

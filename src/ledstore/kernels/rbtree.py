@@ -6,7 +6,7 @@ Record shapes:
   node v1 manual         {key u32, value 16B, color u32, parent, left, right}   72 B
   node v2 manual change  {key u64, value 16B, color u32, parent, left, right}   76 B
   node v2 manual add     v1 fields + name 16B                                   88 B
-  node auto              v1 fields + trailing extension link                    88 B record
+  node auto              v1 fields + trailing extension link                    96 B record
 
 Deletion moves the successor node itself (pointer surgery, no key/value
 copy), so under the automatic model the only record that ever materializes
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 
-from .. import leds
 from ..pool import ObjectId
 from .base import MapKernel, check_key, decode_value, encode_value
 
@@ -28,60 +27,26 @@ RED = 0
 BLACK = 1
 
 
-def auto_node_type(change: str | None) -> leds.TypeDescriptor:
-    desc = leds.define_type(
-        "rbtree_node",
-        [("key", "u32"), ("value", "oid"), ("color", "u32"),
-         ("parent", "oid"), ("left", "oid"), ("right", "oid")],
-    )
-    if change == "change":
-        desc = leds.append_extension(
-            desc, [("key64", "u64")], {"op": "copy_fields", "map": {"key64": "key"}}
-        )
-    elif change == "add":
-        desc = leds.append_extension(desc, [("name", "bytes16")], {"op": "zero"})
-    return desc
-
-
 class RBTreeKernel(MapKernel):
     kind = "rbtree"
+    ENTRY_NAME = "rbtree_node"
+    ENTRY_FIELDS = (("key", "u32"), ("value", "oid"), ("color", "u32"),
+                    ("parent", "oid"), ("left", "oid"), ("right", "oid"))
 
     # root: tree root oid @0, nil oid @16, count u64 @32
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        if self.mode == "auto":
-            self.desc = auto_node_type(self.change if self.version == 2 else None)
-            self.key_off, self.val_off, self.color_off = 0, 4, 20
-            self.par_off, self.left_off, self.right_off = 24, 40, 56
-            self.node_size, self.key_is64 = self.desc.base_size, False
-        elif self.version == 1:
-            self.key_off, self.val_off, self.color_off = 0, 4, 20
-            self.par_off, self.left_off, self.right_off = 24, 40, 56
-            self.node_size, self.key_is64 = 72, False
-        elif self.change == "change":
-            self.key_off, self.val_off, self.color_off = 0, 8, 24
-            self.par_off, self.left_off, self.right_off = 28, 44, 60
-            self.node_size, self.key_is64 = 76, True
-        else:
-            self.key_off, self.val_off, self.color_off = 0, 4, 20
-            self.par_off, self.left_off, self.right_off = 24, 40, 56
-            self.node_size, self.key_is64 = 88, False
+        off = self.entry.offsets
+        self.val_off, self.color_off = off["value"], off["color"]
+        self.par_off, self.left_off, self.right_off = off["parent"], off["left"], off["right"]
         self.nil = None
 
     # -- structure ----------------------------------------------------------
 
     def _init_structure(self, tx) -> None:
-        nil = tx.alloc_zeroed(self.node_size)
-        record = bytearray(self.node_size)
-        _U32.pack_into(record, self.color_off, BLACK)
-        record[self.par_off : self.par_off + 16] = nil.pack()
-        record[self.left_off : self.left_off + 16] = nil.pack()
-        record[self.right_off : self.right_off + 16] = nil.pack()
-        if self.mode == "auto":
-            tx.write(nil, 0, bytes(record[: self.desc.link_offset]))
-        else:
-            tx.write(nil, 0, bytes(record))
+        nil = tx.alloc_zeroed(self.entry_size)
+        tx.write(nil, 0, self._node_record(0, b"", BLACK, nil, nil, nil))
         tx.write(self.root, 0, nil.pack())
         tx.write(self.root, 16, nil.pack())
         tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
@@ -95,20 +60,16 @@ class RBTreeKernel(MapKernel):
 
     # -- field access ---------------------------------------------------------
 
-    def _key(self, oid: ObjectId) -> int:
-        raw = self.pool.load(oid, self.key_off, 8 if self.key_is64 else 4)
-        return (_U64 if self.key_is64 else _U32).unpack(raw)[0]
+    def _node_record(self, key, value, color, parent, left, right) -> bytes:
+        """A whole node: every byte before the auto lane's link slot."""
+        raw = self.entry.pack(key, value, color, parent.pack(), left.pack(), right.pack())
+        return raw.ljust(self.body_size, b"\0")
 
     def _color(self, oid: ObjectId) -> int:
         return _U32.unpack(self.pool.load(oid, self.color_off, 4))[0]
 
     def _oid_at(self, oid: ObjectId, off: int) -> ObjectId:
         return ObjectId.unpack(self.pool.load(oid, off, 16))
-
-    def _confirm(self, oid: ObjectId, key: int) -> None:
-        if self.key64_ext:
-            k64 = leds.read_field(self.pool, oid, self.desc, "key64")
-            assert k64 == key, "key64 invariant violated"
 
     # -- rotations -------------------------------------------------------------
 
@@ -153,26 +114,15 @@ class RBTreeKernel(MapKernel):
             y = x
             x = self._oid_at(x, self.left_off if key < k else self.right_off)
 
-        z = tx.alloc_zeroed(self.node_size)
-        record = bytearray(self.node_size if self.mode != "auto" else self.desc.link_offset)
-        if self.key_is64:
-            record[0:8] = _U64.pack(key)
-        else:
-            record[0:4] = _U32.pack(key)
-        record[self.val_off : self.val_off + 16] = encode_value(value)
-        _U32.pack_into(record, self.color_off, RED)
-        record[self.par_off : self.par_off + 16] = y.pack()
-        record[self.left_off : self.left_off + 16] = self.nil.pack()
-        record[self.right_off : self.right_off + 16] = self.nil.pack()
-        tx.write(z, 0, bytes(record))
+        z = tx.alloc_zeroed(self.entry_size)
+        tx.write(z, 0, self._node_record(key, encode_value(value), RED, y, self.nil, self.nil))
         if y == self.nil:
             tx.write(self.root, 0, z.pack())
         elif key < self._key(y):
             tx.write(y, self.left_off, z.pack())
         else:
             tx.write(y, self.right_off, z.pack())
-        if self.key64_ext:
-            leds.ensure_extension(tx, self.pool, z, self.desc, 1)
+        self._extend_new(tx, z)
         self._insert_fixup(tx, z)
         self._bump_count(tx, 1)
         return True
@@ -256,10 +206,7 @@ class RBTreeKernel(MapKernel):
             tx.write(y, self.color_off, _U32.pack(self._color(z)))
         if y_color == BLACK:
             self._delete_fixup(tx, x)
-        if self.mode == "auto":
-            leds.free_extendible(tx, self.pool, z, self.desc)
-        else:
-            tx.free(z)
+        self._free_entry(tx, z)
         self._bump_count(tx, -1)
         return True
 
@@ -303,11 +250,6 @@ class RBTreeKernel(MapKernel):
         self._confirm(node, key)
         return decode_value(self.pool.load(node, self.val_off, 16))
 
-    def _entry_key(self, oid: ObjectId) -> int:
-        if self.key64_ext:
-            return leds.read_field(self.pool, oid, self.desc, "key64")
-        return self._key(oid)
-
     def scan(self):
         stack = []
         cur = self._tree_root()
@@ -316,7 +258,7 @@ class RBTreeKernel(MapKernel):
                 stack.append(cur)
                 cur = self._oid_at(cur, self.left_off)
             cur = stack.pop()
-            yield self._entry_key(cur), decode_value(self.pool.load(cur, self.val_off, 16))
+            yield self._observed_key(cur), decode_value(self.pool.load(cur, self.val_off, 16))
             cur = self._oid_at(cur, self.right_off)
 
     def validate(self) -> None:
@@ -348,47 +290,36 @@ class RBTreeKernel(MapKernel):
         assert size == self.count(), f"count {self.count()} != walked {size}"
 
 
-# -- manual migration --------------------------------------------------------
+    # -- manual migration ------------------------------------------------------
 
-def migrate(pool, tx, old_root: ObjectId, temp: ObjectId, ms, change: str) -> None:
-    """Clone the tree node-for-node bottom-up; one store per new record."""
-    old_tree = ObjectId.unpack(pool.load(old_root, 0, 16))
-    old_nil = ObjectId.unpack(pool.load(old_root, 16, 16))
-    count = _U64.unpack_from(pool.load(old_root, 32, 8))[0]
+    @classmethod
+    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+        """Clone the tree node-for-node bottom-up; one store per new record."""
+        old_tree = ObjectId.unpack(pool.load(old_root, 0, 16))
+        old_nil = ObjectId.unpack(pool.load(old_root, 16, 16))
+        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
 
-    new_size = 76 if change == "change" else 88
-    val_off = 8 if change == "change" else 4
-    color_off = 24 if change == "change" else 20
+        nil = tx.alloc_zeroed(new.size)
+        nil_id = nil.pack()
+        tx.write(nil, 0, new.pack(0, b"", BLACK, nil_id, nil_id, nil_id))
 
-    nil = tx.alloc_zeroed(new_size)
-    nil_rec = bytearray(new_size)
-    _U32.pack_into(nil_rec, color_off, BLACK)
-    nil_rec[color_off + 4 : color_off + 52] = nil.pack() * 3
-    tx.write(nil, 0, bytes(nil_rec))
+        def clone(old_oid: ObjectId, new_parent: ObjectId) -> ObjectId:
+            if old_oid == old_nil:
+                return nil
+            key, value, color, _, left, right = old.unpack_from(
+                pool.load(old_oid, 0, old.size))
+            node = tx.alloc_zeroed(new.size)
+            left = clone(ObjectId.unpack(left), node)
+            right = clone(ObjectId.unpack(right), node)
+            record = new.pack(key, value, color, new_parent.pack(), left.pack(), right.pack())
+            tx.write(node, 0, record)
+            ms.nodes_migrated += 1
+            ms.bytes_node_records += len(record)
+            tx.free(old_oid)
+            return node
 
-    def clone(old_oid: ObjectId, new_parent: ObjectId) -> ObjectId:
-        if old_oid == old_nil:
-            return nil
-        raw = pool.load(old_oid, 0, 72)
-        key = _U32.unpack_from(raw)[0]
-        value = raw[4:20]
-        color = raw[20:24]
-        new = tx.alloc_zeroed(new_size)
-        left = clone(ObjectId.unpack(raw, 40), new)
-        right = clone(ObjectId.unpack(raw, 56), new)
-        if change == "change":
-            record = _U64.pack(key) + value + color + new_parent.pack() + left.pack() + right.pack()
-        else:
-            record = (_U32.pack(key) + value + color + new_parent.pack()
-                      + left.pack() + right.pack() + bytes(16))
-        tx.write(new, 0, record)
-        ms.nodes_migrated += 1
-        ms.bytes_node_records += len(record)
-        tx.free(old_oid)
-        return new
-
-    new_tree = clone(old_tree, nil)
-    tx.free(old_nil)
-    tx.write(temp, 0, new_tree.pack())
-    tx.write(temp, 16, nil.pack())
-    tx.write(temp, 32, _U64.pack(count))
+        new_tree = clone(old_tree, nil)
+        tx.free(old_nil)
+        tx.write(temp, 0, new_tree.pack())
+        tx.write(temp, 16, nil.pack())
+        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))

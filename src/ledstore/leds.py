@@ -13,7 +13,8 @@ is exactly what the base-layout fingerprint guards against.
 
 Field specs are compact codes: u8/u16/u32/u64, i32/i64, f32/f64, oid
 (a 16-byte ObjectId slot), bytesN (raw byte array of length N). Packed
-offsets are computed in declaration order; base records are padded to a
+offsets are computed in declaration order by define_record, which also
+serves plain (non-extendible) records; base records are padded to a
 16-byte multiple with the link slot occupying the final 16 bytes, while
 extension records are exactly payload + 16.
 
@@ -95,6 +96,15 @@ class FieldLayout:
         fmt = _INT_FMT[(self.size, self.encoding == "sint")]
         return struct.pack(fmt, value)
 
+    @property
+    def fmt(self) -> str:
+        """The field's struct format code, without a byte-order prefix."""
+        if self.kind != "scalar":
+            return f"{self.size}s"
+        if self.encoding == "float":
+            return _FLT_FMT[self.size][1:]
+        return _INT_FMT[(self.size, self.encoding == "sint")][1:]
+
 
 def _parse_code(code: str) -> tuple[int, str, str]:
     if code in _CODES:
@@ -114,7 +124,46 @@ def _code_of(f: FieldLayout) -> str:
     raise NoSuchField(f"no code for {f}")
 
 
-def _pack_fields(specs) -> tuple[tuple[FieldLayout, ...], int]:
+class RecordLayout:
+    """Packed fields at fixed offsets, encoded and decoded by one struct.
+
+    `size` is the packed extent (the end of the last field). `pack` and
+    `unpack_from` take and give the field values in offset order, scalars
+    as numbers and oid/bytesN fields as raw bytes; fields after the values
+    given to `pack` are zero-filled.
+    """
+
+    __slots__ = ("fields", "size", "offsets", "codec", "_zeros")
+
+    def __init__(self, fields: tuple[FieldLayout, ...], size: int):
+        ordered = sorted(fields, key=lambda f: f.offset)
+        fmt, cursor = "<", 0
+        for f in ordered:
+            if f.offset > cursor:
+                fmt += f"{f.offset - cursor}x"
+            fmt += f.fmt
+            cursor = f.offset + f.size
+        self.fields = fields
+        self.size = size
+        self.offsets = {f.name: f.offset for f in fields}
+        self.codec = struct.Struct(fmt)
+        self._zeros = tuple(0 if f.kind == "scalar" else b"" for f in ordered)
+
+    def field(self, name: str) -> FieldLayout:
+        for f in self.fields:
+            if f.name == name:
+                return f
+        raise NoSuchField(f"record has no field {name!r}")
+
+    def pack(self, *values) -> bytes:
+        return self.codec.pack(*values, *self._zeros[len(values):])
+
+    def unpack_from(self, buf, off: int = 0) -> tuple:
+        return self.codec.unpack_from(buf, off)
+
+
+def define_record(specs) -> RecordLayout:
+    """Lay out (name, code[, offset]) specs or FieldLayouts as a packed record."""
     fields: list[FieldLayout] = []
     names: set[str] = set()
     cursor = 0
@@ -137,7 +186,7 @@ def _pack_fields(specs) -> tuple[tuple[FieldLayout, ...], int]:
         if b0 < a1:
             raise OverlappingFields(f"fields {an!r} and {bn!r} overlap")
     record_end = max((f.offset + f.size for f in fields), default=0)
-    return tuple(fields), record_end
+    return RecordLayout(tuple(fields), record_end)
 
 
 @dataclass(frozen=True)
@@ -192,9 +241,9 @@ class TypeDescriptor:
 
 
 def define_type(name: str, field_specs) -> TypeDescriptor:
-    fields, packed = _pack_fields(field_specs)
-    base_size = _round16(packed + LINK_SIZE)
-    return TypeDescriptor(name, fields, base_size, base_size - LINK_SIZE)
+    base = define_record(field_specs)
+    base_size = _round16(base.size + LINK_SIZE)
+    return TypeDescriptor(name, base.fields, base_size, base_size - LINK_SIZE)
 
 
 def append_extension(
@@ -203,10 +252,10 @@ def append_extension(
     expected = len(desc.extensions) + 1
     if level is not None and level != expected:
         raise NonContiguousLevel(f"next level is {expected}, got {level}")
-    fields, payload = _pack_fields(field_specs)
-    if payload == 0:
+    payload = define_record(field_specs)
+    if payload.size == 0:
         raise OverlappingFields("extension must declare at least one field")
-    ext = ExtensionDescriptor(expected, fields, payload, init_rule, payload)
+    ext = ExtensionDescriptor(expected, payload.fields, payload.size, init_rule, payload.size)
     return TypeDescriptor(
         desc.type_name, desc.base_fields, desc.base_size, desc.link_offset,
         desc.extensions + (ext,),

@@ -173,10 +173,11 @@ class _Allocator:
         self.frontier = off
 
     def take(self, size: int, capacity: int) -> int:
-        """Pick a payload offset for `size` (rounded) bytes. Does not touch the file."""
+        """Pick a payload offset for `size` (rounded) bytes. Changes nothing, on
+        file or here: a caller that fails before commit_take loses no block."""
         lst = self.free_lists.get(size)
         if lst:
-            return lst.pop()
+            return lst[-1]
         payload = self.frontier + BLOCK_HDR_SIZE
         if payload + size > capacity:
             raise OutOfSpace(
@@ -185,6 +186,9 @@ class _Allocator:
         return payload
 
     def commit_take(self, payload: int, size: int) -> None:
+        lst = self.free_lists.get(size)
+        if lst and lst[-1] == payload:
+            lst.pop()
         self.block_size[payload] = size
         self.allocated.add(payload)
         self.live_bytes += size

@@ -1,6 +1,7 @@
 """Workload generation, experiment runs, sweeps, report emission, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,8 +70,10 @@ def small_cfg(tmp_path, **kw):
 
 class TestRunExperiment:
     def test_auto_model_full_report(self, tmp_path):
-        rep = run_experiment(small_cfg(tmp_path))
+        cfg = small_cfg(tmp_path)
+        rep = run_experiment(cfg)
         assert rep.valid
+        assert not any(Path(cfg.pool_dir).iterdir())  # no pool or manifest left
         assert rep.migrations == 300                 # one per deleted key
         assert rep.migration_bytes == 300 * 40
         assert rep.migration_bytes_per_node == 40
@@ -231,6 +234,20 @@ class TestCli:
         config.write_text(json.dumps({
             "kernel": "rbtree", "n": 80, "trials": 1,
             "pool_dir": str(tmp_path / "scratch"), "policy": policy,
+        }))
+        result = CliRunner().invoke(main, ["run", "--config", str(config)])
+        assert isinstance(result.exception, ConfigError), result.output
+        assert not (tmp_path / "scratch").exists()
+
+    def test_config_unknown_key_rejected(self, tmp_path):
+        from click.testing import CliRunner
+
+        from ledstore.bench.cli import main
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "kernel": "rbtree", "n": 80, "trials": 1,
+            "pool_dir": str(tmp_path / "scratch"), "capacity": 4096,
         }))
         result = CliRunner().invoke(main, ["run", "--config", str(config)])
         assert isinstance(result.exception, ConfigError), result.output

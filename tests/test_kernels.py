@@ -132,36 +132,74 @@ class TestPersistence:
         pool.close()
 
 
-V2_RECORD_SIZES = {  # layout-change migration, bytes per migrated record
-    "hashmap": 40,
-    "skiplist": 88,
-    "ctree": 52,
-    "btree": 324,
-    "rbtree": 76,
+NODE_SIZES = {  # requested node size: manual v1, v2 change, v2 add; auto
+    "hashmap": (36, 40, 52, 64),
+    "skiplist": (84, 88, 100, 112),
+    "ctree": (44, 52, 76, 100),
+    "btree": (292, 324, 420, 516),
+    "rbtree": (72, 76, 88, 96),
+}
+LANES = [("manual", 1, "change"), ("manual", 2, "change"), ("manual", 2, "add"),
+         ("auto", 1, "change")]
+
+
+@pytest.mark.parametrize("lane", range(len(LANES)),
+                         ids=["v1", "v2-change", "v2-add", "auto"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_derived_node_size(tmp_path, monkeypatch, kind, lane):
+    """The layouts derived from each kernel's one field list allocate the
+    node sizes its module docstring tabulates."""
+    from ledstore.txn import Transaction
+
+    mode, version, change = LANES[lane]
+    pool, k = fresh_kernel(tmp_path, kind, mode=mode, version=version, change=change,
+                           rng=random.Random(3))
+    sizes = []
+    real_alloc = Transaction.alloc_zeroed
+
+    def alloc(self, size):
+        sizes.append(size)
+        return real_alloc(self, size)
+
+    monkeypatch.setattr(Transaction, "alloc_zeroed", alloc)
+    run_ops(pool, k, [("ins", key, key) for key in range(1, 9)])  # a B-tree split
+    assert set(sizes) == {NODE_SIZES[kind][lane]}
+    pool.close()
+
+
+V2_RECORD_SIZES = {  # manual migration, bytes per migrated record
+    edit: {kind: sizes[i] for kind, sizes in NODE_SIZES.items()}
+    for i, edit in ((1, "change"), (2, "add"))
 }
 
 
 @pytest.mark.parametrize("kind", KINDS)
 class TestManualMigration:
-    def test_change_preserves_content_exact_node_bytes(self, tmp_path, kind):
+    def check_edit_preserves_content(self, tmp_path, kind, edit):
         pool, k = fresh_kernel(tmp_path, kind, rng=random.Random(3))
         rng = random.Random(11)
         keys = rng.sample(range(1, 10_000_000), 500)
         run_ops(pool, k, [("ins", key, key ^ 0xABCD) for key in keys])
         before = dict(k.scan())
 
-        ms = run_migration(pool, make_manual_migrator(kind, "change"))
+        ms = run_migration(pool, make_manual_migrator(kind, edit))
         assert pool.layout_version == 2
         assert ms.nodes_migrated > 0
-        assert ms.bytes_per_node == V2_RECORD_SIZES[kind]
+        assert ms.bytes_per_node == V2_RECORD_SIZES[edit][kind]
         if kind in ("hashmap", "skiplist", "rbtree"):
             assert ms.nodes_migrated == 500  # one record per key
 
-        k2 = make_kernel(pool, kind, version=2, change="change")
+        k2 = make_kernel(pool, kind, version=2, change=edit)
         k2.attach()
         k2.validate()
         assert dict(k2.scan()) == before  # oracle: full scan comparison
         pool.close()
+
+    def test_change_preserves_content_exact_node_bytes(self, tmp_path, kind):
+        self.check_edit_preserves_content(tmp_path, kind, "change")
+
+    def test_add_preserves_content_exact_node_bytes(self, tmp_path, kind):
+        self.check_edit_preserves_content(tmp_path, kind, "add")
 
     def test_add_zero_fills_name(self, tmp_path, kind):
         pool, k = fresh_kernel(tmp_path, kind, rng=random.Random(3))

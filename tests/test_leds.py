@@ -14,6 +14,7 @@ from ledstore import (
 from ledstore.leds import (
     append_extension,
     deep_copy,
+    define_record,
     define_type,
     dump_manifest,
     ensure_extension,
@@ -71,6 +72,15 @@ class TestLayouts:
     def test_fingerprint_invariant_under_append(self):
         base = ll_type()
         assert base.fingerprint == ll_extended().fingerprint
+
+    def test_record_codec_zero_fills_and_skips_gaps(self):
+        rec = define_record([("k", "u32"), ("f", "f64", 8), ("name", "bytes4")])
+        assert rec.size == 20
+        assert rec.offsets == {"k": 0, "f": 8, "name": 16}
+        raw = rec.pack(7)  # f and name not given: zero-filled
+        assert raw == (7).to_bytes(4, "little") + bytes(16)
+        assert rec.unpack_from(rec.pack(7, 0.5, b"ab")) == (7, 0.5, b"ab\0\0")
+        assert rec.field("f").encode(0.5) == rec.pack(0, 0.5)[8:16]
 
     def test_fingerprint_sensitive_to_base_change(self):
         a = define_type("T", [("k", "u32")])

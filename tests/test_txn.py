@@ -10,6 +10,7 @@ from ledstore import (
     CrashPlan,
     DoubleFree,
     NestedTransaction,
+    OutOfSpace,
     SimulatedCrash,
     TxStateError,
     create_pool,
@@ -149,6 +150,21 @@ class TestTxAllocFree:
         tx.free(oid)
         tx.commit()
         assert pool.live_bytes == live - 32  # rounded block size
+
+    def test_full_log_alloc_keeps_free_block(self, tmp_path):
+        handle = create_pool(str(tmp_path / "full.pool"), "full-log", MIB,
+                             log_capacity=1024)
+        freed = handle.raw_alloc(64)
+        filler = handle.raw_alloc(1024)
+        handle.raw_free(freed)
+        tx = handle.tx_begin()
+        tx.write(filler, 0, bytes(990))  # 24 + 990 of the 1024 log bytes
+        with pytest.raises(OutOfSpace):
+            tx.alloc_zeroed(64)
+        tx.commit()
+        with handle.tx_begin() as tx:
+            assert tx.alloc_zeroed(64) == freed  # oracle: the free list kept it
+        handle.close()
 
     def test_double_free_same_tx(self, pool):
         oid = pool.raw_alloc(24)
