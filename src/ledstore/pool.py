@@ -35,12 +35,18 @@ Header fields:
   152 log_capacity u64
   160 schema_fingerprint u64
 
-Handles are single-threaded and exclusive: a sidecar ".lock" file enforces
-one live handle per pool file.
+Handles are single-threaded and exclusive: each holds a flock on its pool
+file's descriptor (a second open raises PoolLocked), which the kernel drops
+when the descriptor closes or the process dies, so no lock outlives a crash.
+
+Open raises BadMagic, before mapping the file, unless the magic and
+format_version match, capacity equals the file size, and the regions tile:
+HEADER_SIZE <= heap_offset, heap_offset + log_capacity == blocks_offset < capacity.
 """
 
 from __future__ import annotations
 
+import fcntl
 import mmap
 import os
 import secrets
@@ -98,6 +104,7 @@ LOG_COMMITTING = 2
 
 _U64 = struct.Struct("<Q")
 _2U64 = struct.Struct("<QQ")
+_3U64 = struct.Struct("<QQQ")
 _U32 = struct.Struct("<I")
 
 _ZEROS = bytes(1 << 16)
@@ -172,18 +179,22 @@ class _Allocator:
             off = payload + size
         self.frontier = off
 
-    def take(self, size: int, capacity: int) -> int:
-        """Pick a payload offset for `size` (rounded) bytes. Changes nothing, on
-        file or here: a caller that fails before commit_take loses no block."""
+    def take(self, size: int, capacity: int) -> tuple[int, int]:
+        """Pick a payload offset for `size` bytes; returns it and the rounded
+        size. Changes nothing, on file or here: a caller that fails before
+        commit_take loses no block."""
+        if size <= 0:
+            raise OutOfSpace("allocation size must be positive")
+        size = _round16(size)
         lst = self.free_lists.get(size)
         if lst:
-            return lst[-1]
+            return lst[-1], size
         payload = self.frontier + BLOCK_HDR_SIZE
         if payload + size > capacity:
             raise OutOfSpace(
                 f"heap exhausted: need {size} bytes at {self.frontier}, capacity {capacity}"
             )
-        return payload
+        return payload, size
 
     def commit_take(self, payload: int, size: int) -> None:
         lst = self.free_lists.get(size)
@@ -220,10 +231,13 @@ class PoolHandle:
         self._xlat_cache: dict[int, tuple[int, int]] = {}
 
         self._alloc = _Allocator()
-        # header views are read on demand; hot fields cached below
+        self._cache_header()
+
+    def _cache_header(self) -> None:
+        """Header fields are read on demand, except these hot ones."""
         self.pool_uuid = self._read_u64(OFF_UUID)
-        self.capacity = self._read_u64(OFF_CAPACITY)
         self.heap_offset = self._read_u64(OFF_HEAP)
+        self.capacity = self._read_u64(OFF_CAPACITY)
         self.blocks_offset = self._read_u64(OFF_BLOCKS)
         self.log_capacity = self._read_u64(OFF_LOG_CAP)
 
@@ -266,14 +280,11 @@ class PoolHandle:
             self._store(off, _ZEROS[:length], category)
 
     def _die(self) -> None:
-        """Simulated process death: drop the handle, keep the file as-is."""
+        """Simulated process death: unmap, close the fd (dropping the lock)."""
         self.closed = True
-        try:
-            self.buf.flush()
-            self.buf.close()
-            self._file.close()
-        finally:
-            _unlock(self.path)
+        self.buf.flush()
+        self.buf.close()
+        self._file.close()
 
     # ------------------------------------------------------------------ header
 
@@ -374,10 +385,10 @@ class PoolHandle:
         tx.alloc_zeroed). Free blocks are kept zeroed, so only the header is stored."""
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's alloc_zeroed()")
-        if size <= 0:
-            raise OutOfSpace("allocation size must be positive")
-        rsize = _round16(size)
-        payload = self._alloc.take(rsize, self.capacity)
+        return self._claim(*self._alloc.take(size, self.capacity))
+
+    def _claim(self, payload: int, rsize: int) -> ObjectId:
+        """Write a taken block's ST_ALLOCATED header and hand out its id."""
         self._store(payload - BLOCK_HDR_SIZE, _2U64.pack(rsize, ST_ALLOCATED), "meta")
         self._alloc.commit_take(payload, rsize)
         self.stats.n_allocs += 1
@@ -387,12 +398,15 @@ class PoolHandle:
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's free()")
         self._check_owned_for_free(oid)
-        payload = oid.offset
-        size = self._alloc.block_size[payload]
+        self._free_block(oid.offset, self._alloc.block_size[oid.offset])
+        self._alloc.release(oid.offset)
+        self.stats.n_frees += 1
+
+    def _free_block(self, payload: int, size: int) -> None:
+        """Zero a payload, then write its block's ST_FREE status word. The word
+        goes last, so recovery redoes a committed free it finds unfinished."""
         self._store_zeros(payload, size, "meta")
         self._store(payload - BLOCK_HDR_SIZE + 8, _U64.pack(ST_FREE), "meta")
-        self._alloc.release(payload)
-        self.stats.n_frees += 1
 
     def _check_owned_for_free(self, oid: ObjectId) -> None:
         if oid.pool_uuid != self.pool_uuid:
@@ -462,11 +476,7 @@ class PoolHandle:
             return
         if self._active_tx is not None:
             raise TxStateError("close with an open transaction")
-        self.closed = True
-        self.buf.flush()
-        self.buf.close()
-        self._file.close()
-        _unlock(self.path)
+        self._die()
 
     def __enter__(self) -> "PoolHandle":
         return self
@@ -478,24 +488,17 @@ class PoolHandle:
 
 # ---------------------------------------------------------------------- locking
 
-def _lock_path(path: str) -> str:
-    return path + ".lock"
-
-
-def _lock(path: str) -> None:
+def _open_locked(path: str, mode: str):
+    """Open the pool file and take the exclusive, non-blocking flock on it."""
     try:
-        fd = os.open(_lock_path(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+        f = open(path, mode)
+        fcntl.flock(f.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        f.close()
         raise PoolLocked(f"{path} already has a live handle") from None
-    os.write(fd, str(os.getpid()).encode())
-    os.close(fd)
-
-
-def _unlock(path: str) -> None:
-    try:
-        os.unlink(_lock_path(path))
-    except FileNotFoundError:
-        pass
+    except OSError as e:
+        raise IoError(str(e)) from e
+    return f
 
 
 # ---------------------------------------------------------------------- lifecycle api
@@ -525,13 +528,12 @@ def create_pool(
     if blocks_offset + BLOCK_HDR_SIZE + ALIGN >= capacity:
         raise CapacityTooSmall("capacity leaves no room for the object heap")
 
-    _lock(path)
+    f = _open_locked(path, "w+b")
     try:
-        f = open(path, "w+b")
         f.truncate(capacity)
         buf = mmap.mmap(f.fileno(), capacity)
     except OSError as e:
-        _unlock(path)
+        f.close()
         raise IoError(str(e)) from e
 
     handle = PoolHandle(path, f, buf)
@@ -548,36 +550,34 @@ def create_pool(
     _U64.pack_into(header, OFF_BLOCKS, blocks_offset)
     _U64.pack_into(header, OFF_LOG_CAP, log_capacity)
     handle._store(0, bytes(header), "meta")
-    handle.pool_uuid = uuid
-    handle.capacity = capacity
-    handle.heap_offset = DEFAULT_HEAP_OFFSET
-    handle.blocks_offset = blocks_offset
-    handle.log_capacity = log_capacity
+    handle._cache_header()
     return handle
 
 
-def _map_existing(path: str) -> PoolHandle:
-    if not os.path.exists(path):
-        raise IoError(f"{path} does not exist")
-    _lock(path)
-    try:
-        f = open(path, "r+b")
-        size = os.path.getsize(path)
-        if size < HEADER_SIZE:
-            raise BadMagic(f"{path} is too small to be a pool")
-        buf = mmap.mmap(f.fileno(), size)
-    except BadMagic:
-        _unlock(path)
-        raise
-    except OSError as e:
-        _unlock(path)
-        raise IoError(str(e)) from e
-    if bytes(buf[OFF_MAGIC : OFF_MAGIC + 8]) != MAGIC:
-        buf.close()
-        f.close()
-        _unlock(path)
+def _check_header(path: str, head: bytes, size: int) -> None:
+    """Raise BadMagic unless `head` is a sane header for a `size`-byte file."""
+    if len(head) < HEADER_SIZE or head[OFF_MAGIC : OFF_MAGIC + 8] != MAGIC:
         raise BadMagic(f"{path} is not a pool file")
-    return PoolHandle(path, f, buf)
+    version = _U32.unpack_from(head, OFF_FORMAT)[0]
+    if version != FORMAT_VERSION:
+        raise BadMagic(f"{path} has format version {version}, not {FORMAT_VERSION}")
+    heap, capacity, blocks = _3U64.unpack_from(head, OFF_HEAP)
+    log_capacity, = _U64.unpack_from(head, OFF_LOG_CAP)
+    if capacity != size:
+        raise BadMagic(f"{path} header says {capacity} bytes, the file holds {size}")
+    if heap < HEADER_SIZE or heap + log_capacity != blocks or blocks >= capacity:
+        raise BadMagic(f"{path} header regions out of order: heap {heap}, "
+                       f"log {log_capacity} bytes, blocks {blocks}")
+
+
+def _map_existing(path: str) -> PoolHandle:
+    f = _open_locked(path, "r+b")
+    try:
+        _check_header(path, f.read(HEADER_SIZE), os.fstat(f.fileno()).st_size)
+        return PoolHandle(path, f, mmap.mmap(f.fileno(), 0))
+    except BaseException:
+        f.close()
+        raise
 
 
 def open_pool(path: str, layout_name: str) -> PoolHandle:
@@ -592,17 +592,21 @@ def open_pool(path: str, layout_name: str) -> PoolHandle:
 
 def recover(path: str) -> PoolHandle:
     """Open without the layout-name check, rolling back or finishing the log."""
-    handle = _map_existing(path)
     from .txn import recover_log
 
-    recover_log(handle)
+    handle = _map_existing(path)
+    try:
+        recover_log(handle)
+    except BaseException:
+        handle._die()
+        raise
     handle._alloc.scan(handle.buf, handle.blocks_offset, handle.capacity)
     return handle
 
 
 def delete_pool(path: str) -> None:
-    if os.path.exists(_lock_path(path)):
-        raise IoError(f"{path} has a live handle")
+    """Unlink a pool file; PoolLocked while a live handle holds its lock."""
+    _open_locked(path, "rb").close()
     try:
         os.unlink(path)
     except OSError as e:

@@ -14,7 +14,9 @@ One flat undo log lives in the pool's log region. Every record is
 
 The commit point is a single 8-byte store of the log-state word
 (status=COMMITTING). Recovery rolls an ACTIVE log back in reverse order,
-finishes a COMMITTING log forward, then truncates. Writes into blocks
+finishes a COMMITTING log forward, then truncates; a corrupt log is refused
+before any record is applied. `abort` is that same rollback, run on the live
+handle: the log on file is the only undo state. Writes into blocks
 allocated by the same transaction skip snapshotting: rollback reclaims and
 zeroes the whole block anyway.
 
@@ -39,9 +41,7 @@ from .pool import (
     LOG_IDLE,
     ObjectId,
     PoolHandle,
-    ST_ALLOCATED,
     ST_FREE,
-    _round16,
 )
 
 REC_SNAP = 1
@@ -50,7 +50,6 @@ REC_FREE = 3
 
 REC_HDR_SIZE = 24
 _REC_HDR = struct.Struct("<IIQQ")
-_U64 = struct.Struct("<Q")
 _2U64 = struct.Struct("<QQ")
 
 TX_ACTIVE = "active"
@@ -69,10 +68,8 @@ class Transaction:
         self.pool = pool
         self.state = TX_ACTIVE
         self._log_used = 0
-        self._records: list[tuple[int, int, int, bytes]] = []
         self._fresh: set[int] = set()       # payload offsets allocated here
-        self._freed: set[int] = set()       # payload offsets pending free
-        self._pending_frees: list[int] = []
+        self._freed: dict[int, int] = {}    # payload offset -> size, in free order
         self._covered: set[tuple[int, int]] = set()
         pool._active_tx = self
         pool._xlat_cache.clear()
@@ -91,7 +88,11 @@ class Transaction:
         pool._store(rec_off, _REC_HDR.pack(kind, len(body), target, aux) + body, "log")
         self._log_used += total
         pool._set_log_state(LOG_ACTIVE, self._log_used)
-        self._records.append((kind, target, aux, body))
+
+    def _snap(self, addr: int, length: int) -> None:
+        """Log the prior bytes of [addr, addr + length) for rollback."""
+        self._append(REC_SNAP, addr, 0, bytes(self.pool.buf[addr : addr + length]))
+        self._covered.add((addr, length))
 
     def _require_active(self) -> None:
         if self.state != TX_ACTIVE:
@@ -103,26 +104,20 @@ class Transaction:
         """Log prior bytes so later in-place stores to the range can be undone."""
         self._require_active()
         addr = self.pool._check_range(oid, off, length)
-        if oid.offset in self._fresh:
-            return
-        old = bytes(self.pool.buf[addr : addr + length])
-        self._append(REC_SNAP, addr, 0, old)
-        self._covered.add((addr, length))
+        if oid.offset not in self._fresh:
+            self._snap(addr, length)
 
     def write(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
         self._require_active()
         addr = self.pool._check_range(oid, off, len(data))
         if oid.offset not in self._fresh and (addr, len(data)) not in self._covered:
-            old = bytes(self.pool.buf[addr : addr + len(data)])
-            self._append(REC_SNAP, addr, 0, old)
-            self._covered.add((addr, len(data)))
+            self._snap(addr, len(data))
         self.pool._store(addr, data, category)
 
     def write_header(self, off: int, data: bytes) -> None:
         """Snapshotted store into the header page (root id, layout version)."""
         self._require_active()
-        old = bytes(self.pool.buf[off : off + len(data)])
-        self._append(REC_SNAP, off, 0, old)
+        self._snap(off, len(data))
         self.pool._store(off, data, "meta")
 
     def copy_bytes(
@@ -138,19 +133,12 @@ class Transaction:
 
     def alloc_zeroed(self, size: int) -> ObjectId:
         self._require_active()
-        if size <= 0:
-            raise OutOfSpace("allocation size must be positive")
         pool = self.pool
-        rsize = _round16(size)
-        payload = pool._alloc.take(rsize, pool.capacity)
-        hdr_off = payload - BLOCK_HDR_SIZE
-        old_hdr = bytes(pool.buf[hdr_off : hdr_off + BLOCK_HDR_SIZE])
+        payload, rsize = pool._alloc.take(size, pool.capacity)
+        old_hdr = bytes(pool.buf[payload - BLOCK_HDR_SIZE : payload])
         self._append(REC_ALLOC, payload, rsize, old_hdr)
-        pool._store(hdr_off, _2U64.pack(rsize, ST_ALLOCATED), "meta")
-        pool._alloc.commit_take(payload, rsize)
-        pool.stats.n_allocs += 1
         self._fresh.add(payload)
-        return ObjectId(pool.pool_uuid, payload)
+        return pool._claim(payload, rsize)
 
     def free(self, oid: ObjectId) -> None:
         """Deferred free: the block is reclaimed at commit, kept on abort/crash."""
@@ -160,51 +148,42 @@ class Transaction:
             raise DoubleFree(f"offset {oid.offset} already freed in this transaction")
         pool._check_owned_for_free(oid)
         self._append(REC_FREE, oid.offset, 0, b"")
-        self._freed.add(oid.offset)
-        self._pending_frees.append(oid.offset)
+        self._freed[oid.offset] = pool._alloc.block_size[oid.offset]
 
     # ------------------------------------------------------------------ outcome
 
     def commit(self) -> None:
         self._require_active()
         pool = self.pool
-        if self._records:
+        if self._log_used:
             # commit point: one 8-byte state-word store
             pool._set_log_state(LOG_COMMITTING, self._log_used)
             commit_ordinal = pool._write_ordinal
-            self._execute_frees()
+            for payload, size in self._freed.items():
+                pool._free_block(payload, size)
+                pool._alloc.release(payload)
+                pool.stats.n_frees += 1
             pool._set_log_state(LOG_IDLE, 0)
         else:
             commit_ordinal = pool._write_ordinal
-        self.state = TX_COMMITTED
-        pool._active_tx = None
-        pool._xlat_cache.clear()
+        self._end(TX_COMMITTED)
         pool.commit_ordinals.append(commit_ordinal)
         if pool.on_commit is not None:
             pool.on_commit(pool)
 
-    def _execute_frees(self) -> None:
-        # zero first, status word last: redo-on-recovery keys off the status
-        pool = self.pool
-        for payload in self._pending_frees:
-            size = pool._alloc.block_size[payload]
-            pool._store_zeros(payload, size, "meta")
-            pool._store(payload - BLOCK_HDR_SIZE + 8, _U64.pack(ST_FREE), "meta")
-            pool._alloc.release(payload)
-            pool.stats.n_frees += 1
-
     def abort(self) -> None:
+        """Roll back exactly as crash recovery would, from the log on file."""
         self._require_active()
         pool = self.pool
-        for kind, target, aux, body in reversed(self._records):
-            _undo_record(pool, kind, target, aux, body)
-        if self._records:
-            pool._set_log_state(LOG_IDLE, 0)
+        recover_log(pool)
         # volatile allocator state is rebuilt rather than journaled
         pool._alloc.scan(pool.buf, pool.blocks_offset, pool.capacity)
-        self.state = TX_ABORTED
-        pool._active_tx = None
-        pool._xlat_cache.clear()
+        self._end(TX_ABORTED)
+
+    def _end(self, state: str) -> None:
+        self.state = state
+        self.pool._active_tx = None
+        self.pool._xlat_cache.clear()
 
     def __enter__(self) -> "Transaction":
         return self
@@ -222,27 +201,18 @@ class Transaction:
             self.abort()
 
 
-def _undo_record(pool: PoolHandle, kind: int, target: int, aux: int, body: bytes) -> None:
-    if kind == REC_SNAP:
-        pool._store(target, body, "meta")
-    elif kind == REC_ALLOC:
-        pool._store_zeros(target, aux, "meta")
-        pool._store(target - BLOCK_HDR_SIZE, body, "meta")
-    elif kind == REC_FREE:
-        pass  # deferred free never executed before the commit point
-    else:
-        raise OutOfBounds(f"corrupt undo record kind {kind}")
-
-
 def _parse_log(pool: PoolHandle, used: int) -> list[tuple[int, int, int, bytes]]:
+    """Decode every record, raising OutOfBounds on a corrupt one; nothing is
+    applied until the whole log has decoded."""
     records = []
-    off = pool.heap_offset
-    end = pool.heap_offset + used
+    off, end = pool.heap_offset, pool.heap_offset + used
     while off < end:
         kind, body_len, target, aux = _REC_HDR.unpack_from(pool.buf, off)
-        body = bytes(pool.buf[off + REC_HDR_SIZE : off + REC_HDR_SIZE + body_len])
-        records.append((kind, target, aux, body))
-        off += REC_HDR_SIZE + body_len
+        body_off, off = off + REC_HDR_SIZE, off + REC_HDR_SIZE + body_len
+        if kind not in (REC_SNAP, REC_ALLOC, REC_FREE) or off > end:
+            raise OutOfBounds(f"corrupt undo record at {body_off - REC_HDR_SIZE}: "
+                              f"kind {kind}, {body_len}-byte body, log used {used}")
+        records.append((kind, target, aux, bytes(pool.buf[body_off:off])))
     return records
 
 
@@ -251,18 +221,21 @@ def recover_log(pool: PoolHandle) -> None:
     status, used = pool.log_state
     if status == LOG_IDLE and used == 0:
         return
+    if status not in (LOG_ACTIVE, LOG_COMMITTING) or used > pool.log_capacity:
+        raise OutOfBounds(f"corrupt log state: status {status}, {used} bytes used")
     records = _parse_log(pool, used)
     if status == LOG_COMMITTING:
-        for kind, target, aux, body in records:
-            if kind != REC_FREE:
-                continue
-            hdr_off = target - BLOCK_HDR_SIZE
-            size, st = _2U64.unpack_from(pool.buf, hdr_off)
-            if st == ST_FREE:
-                continue  # this free fully executed (status word is written last)
-            pool._store_zeros(target, size, "meta")
-            pool._store(hdr_off + 8, _U64.pack(ST_FREE), "meta")
+        for kind, target, _, _ in records:
+            if kind == REC_FREE:
+                size, st = _2U64.unpack_from(pool.buf, target - BLOCK_HDR_SIZE)
+                if st != ST_FREE:  # else the free fully executed before the crash
+                    pool._free_block(target, size)
     else:
         for kind, target, aux, body in reversed(records):
-            _undo_record(pool, kind, target, aux, body)
+            if kind == REC_SNAP:
+                pool._store(target, body, "meta")
+            elif kind == REC_ALLOC:
+                pool._store_zeros(target, aux, "meta")
+                pool._store(target - BLOCK_HDR_SIZE, body, "meta")
+            # a FREE record needs no undo: the free was deferred to commit
     pool._set_log_state(LOG_IDLE, 0)

@@ -102,6 +102,34 @@ class TestOpen:
         with pytest.raises(IoError):
             open_pool(str(tmp_path / "nope"), "x")
 
+    @staticmethod
+    def _refused_twice(path):
+        """Open raises BadMagic, and raises it again: the refusal left no lock."""
+        for _ in range(2):
+            with pytest.raises(BadMagic):
+                open_pool(path, "test-layout")
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = str(tmp_path / "t.pool")
+        create_pool(path, "test-layout", MIB).close()
+        with open(path, "r+b") as f:
+            f.truncate(300 * 1024)  # header still says 1 MiB
+        self._refused_twice(path)
+
+    def test_foreign_format_version_rejected(self, pool, pool_path):
+        pool.close()
+        with open(pool_path, "r+b") as f:
+            f.seek(8)
+            f.write(struct.pack("<I", 99))
+        self._refused_twice(pool_path)
+
+    def test_region_bounds_rejected(self, pool, pool_path):
+        pool.close()
+        with open(pool_path, "r+b") as f:
+            f.seek(136)  # blocks_offset, past the end of the file
+            f.write(struct.pack("<Q", 9 * MIB))
+        self._refused_twice(pool_path)
+
     def test_ids_stable_across_reopen(self, pool, pool_path):
         oids = [pool.raw_alloc(24) for _ in range(10)]
         payloads = {}

@@ -1,15 +1,21 @@
 """Transactions: atomicity, abort completeness, crash injection, recovery."""
 
 import hashlib
+import os
 import random
+import signal
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import ledstore
 from ledstore import (
     CrashPlan,
     DoubleFree,
     NestedTransaction,
+    OutOfBounds,
     OutOfSpace,
     SimulatedCrash,
     TxStateError,
@@ -233,6 +239,48 @@ class TestCrashRecovery:
         with recover(pool_path) as re:
             assert re.root_id == root
             assert re.load(oid, 0, 16) == b"data" * 4
+
+    def test_sigkill_mid_transaction_recovers(self, tmp_path):
+        """A real process death: no simulated crash, no clean-up on the way out."""
+        path = str(tmp_path / "killed.pool")
+        child = (
+            "import os, signal, sys\n"
+            "from ledstore import create_pool\n"
+            "pool = create_pool(sys.argv[1], 'kill-test', 1 << 20)\n"
+            "with pool.tx_begin() as tx:\n"
+            "    tx.write(pool.get_root(32), 0, b'committed' * 2)\n"
+            "tx = pool.tx_begin()\n"
+            "tx.write(pool.root_id, 8, b'uncommitted' * 2)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = os.path.dirname(os.path.dirname(ledstore.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", child, path], env=env,
+                             capture_output=True, timeout=60)
+        assert run.returncode == -signal.SIGKILL, run.stderr.decode()
+        with recover(path) as re:
+            assert re.load(re.root_id, 0, 32) == b"committed" * 2 + bytes(14)
+            assert re.log_state == (0, 0)
+
+    def test_corrupt_record_kind_refused_before_undo(self, pool, pool_path):
+        a, b = pool.raw_alloc(16), pool.raw_alloc(16)
+        tx = pool.tx_begin()
+        tx.write(a, 0, b"A" * 16)
+        tx.write(b, 0, b"B" * 16)
+        pool.arm_crash(CrashPlan(trigger=1))
+        with pytest.raises(SimulatedCrash):
+            tx.write(a, 0, b"C" * 16)
+        with open(pool_path, "r+b") as f:
+            f.seek(pool.heap_offset)  # kind of the first undo record
+            f.write(struct.pack("<I", 9))
+        with pytest.raises(OutOfBounds):
+            recover(pool_path)
+        with open(pool_path, "rb") as f:
+            f.seek(b.offset)
+            assert f.read(16) == b"B" * 16  # the second record was not undone
+        with pytest.raises(OutOfBounds):  # the refusal left no lock behind
+            recover(pool_path)
 
     def _scripted_run(self, path, crash_at=None):
         """Three-transaction script; returns boundary digests and commit ordinals."""
