@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -33,23 +34,21 @@ from .runner import (
     sweep_dataset_size,
     sweep_working_set,
 )
-from .workload import WorkloadConfig
+from .workload import LAYOUTS, MODELS, PATTERNS, WorkloadConfig
 
 _SHARED = [
     click.option("--kernel", type=click.Choice(KINDS), default=None),
-    click.option("--pattern", type=click.Choice(["del", "ins", "rand"]), default=None),
+    click.option("--pattern", type=click.Choice(PATTERNS), default=None),
     click.option("--n", type=int, default=None),
     click.option("--seed", type=int, default=None),
-    click.option("--layout", type=click.Choice(["change", "add"]), default=None),
-    click.option("--model", type=click.Choice(["reset", "manual", "auto"]), default=None),
+    click.option("--layout", type=click.Choice(LAYOUTS), default=None),
+    click.option("--model", type=click.Choice(MODELS), default=None),
     click.option("--trials", type=int, default=None),
     click.option("--pool", "pool_dir", type=click.Path(), default=None,
                  help="scratch directory for pool files"),
     click.option("--report", "fmt", type=click.Choice(["json", "csv"]), default=None),
     click.option("--out", type=click.Path(), default=None),
     click.option("--ratio", type=float, default=None),
-    click.option("--cache-translations", is_flag=True, default=None),
-    click.option("--shallow-copy", is_flag=True, default=None),
     click.option("--config", "config_path", type=click.Path(exists=True), default=None),
 ]
 
@@ -71,11 +70,7 @@ def _build_config(kwargs) -> tuple[WorkloadConfig, str, str | None]:
     fmt = kwargs.pop("fmt", None) or file_fmt or "json"
     out = kwargs.pop("out", None) or file_out
 
-    merged = {
-        "kernel": "hashmap", "pattern": "del", "n": 1000, "seed": 42,
-        "layout": "change", "model": "auto", "trials": 5, "ratio": 1.0,
-        "cache_translations": False, "shallow_copy": False, "pool_dir": ".",
-    }
+    merged = asdict(WorkloadConfig())
     unknown = sorted(set(file_values) - set(merged))
     if unknown:
         raise ConfigError(f"config file keys {unknown} are not run options")

@@ -204,11 +204,9 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
                            migrations=ms.nodes_migrated,
                            migration_bytes=ms.bytes_node_records)
             else:
-                leds.translation_cache(
-                    pool, cfg.cache_translations or variant == "cached")
+                leds.translation_cache(pool, variant == "cached")
             kernel = make_kernel(pool, cfg.kernel, mode=policy.model, version=2,
-                                 change=cfg.layout,
-                                 shallow_copy=cfg.shallow_copy or variant == "shallow",
+                                 change=cfg.layout, shallow_copy=variant == "shallow",
                                  rng=_rng_for(cfg, 0x0A11))
             kernel.attach()
             if variant == "premat":
@@ -328,9 +326,7 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     """
     if cfg.model != AUTOMATIC:
         raise ConfigError("breakdown is defined for the automatic model")
-    variants = [MANUAL, "base", "premat", "cached"]
-    if not cfg.shallow_copy:
-        variants.append("shallow")
+    variants = [MANUAL, "base", "premat", "cached", "shallow"]
     report, rows, times = _run_variants(cfg, variants)
     counters = {v: rows[v]["counters"] for v in variants[1:]}
     base_row = counters["base"]
@@ -339,7 +335,7 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     overhead = max(med["base"] - report.t_manual, 0.0)
     alloc_t = max(med["base"] - med["premat"], 0.0)
     translate_t = max(med["base"] - med["cached"], 0.0)
-    deep_t = max(med["base"] - med["shallow"], 0.0) if "shallow" in med else 0.0
+    deep_t = max(med["base"] - med["shallow"], 0.0)
     if base_row["deep_copies"] == 0:
         deep_t = 0.0
     other = max(overhead - alloc_t - translate_t - deep_t, 0.0)
@@ -360,7 +356,7 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
         "allocations_base": base_row["allocations"],
         "allocations_premat": counters["premat"]["allocations"],
         "deep_copies_base": base_row["deep_copies"],
-        "deep_copies_shallow": counters.get("shallow", {}).get("deep_copies", 0),
+        "deep_copies_shallow": counters["shallow"]["deep_copies"],
     }
     return report
 

@@ -37,8 +37,6 @@ class WorkloadConfig:
     model: str = "auto"
     trials: int = 5
     ratio: float = 1.0
-    cache_translations: bool = False
-    shallow_copy: bool = False
     pool_dir: str = "."
 
     def validate(self) -> "WorkloadConfig":

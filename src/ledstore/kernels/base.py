@@ -81,16 +81,15 @@ class MapKernel:
         self.shallow_copy = shallow_copy
         self.rng = rng
         edit = change if version == 2 else None
-        # entry_size is the allocated (or embedded) size; body_size the bytes
-        # before the auto lane's link slot, padding included
+        # entry_size is the allocated (or embedded) size
         if mode == "auto":
             self.desc = self.entry_type(edit)
             self.entry = self.entry_record()
-            self.entry_size, self.body_size = self.desc.base_size, self.desc.link_offset
+            self.entry_size = self.desc.base_size
         else:
             self.desc = None
             self.entry = self.entry_record(edit)
-            self.entry_size = self.body_size = self.entry.size
+            self.entry_size = self.entry.size
         key = self.entry.field("key")
         self.key_off, self.key_struct = key.offset, struct.Struct("<" + key.fmt)
         # auto "change": key64 lives in an extension, see the module docstring
@@ -238,21 +237,17 @@ class MapKernel:
         self.pool.stats.deep_copies += 1
         return raw[:link_off] + clone.pack()
 
-    def _free_entry(self, tx, holder: ObjectId, base_off: int | None = None,
-                    raw: bytes | None = None) -> None:
+    def _free_entry(self, tx, holder: ObjectId, base_off: int | None = None) -> None:
         """Free an entry with its extension chain. A standalone record (no
         `base_off`) is freed whole; an embedded entry loses its chain only,
-        read from `raw`, the entry's bytes, when the caller has them."""
+        found by reading its link slot alone."""
         if self.desc is None:
             if base_off is None:
                 tx.free(holder)
         elif base_off is None:
             leds.free_extendible(tx, self.pool, holder, self.desc)
         else:
-            link_off = self.desc.link_offset
-            if raw is None:  # read the link slot alone
-                link = ObjectId.unpack(self.pool.load(holder, base_off + link_off, leds.LINK_SIZE))
-            else:
-                link = ObjectId.unpack(raw, link_off)
+            link_off = base_off + self.desc.link_offset
+            link = ObjectId.unpack(self.pool.load(holder, link_off, leds.LINK_SIZE))
             if not link.is_null():
                 leds.free_extension_chain(tx, self.pool, link, self.desc)

@@ -133,9 +133,9 @@ class BTreeKernel(MapKernel):
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        if self._find(key) is not None:
-            node, pos = self._find(key)
-            self._confirm(node, key, self._item_off(pos))
+        found = self._find(key)
+        if found is not None:
+            self._confirm(found[0], key, self._item_off(found[1]))
             return False
         troot = self._tree_root()
         if self._n(troot) == MAX_KEYS:
@@ -204,9 +204,6 @@ class BTreeKernel(MapKernel):
         self._bump_count(tx, -1)
         return True
 
-    def _free_item_chain(self, tx, node: ObjectId, i: int) -> None:
-        self._free_entry(tx, node, self._item_off(i), self._item_raw(node, i))
-
     def _delete_from(self, tx, cur: ObjectId, key: int) -> None:
         n = self._n(cur)
         keys = self._keys(cur, n)
@@ -215,7 +212,7 @@ class BTreeKernel(MapKernel):
             pos += 1
         if pos < n and keys[pos] == key:
             if self._is_leaf(cur):
-                self._free_item_chain(tx, cur, pos)
+                self._free_entry(tx, cur, self._item_off(pos))
                 for j in range(pos + 1, n):
                     self._put_item(tx, cur, j - 1, self._item_raw(cur, j))
                 self._set_n(tx, cur, n - 1)
@@ -223,11 +220,11 @@ class BTreeKernel(MapKernel):
             left, right = self._child(cur, pos), self._child(cur, pos + 1)
             if self._n(left) > MIN_KEYS:
                 raw = self._extract_edge(tx, left, last=True)
-                self._free_item_chain(tx, cur, pos)
+                self._free_entry(tx, cur, self._item_off(pos))
                 self._put_item(tx, cur, pos, raw)
             elif self._n(right) > MIN_KEYS:
                 raw = self._extract_edge(tx, right, last=False)
-                self._free_item_chain(tx, cur, pos)
+                self._free_entry(tx, cur, self._item_off(pos))
                 self._put_item(tx, cur, pos, raw)
             else:
                 self._merge(tx, cur, pos)

@@ -61,9 +61,8 @@ class RBTreeKernel(MapKernel):
     # -- field access ---------------------------------------------------------
 
     def _node_record(self, key, value, color, parent, left, right) -> bytes:
-        """A whole node: every byte before the auto lane's link slot."""
-        raw = self.entry.pack(key, value, color, parent.pack(), left.pack(), right.pack())
-        return raw.ljust(self.body_size, b"\0")
+        """A whole node's fields; the auto lane's link slot stays as allocated."""
+        return self.entry.pack(key, value, color, parent.pack(), left.pack(), right.pack())
 
     def _color(self, oid: ObjectId) -> int:
         return _U32.unpack(self.pool.load(oid, self.color_off, 4))[0]
