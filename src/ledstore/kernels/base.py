@@ -15,15 +15,20 @@ by one rule, for the two lanes:
           same edit as extension level 1: {key64 u64}, copied from `key`,
           or {name bytes16}, zero-filled.
 
-Kernels read field offsets, the entry size and the key's struct from the
-derived layout, and share the lane-dependent helpers below; each helper
-takes the entry's offset in its holder (`base_off`), so entries embedded in
-B-tree and crit-bit nodes use them too. In auto "change" mode the widened
-key lives in the {key64} extension; insert paths keep key64 == zext(key32),
-so ordering and equality of live keys can be decided from the base field
-alone and the extension is read (materializing it) only to confirm a
-positive match. That keeps lazy-migration counts equal to the number of
-matched entries.
+Kernels read field offsets and the entry size from the derived layout, and
+share the lane-dependent helpers below; each helper takes the entry's offset
+in its holder (`base_off`), so entries embedded in B-tree and crit-bit nodes
+use them too. In auto "change" mode the widened key lives in the {key64}
+extension; insert paths keep key64 == zext(key32), so ordering and equality
+of live keys can be decided from the base field alone and the extension is
+read (materializing it) only to confirm a positive match. That keeps
+lazy-migration counts equal to the number of matched entries.
+
+Read-only walks resolve each visited node once: lookup (value included),
+the search that starts insert and remove, scan and validate decode a node
+with one `pool.read`, through a codec the kernel derives in __init__ from
+`entry` with `entry_parts` (oid fields as two u64 words), never from literal
+record offsets. Reads at mutation sites, between writes, may use `load`.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
 Keys must fit in 32 bits: version-1 records could not hold more, and the
@@ -48,10 +53,6 @@ KEY_LIMIT = 1 << 32
 
 def encode_value(v: int) -> bytes:
     return _U64.pack(v) + bytes(8)
-
-
-def decode_value(raw: bytes) -> int:
-    return _U64.unpack_from(raw)[0]
 
 
 def check_key(key: int) -> int:
@@ -90,8 +91,6 @@ class MapKernel:
             self.desc = None
             self.entry = self.entry_record(edit)
             self.entry_size = self.entry.size
-        key = self.entry.field("key")
-        self.key_off, self.key_struct = key.offset, struct.Struct("<" + key.fmt)
         # auto "change": key64 lives in an extension, see the module docstring
         self.key64_ext = mode == "auto" and edit == "change"
         self.root = NULL_OID
@@ -190,22 +189,24 @@ class MapKernel:
 
     # -- entry helpers: `holder` is the record, `base_off` the entry's offset in it
 
-    def _key(self, holder: ObjectId, base_off: int = 0) -> int:
-        """The stored key field (32-bit in the auto lane)."""
-        raw = self.pool.load(holder, base_off + self.key_off, self.key_struct.size)
-        return self.key_struct.unpack(raw)[0]
+    def entry_parts(self, base_off: int, *names: str) -> list[tuple[int, str]]:
+        """leds.packed_struct parts for entry fields at `base_off` in their
+        holder, named in offset order; oid fields decode as two u64 words."""
+        fields = [self.entry.field(name) for name in names]
+        return [(base_off + f.offset, "QQ" if f.kind == "objectid" else f.fmt) for f in fields]
 
-    def _observed_key(self, holder: ObjectId, base_off: int = 0) -> int:
-        """The key as the program reads it: key64 through the extension in auto
-        "change" mode, materializing it on first touch."""
+    def _observed(self, holder: ObjectId, key: int, base_off: int = 0) -> int:
+        """The key as the program reads it, given the stored `key` field: key64
+        through the extension in auto "change" mode, materializing it on first
+        touch."""
         if self.key64_ext:
             return leds.read_field(self.pool, holder, self.desc, "key64", base_off=base_off)
-        return self._key(holder, base_off)
+        return key
 
     def _confirm(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
         """A positive match in auto "change" mode reads key64 through the extension."""
         if self.key64_ext:
-            assert self._observed_key(holder, base_off) == key, "key64 invariant violated"
+            assert self._observed(holder, key, base_off) == key, "key64 invariant violated"
 
     def _peek_key64(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
         """Validation: a materialized key64 must equal `key`. The read is

@@ -21,9 +21,11 @@ the source slot dies.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
+from ..leds import packed_struct
 from ..pool import ObjectId
-from .base import MapKernel, check_key, decode_value, encode_value
+from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 _I32 = struct.Struct("<i")
@@ -51,7 +53,12 @@ class BTreeKernel(MapKernel):
         super().__init__(pool, **kw)
         self.stride = self.entry_size
         self.children_off, self.node_size = node_shape(self.stride)
-        self.val_in_item = self.entry.offsets["value"]
+        # one node visit: n, then (key, value word, _) per item slot, then
+        # every child id as two words
+        item = [self.entry_parts(self._item_off(i), "key", "value") for i in range(SLOTS)]
+        self.item_width = sum(len(codes) for _, codes in item[0])  # values per item
+        self.node = packed_struct([(0, "i")] + sum(item, []) + [
+            (self.children_off + j * 16, "QQ") for j in range(SLOTS)])
 
     # -- structure ----------------------------------------------------------
 
@@ -75,13 +82,6 @@ class BTreeKernel(MapKernel):
     def _item_off(self, i: int) -> int:
         return ITEMS_OFF + i * self.stride
 
-    def _keys(self, node: ObjectId, n: int) -> list[int]:
-        if n == 0:
-            return []
-        raw = self.pool.load(node, ITEMS_OFF, n * self.stride)
-        key = self.key_struct
-        return [key.unpack_from(raw, i * self.stride + self.key_off)[0] for i in range(n)]
-
     def _item_raw(self, node: ObjectId, i: int) -> bytes:
         return self.pool.load(node, self._item_off(i), self.stride)
 
@@ -104,30 +104,40 @@ class BTreeKernel(MapKernel):
     def _is_leaf(self, node: ObjectId) -> bool:
         return self._child(node, 0).is_null()
 
+    def _visit(self, node: ObjectId):
+        """One read of a node: n, its n keys and value words, and the words
+        of every child id (see _kid), None for a leaf (child 0 null)."""
+        rec = self.pool.read(node, self.node)
+        n, w = rec[0], self.item_width
+        kids = rec[1 + SLOTS * w :]
+        leaf = not (kids[0] or kids[1])
+        return n, rec[1 : 1 + n * w : w], rec[2 : 2 + n * w : w], None if leaf else kids
+
+    @staticmethod
+    def _kid(kids: tuple, i: int) -> ObjectId:
+        return ObjectId(kids[2 * i], kids[2 * i + 1])
+
     # -- search ------------------------------------------------------------------
 
     def _find(self, key: int):
+        """Key's item, one read per visited node: (node, pos, value) or None."""
         cur = self._tree_root()
         while True:
-            n = self._n(cur)
-            keys = self._keys(cur, n)
-            pos = 0
-            while pos < n and keys[pos] < key:
-                pos += 1
+            n, keys, values, kids = self._visit(cur)
+            pos = bisect_left(keys, key)
             if pos < n and keys[pos] == key:
-                return cur, pos
-            if self._is_leaf(cur):
+                return cur, pos, values[pos]
+            if kids is None:
                 return None
-            cur = self._child(cur, pos)
+            cur = self._kid(kids, pos)
 
     def lookup(self, key: int):
         found = self._find(key)
         if found is None:
             return None
-        node, pos = found
+        node, pos, value = found
         self._confirm(node, key, self._item_off(pos))
-        raw = self.pool.load(node, self._item_off(pos) + self.val_in_item, 16)
-        return decode_value(raw)
+        return value
 
     # -- insert --------------------------------------------------------------------
 
@@ -150,22 +160,19 @@ class BTreeKernel(MapKernel):
 
     def _insert_nonfull(self, tx, cur: ObjectId, key: int, value: int) -> None:
         while True:
-            n = self._n(cur)
-            keys = self._keys(cur, n)
-            pos = 0
-            while pos < n and keys[pos] < key:
-                pos += 1
-            if self._is_leaf(cur):
+            n, keys, _, kids = self._visit(cur)
+            pos = bisect_left(keys, key)
+            if kids is None:
                 for j in range(n - 1, pos - 1, -1):
                     self._put_item(tx, cur, j + 1, self._item_raw(cur, j))
                 self._put_item(tx, cur, pos, self._make_item(key, value))
                 self._set_n(tx, cur, n + 1)
                 self._extend_new(tx, cur, self._item_off(pos))
                 return
-            child = self._child(cur, pos)
+            child = self._kid(kids, pos)
             if self._n(child) == MAX_KEYS:
                 self._split_child(tx, cur, pos)
-                if key > self._keys(cur, self._n(cur))[pos]:
+                if key > self._visit(cur)[1][pos]:
                     pos += 1
                 child = self._child(cur, pos)
             cur = child
@@ -205,19 +212,16 @@ class BTreeKernel(MapKernel):
         return True
 
     def _delete_from(self, tx, cur: ObjectId, key: int) -> None:
-        n = self._n(cur)
-        keys = self._keys(cur, n)
-        pos = 0
-        while pos < n and keys[pos] < key:
-            pos += 1
+        n, keys, _, kids = self._visit(cur)
+        pos = bisect_left(keys, key)
         if pos < n and keys[pos] == key:
-            if self._is_leaf(cur):
+            if kids is None:
                 self._free_entry(tx, cur, self._item_off(pos))
                 for j in range(pos + 1, n):
                     self._put_item(tx, cur, j - 1, self._item_raw(cur, j))
                 self._set_n(tx, cur, n - 1)
                 return
-            left, right = self._child(cur, pos), self._child(cur, pos + 1)
+            left, right = self._kid(kids, pos), self._kid(kids, pos + 1)
             if self._n(left) > MIN_KEYS:
                 raw = self._extract_edge(tx, left, last=True)
                 self._free_entry(tx, cur, self._item_off(pos))
@@ -321,26 +325,22 @@ class BTreeKernel(MapKernel):
 
     def scan(self):
         def walk(cur):
-            n = self._n(cur)
-            leaf = self._is_leaf(cur)
+            n, keys, values, kids = self._visit(cur)
             for i in range(n):
-                if not leaf:
-                    yield from walk(self._child(cur, i))
-                val = self.pool.load(cur, self._item_off(i) + self.val_in_item, 16)
-                yield self._observed_key(cur, self._item_off(i)), decode_value(val)
-            if not leaf:
-                yield from walk(self._child(cur, n))
+                if kids:
+                    yield from walk(self._kid(kids, i))
+                yield self._observed(cur, keys[i], self._item_off(i)), values[i]
+            if kids:
+                yield from walk(self._kid(kids, n))
 
-        troot = self._tree_root()
-        if self._n(troot) > 0:
-            yield from walk(troot)
+        yield from walk(self._tree_root())
 
     def validate(self) -> None:
         troot = self._tree_root()
 
         def check(cur, lo, hi, is_root):
-            n = self._n(cur)
-            keys = self._keys(cur, n)
+            n, keys, _, kids = self._visit(cur)
+            keys = list(keys)
             assert n <= MAX_KEYS, f"node over capacity: {n}"
             if not is_root:
                 assert n >= MIN_KEYS, f"node under occupancy: {n}"
@@ -349,13 +349,13 @@ class BTreeKernel(MapKernel):
                 assert lo < keys[0] and keys[-1] < hi, "key range violated"
             for i in range(n):
                 self._peek_key64(cur, keys[i], self._item_off(i))
-            if self._is_leaf(cur):
+            if kids is None:
                 return 1, n
             depth = None
             total = n
             bounds = [lo] + keys + [hi]
             for i in range(n + 1):
-                d, c = check(self._child(cur, i), bounds[i], bounds[i + 1], False)
+                d, c = check(self._kid(kids, i), bounds[i], bounds[i + 1], False)
                 assert depth is None or d == depth, "leaves at different depths"
                 depth = d
                 total += c

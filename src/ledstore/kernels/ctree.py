@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import struct
 
+from ..leds import packed_struct
 from ..pool import ObjectId
-from .base import MapKernel, check_key, decode_value, encode_value
+from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
@@ -49,8 +50,13 @@ class CritBitKernel(MapKernel):
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
         self.stride = self.entry_size
-        self.slot_in_entry = self.entry.offsets["slot"]
         self.node_size = 4 + 2 * self.stride
+        # one visit of the root: (is_leaf, key, slot words); of a node:
+        # (diff word, key 0, slot 0 words, key 1, slot 1 words)
+        self.root_codec = packed_struct(
+            [(0, "Q")] + self.entry_parts(ROOT_ENTRY_OFF, "key", "slot"))
+        self.node = packed_struct([(0, "I")] + self.entry_parts(4, "key", "slot")
+                                + self.entry_parts(4 + self.stride, "key", "slot"))
 
     # -- structure ----------------------------------------------------------
 
@@ -60,29 +66,37 @@ class CritBitKernel(MapKernel):
 
     # -- entry plumbing -------------------------------------------------------
 
-    def _entry_slot(self, holder: ObjectId, off: int) -> ObjectId:
-        return ObjectId.unpack(self.pool.load(holder, off + self.slot_in_entry, 16))
-
     def _diff_word(self, node: ObjectId) -> int:
         return _U32.unpack(self.pool.load(node, 0, 4))[0]
-
-    def _root_is_leaf(self) -> bool:
-        return _U64.unpack(self.pool.load(self.root, 0, 8))[0] == 1
 
     def _make_entry(self, key: int, slot: bytes) -> bytes:
         return self.entry.pack(key, slot).ljust(self.stride, b"\0")
 
     def _descend(self, key: int):
-        """Walk to the leaf entry key's bits select; returns the path of
-        (holder, entry offset, is_leaf) ending at a leaf."""
-        path = [(self.root, ROOT_ENTRY_OFF, self._root_is_leaf())]
-        while not path[-1][2]:
-            holder, off, _ = path[-1]
-            node = self._entry_slot(holder, off)
-            word = self._diff_word(node)
-            i = bit_of(key, word & 0xFF)
-            path.append((node, 4 + i * self.stride, bool(word >> (8 + i) & 1)))
-        return path
+        """Walk to the leaf entry key's bits select, one read per node.
+        Returns the path of (holder, entry offset, is_leaf, holder's diff
+        word) ending at a leaf (the root's word is None), the leaf's key and
+        its value word."""
+        _, is_leaf, k, s0, s1 = self._root_entry()
+        path = [(self.root, ROOT_ENTRY_OFF, is_leaf, None)]
+        while not is_leaf:
+            node = ObjectId(s0, s1)
+            word, entries = self._entries(node)
+            off, is_leaf, k, s0, s1 = entries[bit_of(key, word & 0xFF)]
+            path.append((node, off, is_leaf, word))
+        return path, k, s0
+
+    def _root_entry(self):
+        """One read of the root's entry: (offset, is_leaf, key, slot words)."""
+        is_leaf, key, s0, s1 = self.pool.read(self.root, self.root_codec)
+        return ROOT_ENTRY_OFF, is_leaf == 1, key, s0, s1
+
+    def _entries(self, node: ObjectId):
+        """One read of a node: its diff word and, per entry, (offset, is_leaf,
+        key, slot words)."""
+        word, k0, a0, a1, k1, b0, b1 = self.pool.read(node, self.node)
+        return word, ((4, bool(word >> 8 & 1), k0, a0, a1),
+                      (4 + self.stride, bool(word >> 9 & 1), k1, b0, b1))
 
     def _set_entry_leafness(self, tx, holder: ObjectId, off: int, leaf: bool) -> None:
         if holder == self.root:
@@ -105,22 +119,18 @@ class CritBitKernel(MapKernel):
             self._bump_count(tx, 1)
             return True
 
-        leaf_holder, leaf_off, _ = self._descend(key)[-1]
-        leafkey = self._key(leaf_holder, leaf_off)
+        path, leafkey, _ = self._descend(key)
         if leafkey == key:
-            self._confirm(leaf_holder, key, leaf_off)
+            self._confirm(path[-1][0], key, path[-1][1])
             return False
         b = crit_bit(leafkey, key)
 
-        # find the displacement point: first entry whose subtree splits below b
-        holder, off, is_leaf = self.root, ROOT_ENTRY_OFF, self._root_is_leaf()
-        while not is_leaf:
-            node = self._entry_slot(holder, off)
-            word = self._diff_word(node)
-            if (word & 0xFF) > b:
-                break
-            i = bit_of(key, word & 0xFF)
-            holder, off, is_leaf = node, 4 + i * self.stride, bool(word >> (8 + i) & 1)
+        # the displacement point: the first entry on key's path that is a
+        # leaf or links to a node splitting below b
+        j = 0
+        while not path[j][2] and (path[j + 1][3] & 0xFF) <= b:
+            j += 1
+        holder, off, is_leaf, _ = path[j]
 
         displaced = self._relocated(tx, self.pool.load(holder, off, self.stride))
         i = bit_of(key, b)
@@ -138,9 +148,9 @@ class CritBitKernel(MapKernel):
     def remove(self, tx, key: int) -> bool:
         if self.count() == 0:
             return False
-        path = self._descend(key)
-        holder, off, _ = path[-1]
-        if self._key(holder, off) != key:
+        path, leafkey, _ = self._descend(key)
+        holder, off, _, word = path[-1]
+        if leafkey != key:
             return False
         self._confirm(holder, key, off)
         self._free_entry(tx, holder, off)
@@ -150,11 +160,10 @@ class CritBitKernel(MapKernel):
             return True
         node = holder
         j = (off - 4) // self.stride
-        word = self._diff_word(node)
         sib_off = 4 + (1 - j) * self.stride
         sib_leaf = bool(word >> (8 + (1 - j)) & 1)
         sibling = self._relocated(tx, self.pool.load(node, sib_off, self.stride))
-        g_holder, g_off, _ = path[-2]
+        g_holder, g_off = path[-2][:2]
         tx.write(g_holder, g_off, sibling)
         self._set_entry_leafness(tx, g_holder, g_off, sib_leaf)
         tx.free(node)
@@ -164,50 +173,47 @@ class CritBitKernel(MapKernel):
     def lookup(self, key: int):
         if self.count() == 0:
             return None
-        holder, off, _ = self._descend(key)[-1]
-        if self._key(holder, off) != key:
+        path, leafkey, value = self._descend(key)
+        if leafkey != key:
             return None
-        self._confirm(holder, key, off)
-        return decode_value(self.pool.load(holder, off + self.slot_in_entry, 16))
+        self._confirm(path[-1][0], key, path[-1][1])
+        return value
 
     def scan(self):
         if self.count() == 0:
             return
 
-        def walk(holder, off, is_leaf):
+        def walk(holder, off, is_leaf, key, s0, s1):
             if is_leaf:
-                value = decode_value(self.pool.load(holder, off + self.slot_in_entry, 16))
-                yield self._observed_key(holder, off), value
+                yield self._observed(holder, key, off), s0
                 return
-            node = self._entry_slot(holder, off)
-            word = self._diff_word(node)
-            yield from walk(node, 4, bool(word >> 8 & 1))
-            yield from walk(node, 4 + self.stride, bool(word >> 9 & 1))
+            node = ObjectId(s0, s1)
+            for entry in self._entries(node)[1]:
+                yield from walk(node, *entry)
 
-        yield from walk(self.root, ROOT_ENTRY_OFF, self._root_is_leaf())
+        yield from walk(self.root, *self._root_entry())
 
     def validate(self) -> None:
         if self.count() == 0:
             return
         keys: list[int] = []
 
-        def walk(holder, off, is_leaf, fixed_bits, parent_diff):
+        def walk(holder, off, is_leaf, key, s0, s1, fixed_bits, parent_diff):
             if is_leaf:
-                key = self._key(holder, off)
                 for b, v in fixed_bits:
                     assert bit_of(key, b) == v, f"key {key} violates bit {b}={v}"
                 self._peek_key64(holder, key, off)
                 keys.append(key)
                 return
-            node = self._entry_slot(holder, off)
-            word = self._diff_word(node)
+            node = ObjectId(s0, s1)
+            word, entries = self._entries(node)
             d = word & 0xFF
             assert d < 64, f"bit index out of range: {d}"
             assert d > parent_diff, "critical bits not increasing along path"
-            walk(node, 4, bool(word >> 8 & 1), fixed_bits + [(d, 0)], d)
-            walk(node, 4 + self.stride, bool(word >> 9 & 1), fixed_bits + [(d, 1)], d)
+            for bit, entry in enumerate(entries):
+                walk(node, *entry, fixed_bits + [(d, bit)], d)
 
-        walk(self.root, ROOT_ENTRY_OFF, self._root_is_leaf(), [], -1)
+        walk(self.root, *self._root_entry(), [], -1)
         assert keys == sorted(keys), "in-order walk not ascending"
         assert len(keys) == len(set(keys)), "duplicate keys"
         assert len(keys) == self.count(), f"count {self.count()} != leaves {len(keys)}"

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import struct
 
+from ..leds import packed_struct
 from ..pool import NULL_OID, ObjectId
-from .base import (
-    MapKernel,
-    check_key,
-    decode_value,
-    encode_value,
-)
+from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
+_SLOT = struct.Struct("<QQ")
 
 INITIAL_BUCKETS = 10
 GROWTH = 8
@@ -49,8 +46,9 @@ class HashMapKernel(MapKernel):
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        self.val_off = self.entry.offsets["value"]
         self.next_off = self.entry.offsets["next"]
+        # one chain-node visit: (key, value word, _, next uuid, next offset)
+        self.node = packed_struct(self.entry_parts(0, "key", "value", "next"))
 
     # -- structure ----------------------------------------------------------
 
@@ -64,8 +62,8 @@ class HashMapKernel(MapKernel):
         raw = self.pool.load(self.root, 0, 24)
         return ObjectId.unpack(raw), _U64.unpack_from(raw, 16)[0]
 
-    def _node_next(self, oid: ObjectId) -> ObjectId:
-        return ObjectId.unpack(self.pool.load(oid, self.next_off, 16))
+    def _head(self, buckets: ObjectId, idx: int) -> ObjectId:
+        return ObjectId(*self.pool.read(buckets, _SLOT, idx * 16))
 
     # -- operations ----------------------------------------------------------
 
@@ -73,13 +71,13 @@ class HashMapKernel(MapKernel):
         check_key(key)
         buckets, nbuckets = self._buckets()
         idx = bucket_index(key, nbuckets)
-        head = ObjectId.unpack(self.pool.load(buckets, idx * 16, 16))
-        cur = head
+        head = cur = self._head(buckets, idx)
         while not cur.is_null():
-            if self._key(cur) == key:
+            k, _, _, uuid, off = self.pool.read(cur, self.node)
+            if k == key:
                 self._confirm(cur, key)
                 return False
-            cur = self._node_next(cur)
+            cur = ObjectId(uuid, off)
 
         node = tx.alloc_zeroed(self.entry_size)
         tx.write(node, 0, self.entry.pack(key, encode_value(value), head.pack()))
@@ -94,11 +92,12 @@ class HashMapKernel(MapKernel):
         buckets, nbuckets = self._buckets()
         idx = bucket_index(key, nbuckets)
         prev = None
-        cur = ObjectId.unpack(self.pool.load(buckets, idx * 16, 16))
+        cur = self._head(buckets, idx)
         while not cur.is_null():
-            if self._key(cur) == key:
+            k, _, _, uuid, off = self.pool.read(cur, self.node)
+            nxt = ObjectId(uuid, off)
+            if k == key:
                 self._confirm(cur, key)
-                nxt = self._node_next(cur)
                 if prev is None:
                     tx.write(buckets, idx * 16, nxt.pack())
                 else:
@@ -106,36 +105,39 @@ class HashMapKernel(MapKernel):
                 self._free_entry(tx, cur)
                 self._bump_count(tx, -1)
                 return True
-            prev, cur = cur, self._node_next(cur)
+            prev, cur = cur, nxt
         return False
 
     def lookup(self, key: int):
         buckets, nbuckets = self._buckets()
-        cur = ObjectId.unpack(self.pool.load(buckets, bucket_index(key, nbuckets) * 16, 16))
+        cur = self._head(buckets, bucket_index(key, nbuckets))
         while not cur.is_null():
-            if self._key(cur) == key:
+            k, value, _, uuid, off = self.pool.read(cur, self.node)
+            if k == key:
                 self._confirm(cur, key)
-                return decode_value(self.pool.load(cur, self.val_off, 16))
-            cur = self._node_next(cur)
+                return value
+            cur = ObjectId(uuid, off)
         return None
 
     def scan(self):
         buckets, nbuckets = self._buckets()
         for idx in range(nbuckets):
-            cur = ObjectId.unpack(self.pool.load(buckets, idx * 16, 16))
+            cur = self._head(buckets, idx)
             while not cur.is_null():
-                yield self._observed_key(cur), decode_value(self.pool.load(cur, self.val_off, 16))
-                cur = self._node_next(cur)
+                k, value, _, uuid, off = self.pool.read(cur, self.node)
+                yield self._observed(cur, k), value
+                cur = ObjectId(uuid, off)
 
     def _rehash(self, tx, old_buckets: ObjectId, old_n: int) -> None:
         new_n = old_n * GROWTH
         new_buckets = tx.alloc_zeroed(new_n * 16)
         heads = [NULL_OID] * new_n
         for idx in range(old_n):
-            cur = ObjectId.unpack(self.pool.load(old_buckets, idx * 16, 16))
+            cur = self._head(old_buckets, idx)
             while not cur.is_null():
-                nxt = self._node_next(cur)
-                widx = bucket_index(self._key(cur), new_n)
+                k, _, _, uuid, off = self.pool.read(cur, self.node)
+                nxt = ObjectId(uuid, off)
+                widx = bucket_index(k, new_n)
                 tx.write(cur, self.next_off, heads[widx].pack())
                 heads[widx] = cur
                 cur = nxt
@@ -149,15 +151,15 @@ class HashMapKernel(MapKernel):
         expected = self.count()
         seen: set[int] = set()
         for idx in range(nbuckets):
-            cur = ObjectId.unpack(self.pool.load(buckets, idx * 16, 16))
+            cur = self._head(buckets, idx)
             while not cur.is_null():
-                key = self._key(cur)
+                key, _, _, uuid, off = self.pool.read(cur, self.node)
                 assert bucket_index(key, nbuckets) == idx, f"key {key} in wrong bucket"
                 assert key not in seen, f"duplicate key {key}"
                 seen.add(key)
                 assert len(seen) <= expected, "cycle or count drift"
                 self._peek_key64(cur, key)
-                cur = self._node_next(cur)
+                cur = ObjectId(uuid, off)
         assert len(seen) == expected, f"count {expected} != scanned {len(seen)}"
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import struct
 
+from ..leds import packed_struct
 from ..pool import ObjectId
-from .base import MapKernel, check_key, decode_value, encode_value
+from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
@@ -38,8 +39,11 @@ class RBTreeKernel(MapKernel):
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
         off = self.entry.offsets
-        self.val_off, self.color_off = off["value"], off["color"]
+        self.color_off = off["color"]
         self.par_off, self.left_off, self.right_off = off["parent"], off["left"], off["right"]
+        # one node visit: (key, value word, _, color, parent, left, right), oids as two words
+        self.node = packed_struct(self.entry_parts(
+            0, "key", "value", "color", "parent", "left", "right"))
         self.nil = None
 
     # -- structure ----------------------------------------------------------
@@ -92,32 +96,34 @@ class RBTreeKernel(MapKernel):
 
     # -- operations --------------------------------------------------------------
 
-    def _search(self, key: int) -> ObjectId | None:
+    def _search(self, key: int):
+        """Key's node, one read per visited node: (node, value, color, left,
+        right) from the match's read, or None."""
         cur = self._tree_root()
         while cur != self.nil:
-            k = self._key(cur)
+            k, value, _, color, _, _, lu, lo, ru, ro = self.pool.read(cur, self.node)
             if key == k:
-                return cur
-            cur = self._oid_at(cur, self.left_off if key < k else self.right_off)
+                return cur, value, color, ObjectId(lu, lo), ObjectId(ru, ro)
+            cur = ObjectId(lu, lo) if key < k else ObjectId(ru, ro)
         return None
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        y = self.nil
+        y, y_key = self.nil, None
         x = self._tree_root()
         while x != self.nil:
-            k = self._key(x)
+            k, _, _, _, _, _, lu, lo, ru, ro = self.pool.read(x, self.node)
             if key == k:
                 self._confirm(x, key)
                 return False
-            y = x
-            x = self._oid_at(x, self.left_off if key < k else self.right_off)
+            y, y_key = x, k
+            x = ObjectId(lu, lo) if key < k else ObjectId(ru, ro)
 
         z = tx.alloc_zeroed(self.entry_size)
         tx.write(z, 0, self._node_record(key, encode_value(value), RED, y, self.nil, self.nil))
         if y == self.nil:
             tx.write(self.root, 0, z.pack())
-        elif key < self._key(y):
+        elif key < y_key:
             tx.write(y, self.left_off, z.pack())
         else:
             tx.write(y, self.right_off, z.pack())
@@ -173,14 +179,12 @@ class RBTreeKernel(MapKernel):
         tx.write(v, self.par_off, up.pack())  # nil's parent is legal scratch
 
     def remove(self, tx, key: int) -> bool:
-        z = self._search(key)
-        if z is None:
+        found = self._search(key)
+        if found is None:
             return False
+        z, _, z_color, z_left, z_right = found
         self._confirm(z, key)
-        y = z
-        y_color = self._color(y)
-        z_left = self._oid_at(z, self.left_off)
-        z_right = self._oid_at(z, self.right_off)
+        y, y_color = z, z_color
         if z_left == self.nil:
             x = z_right
             self._transplant(tx, z, z_right)
@@ -202,7 +206,7 @@ class RBTreeKernel(MapKernel):
             self._transplant(tx, z, y)
             tx.write(y, self.left_off, z_left.pack())
             tx.write(z_left, self.par_off, y.pack())
-            tx.write(y, self.color_off, _U32.pack(self._color(z)))
+            tx.write(y, self.color_off, _U32.pack(z_color))
         if y_color == BLACK:
             self._delete_fixup(tx, x)
         self._free_entry(tx, z)
@@ -243,49 +247,47 @@ class RBTreeKernel(MapKernel):
             tx.write(x, self.color_off, _U32.pack(BLACK))
 
     def lookup(self, key: int):
-        node = self._search(key)
-        if node is None:
+        found = self._search(key)
+        if found is None:
             return None
+        node, value = found[:2]
         self._confirm(node, key)
-        return decode_value(self.pool.load(node, self.val_off, 16))
+        return value
 
     def scan(self):
         stack = []
         cur = self._tree_root()
         while stack or cur != self.nil:
             while cur != self.nil:
-                stack.append(cur)
-                cur = self._oid_at(cur, self.left_off)
-            cur = stack.pop()
-            yield self._observed_key(cur), decode_value(self.pool.load(cur, self.val_off, 16))
-            cur = self._oid_at(cur, self.right_off)
+                k, value, _, _, _, _, lu, lo, ru, ro = self.pool.read(cur, self.node)
+                stack.append((cur, k, value, ObjectId(ru, ro)))
+                cur = ObjectId(lu, lo)
+            node, k, value, cur = stack.pop()
+            yield self._observed(node, k), value
 
     def validate(self) -> None:
         troot = self._tree_root()
         if troot == self.nil:
             assert self.count() == 0, "count drift on empty tree"
             return
-        assert self._color(troot) == BLACK, "root must be black"
 
-        def check(oid, lo, hi):
+        def check(oid, lo, hi, parent):
+            """(black height, size, color) of the subtree at `oid`; its parent
+            link must be `parent` (None at the root). nil counts as black."""
             if oid == self.nil:
-                return 1, 0
-            k = self._key(oid)
+                return 1, 0, BLACK
+            k, _, _, color, pu, po, lu, lo_, ru, ro = self.pool.read(oid, self.node)
             assert lo < k < hi, f"BST order violated at {k}"
-            left = self._oid_at(oid, self.left_off)
-            right = self._oid_at(oid, self.right_off)
-            if self._color(oid) == RED:
-                assert self._color(left) == BLACK and self._color(right) == BLACK, \
-                    f"red node {k} has a red child"
-            for child in (left, right):
-                if child != self.nil:
-                    assert self._oid_at(child, self.par_off) == oid, "parent link broken"
-            bh_l, n_l = check(left, lo, k)
-            bh_r, n_r = check(right, k, hi)
+            assert parent is None or ObjectId(pu, po) == parent, "parent link broken"
+            bh_l, n_l, color_l = check(ObjectId(lu, lo_), lo, k, oid)
+            bh_r, n_r, color_r = check(ObjectId(ru, ro), k, hi, oid)
+            if color == RED:
+                assert color_l == BLACK and color_r == BLACK, f"red node {k} has a red child"
             assert bh_l == bh_r, f"black heights differ under {k}"
-            return bh_l + (1 if self._color(oid) == BLACK else 0), n_l + n_r + 1
+            return bh_l + (1 if color == BLACK else 0), n_l + n_r + 1, color
 
-        _, size = check(troot, -1, 1 << 65)
+        _, size, color = check(troot, -1, 1 << 65, None)
+        assert color == BLACK, "root must be black"
         assert size == self.count(), f"count {self.count()} != walked {size}"
 
 

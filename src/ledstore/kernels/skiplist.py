@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 
 from .. import leds
 from ..pool import NULL_OID, ObjectId
-from .base import MapKernel, check_key, decode_value, encode_value
+from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 
@@ -43,8 +43,10 @@ class SkipListKernel(MapKernel):
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        self.val_off = self.entry.offsets["value"]
         self.next0 = self.entry.offsets["next0"]
+        # one node visit: (key, value word, _, then two words per next link)
+        self.node = leds.packed_struct(self.entry_parts(
+            0, "key", "value", *(f"next{i}" for i in range(LEVELS))))
         if self.rng is None:
             self.rng = random.Random(0x51C1)
         # volatile navigation index
@@ -72,12 +74,16 @@ class SkipListKernel(MapKernel):
         for level in range(LEVELS):
             cur = self._node_next(self.head, level)
             while not cur.is_null():
-                key = self._key(cur)
+                key, _, _, *links = self.pool.read(cur, self.node)
                 self.level_keys[level].append(key)
                 if level == 0:
                     self.by_key[key] = cur
                 self.height[key] = level + 1
-                cur = self._node_next(cur, level)
+                cur = self._link(links, level)
+
+    @staticmethod
+    def _link(words, level: int) -> ObjectId:
+        return ObjectId(words[2 * level], words[2 * level + 1])
 
     def _node_next(self, oid: ObjectId, level: int) -> ObjectId:
         return ObjectId.unpack(self.pool.load(oid, self._next_off(level), 16))
@@ -116,9 +122,10 @@ class SkipListKernel(MapKernel):
         if node is None:
             return False
         self._confirm(node, key)
+        _, _, _, *links = self.pool.read(node, self.node)
         for level in range(self.height[key]):
             pred = self._pred(level, key)
-            tx.write(pred, self._next_off(level), self._node_next(node, level).pack())
+            tx.write(pred, self._next_off(level), self._link(links, level).pack())
             keys = self.level_keys[level]
             keys.pop(bisect_left(keys, key))
         self._free_entry(tx, node)
@@ -132,13 +139,14 @@ class SkipListKernel(MapKernel):
         if node is None:
             return None
         self._confirm(node, key)
-        return decode_value(self.pool.load(node, self.val_off, 16))
+        return self.pool.read(node, self.node)[1]
 
     def scan(self):
         cur = self._node_next(self.head, 0)
         while not cur.is_null():
-            yield self._observed_key(cur), decode_value(self.pool.load(cur, self.val_off, 16))
-            cur = self._node_next(cur, 0)
+            key, value, _, *links = self.pool.read(cur, self.node)
+            yield self._observed(cur, key), value
+            cur = self._link(links, 0)
 
     def validate(self) -> None:
         level_sets: list[set[int]] = []
@@ -146,9 +154,10 @@ class SkipListKernel(MapKernel):
             keys = []
             cur = self._node_next(self.head, level)
             while not cur.is_null():
-                keys.append(self._key(cur))
+                key, _, _, *links = self.pool.read(cur, self.node)
+                keys.append(key)
                 assert len(keys) <= self.count() + 1, "cycle in chain"
-                cur = self._node_next(cur, level)
+                cur = self._link(links, level)
             assert keys == sorted(keys), f"level {level} out of order"
             assert len(keys) == len(set(keys)), f"level {level} has duplicates"
             level_sets.append(set(keys))

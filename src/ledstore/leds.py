@@ -124,6 +124,18 @@ def _code_of(f: FieldLayout) -> str:
     raise NoSuchField(f"no code for {f}")
 
 
+def packed_struct(parts) -> struct.Struct:
+    """One little-endian struct over (offset, format codes) parts, given in
+    ascending offset order; the bytes between parts are skipped."""
+    fmt, cursor = "<", 0
+    for off, codes in parts:
+        if off > cursor:
+            fmt += f"{off - cursor}x"
+        fmt += codes
+        cursor = off + struct.calcsize("<" + codes)
+    return struct.Struct(fmt)
+
+
 class RecordLayout:
     """Packed fields at fixed offsets, encoded and decoded by one struct.
 
@@ -137,16 +149,10 @@ class RecordLayout:
 
     def __init__(self, fields: tuple[FieldLayout, ...], size: int):
         ordered = sorted(fields, key=lambda f: f.offset)
-        fmt, cursor = "<", 0
-        for f in ordered:
-            if f.offset > cursor:
-                fmt += f"{f.offset - cursor}x"
-            fmt += f.fmt
-            cursor = f.offset + f.size
         self.fields = fields
         self.size = size
         self.offsets = {f.name: f.offset for f in fields}
-        self.codec = struct.Struct(fmt)
+        self.codec = packed_struct((f.offset, f.fmt) for f in ordered)
         self._zeros = tuple(0 if f.kind == "scalar" else b"" for f in ordered)
 
     def field(self, name: str) -> FieldLayout:

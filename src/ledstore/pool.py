@@ -35,6 +35,11 @@ Header fields:
   152 log_capacity u64
   160 schema_fingerprint u64
 
+Every access by ObjectId makes one `_resolve` (pool identity, live payload),
+which counts one translation, like `pmemobj_direct`. `read(oid, codec, off)`
+decodes a whole record through that one resolve without copying bytes;
+`load` copies raw bytes out, `store` writes them.
+
 Handles are single-threaded and exclusive: each holds a flock on its pool
 file's descriptor (a second open raises PoolLocked), which the kernel drops
 when the descriptor closes or the process dies, so no lock outlives a crash.
@@ -149,18 +154,18 @@ class CrashPlan:
 class _Allocator:
     """Volatile view of the block heap: exact-size free lists + bump frontier."""
 
-    __slots__ = ("block_size", "allocated", "free_lists", "frontier", "live_bytes")
+    __slots__ = ("block_size", "live", "free_lists", "frontier", "live_bytes")
 
     def __init__(self) -> None:
-        self.block_size: dict[int, int] = {}   # payload offset -> rounded size
-        self.allocated: set[int] = set()
+        self.block_size: dict[int, int] = {}   # payload offset -> rounded size, every block
+        self.live: dict[int, int] = {}         # the same, allocated blocks only
         self.free_lists: dict[int, list[int]] = {}
         self.frontier = 0
         self.live_bytes = 0
 
     def scan(self, buf, blocks_off: int, capacity: int) -> None:
         self.block_size.clear()
-        self.allocated.clear()
+        self.live.clear()
         self.free_lists.clear()
         self.live_bytes = 0
         off = blocks_off
@@ -172,7 +177,7 @@ class _Allocator:
             payload = off + BLOCK_HDR_SIZE
             self.block_size[payload] = size
             if status == ST_ALLOCATED:
-                self.allocated.add(payload)
+                self.live[payload] = size
                 self.live_bytes += size
             else:
                 self.free_lists.setdefault(size, []).append(payload)
@@ -201,14 +206,13 @@ class _Allocator:
         if lst and lst[-1] == payload:
             lst.pop()
         self.block_size[payload] = size
-        self.allocated.add(payload)
+        self.live[payload] = size
         self.live_bytes += size
         if payload + size > self.frontier:
             self.frontier = payload + size
 
     def release(self, payload: int) -> None:
-        size = self.block_size[payload]
-        self.allocated.discard(payload)
+        size = self.live.pop(payload)
         self.live_bytes -= size
         self.free_lists.setdefault(size, []).append(payload)
 
@@ -340,17 +344,18 @@ class PoolHandle:
             hit = self._xlat_cache.get(oid.offset)
             if hit is not None:
                 return hit
-        if oid.pool_uuid != self.pool_uuid:
-            if oid.pool_uuid == 0 and oid.offset == 0:
+        uuid, offset = oid
+        if uuid != self.pool_uuid:
+            if uuid == 0 and offset == 0:
                 raise OutOfBounds("null ObjectId")
-            raise ForeignPool(f"id from pool {oid.pool_uuid:#x}, this is {self.pool_uuid:#x}")
-        size = self._alloc.block_size.get(oid.offset)
-        if size is None or oid.offset not in self._alloc.allocated:
-            raise OutOfBounds(f"offset {oid.offset} is not an allocated payload")
+            raise ForeignPool(f"id from pool {uuid:#x}, this is {self.pool_uuid:#x}")
+        size = self._alloc.live.get(offset)
+        if size is None:
+            raise OutOfBounds(f"offset {offset} is not an allocated payload")
         self.stats.translations += 1
         if self.translation_cache_enabled:
-            self._xlat_cache[oid.offset] = (oid.offset, size)
-        return oid.offset, size
+            self._xlat_cache[offset] = (offset, size)
+        return offset, size
 
     def translate(self, oid: ObjectId) -> int:
         """Resolve an ObjectId to its session address (absolute buffer offset)."""
@@ -367,7 +372,17 @@ class PoolHandle:
 
     # ------------------------------------------------------------------ data access
 
+    def read(self, oid: ObjectId, codec, off: int = 0) -> tuple:
+        """Decode one record at `off` in a payload: one resolve, one counted
+        translation, no byte copy. `codec` is a struct.Struct or a
+        leds.RecordLayout; a record running past the payload is OutOfBounds."""
+        addr, size = self._resolve(oid)
+        if off < 0 or off + codec.size > size:
+            raise OutOfBounds(f"record at {off}, {codec.size} bytes, outside {size}-byte payload")
+        return codec.unpack_from(self.buf, addr + off)
+
     def load(self, oid: ObjectId, off: int, length: int) -> bytes:
+        """Copy raw bytes out of a payload (one counted translation)."""
         addr = self._check_range(oid, off, length)
         return bytes(self.buf[addr : addr + length])
 
@@ -413,7 +428,7 @@ class PoolHandle:
             raise ForeignPool("id belongs to a different pool")
         if oid.offset not in self._alloc.block_size:
             raise OutOfBounds(f"offset {oid.offset} was never a payload")
-        if oid.offset not in self._alloc.allocated:
+        if oid.offset not in self._alloc.live:
             raise DoubleFree(f"offset {oid.offset} is already free")
 
     @property
@@ -422,7 +437,7 @@ class PoolHandle:
 
     @property
     def allocated_objects(self) -> int:
-        return len(self._alloc.allocated)
+        return len(self._alloc.live)
 
     # ------------------------------------------------------------------ root object
 

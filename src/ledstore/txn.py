@@ -14,11 +14,12 @@ One flat undo log lives in the pool's log region. Every record is
 
 The commit point is a single 8-byte store of the log-state word
 (status=COMMITTING). Recovery rolls an ACTIVE log back in reverse order,
-finishes a COMMITTING log forward, then truncates; a corrupt log is refused
-before any record is applied. `abort` is that same rollback, run on the live
-handle: the log on file is the only undo state. Writes into blocks
-allocated by the same transaction skip snapshotting: rollback reclaims and
-zeroes the whole block anyway.
+finishes a COMMITTING log forward, then truncates; a corrupt log (bad kind,
+length, or a target outside its region) is refused before any record is
+applied. `abort` is that same rollback, run on the live handle: the log on
+file is the only undo state. Writes into blocks allocated by the same
+transaction skip snapshotting: rollback reclaims and zeroes the whole block
+anyway.
 
 Nesting is rejected; the handle owns at most one active transaction.
 """
@@ -201,17 +202,31 @@ class Transaction:
             self.abort()
 
 
+def _in_bounds(pool: PoolHandle, kind: int, target: int, aux: int, body_len: int) -> bool:
+    """A SNAP range lies in the header page or the block region; an ALLOC
+    block (header included) or a FREE payload lies in the block region."""
+    blocks, capacity = pool.blocks_offset, pool.capacity
+    if kind == REC_SNAP:
+        end = target + body_len
+        return end <= pool.heap_offset or blocks <= target and end <= capacity
+    first = blocks + BLOCK_HDR_SIZE  # the lowest payload offset
+    if kind == REC_ALLOC:
+        return first <= target and target + aux <= capacity
+    return kind == REC_FREE and first <= target < capacity
+
+
 def _parse_log(pool: PoolHandle, used: int) -> list[tuple[int, int, int, bytes]]:
-    """Decode every record, raising OutOfBounds on a corrupt one; nothing is
-    applied until the whole log has decoded."""
+    """Decode and bound every record, raising OutOfBounds on a corrupt one;
+    nothing is applied until the whole log has decoded."""
     records = []
     off, end = pool.heap_offset, pool.heap_offset + used
     while off < end:
         kind, body_len, target, aux = _REC_HDR.unpack_from(pool.buf, off)
         body_off, off = off + REC_HDR_SIZE, off + REC_HDR_SIZE + body_len
-        if kind not in (REC_SNAP, REC_ALLOC, REC_FREE) or off > end:
+        if off > end or not _in_bounds(pool, kind, target, aux, body_len):
             raise OutOfBounds(f"corrupt undo record at {body_off - REC_HDR_SIZE}: "
-                              f"kind {kind}, {body_len}-byte body, log used {used}")
+                              f"kind {kind}, {body_len}-byte body, target {target}, "
+                              f"aux {aux}, log used {used}")
         records.append((kind, target, aux, bytes(pool.buf[body_off:off])))
     return records
 

@@ -167,6 +167,32 @@ def test_derived_node_size(tmp_path, monkeypatch, kind, lane):
     pool.close()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_lookup_resolves_each_node_once(tmp_path, monkeypatch, kind):
+    """A lookup decodes every node it visits with one resolve: apart from
+    the pool root, no payload offset is resolved twice in one lookup."""
+    from ledstore.pool import PoolHandle
+
+    pool, k = fresh_kernel(tmp_path, kind, rng=random.Random(3))
+    keys = random.Random(5).sample(range(1, 1 << 20), 256)
+    run_ops(pool, k, [("ins", key, key * 3) for key in keys])
+    resolved = []
+    real_resolve = PoolHandle._resolve
+
+    def resolve(self, oid):
+        resolved.append(oid.offset)
+        return real_resolve(self, oid)
+
+    monkeypatch.setattr(PoolHandle, "_resolve", resolve)
+    root = pool.root_id.offset
+    for key in keys[::8]:
+        resolved.clear()
+        assert k.lookup(key) == key * 3
+        visits = [off for off in resolved if off != root]
+        assert visits and len(visits) == len(set(visits)), (key, resolved)
+    pool.close()
+
+
 V2_RECORD_SIZES = {  # manual migration, bytes per migrated record
     edit: {kind: sizes[i] for kind, sizes in NODE_SIZES.items()}
     for i, edit in ((1, "change"), (2, "add"))

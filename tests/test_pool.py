@@ -21,6 +21,7 @@ from ledstore import (
     delete_pool,
     open_pool,
 )
+from ledstore.leds import translation_cache
 
 MIB = 1024 * 1024
 
@@ -208,6 +209,42 @@ class TestTranslate:
         pool.translate(oid)
         pool.translate(oid)
         assert pool.stats.translations == before + 2
+
+
+class TestRead:
+    WORDS = struct.Struct("<QQ")
+
+    def test_one_translation_per_call(self, pool):
+        oid = pool.raw_alloc(32)
+        pool.store(oid, 16, self.WORDS.pack(7, 9))
+        before = pool.stats.translations
+        assert pool.read(oid, self.WORDS, 16) == (7, 9)
+        assert pool.stats.translations == before + 1
+
+    def test_record_past_payload_rejected(self, pool):
+        oid = pool.raw_alloc(32)
+        assert pool.read(oid, self.WORDS, 16) == (0, 0)
+        with pytest.raises(OutOfBounds):
+            pool.read(oid, self.WORDS, 24)
+        with pytest.raises(OutOfBounds):
+            pool.read(oid, self.WORDS, -8)
+
+    def test_foreign_and_null_ids_rejected(self, pool):
+        oid = pool.raw_alloc(16)
+        with pytest.raises(ForeignPool):
+            pool.read(ObjectId(pool.pool_uuid ^ 0x5A5A, oid.offset), self.WORDS)
+        with pytest.raises(OutOfBounds):
+            pool.read(NULL_OID, self.WORDS)
+
+    def test_cached_repeat_counts_nothing(self, pool):
+        oid = pool.raw_alloc(16)
+        translation_cache(pool, True)
+        with pool.tx_begin():
+            before = pool.stats.translations
+            pool.read(oid, self.WORDS)
+            assert pool.stats.translations == before + 1
+            pool.read(oid, self.WORDS)
+            assert pool.stats.translations == before + 1
 
 
 class TestAlloc:

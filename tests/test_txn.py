@@ -282,6 +282,24 @@ class TestCrashRecovery:
         with pytest.raises(OutOfBounds):  # the refusal left no lock behind
             recover(pool_path)
 
+    def test_record_target_past_file_end_refused(self, pool, pool_path):
+        a = pool.raw_alloc(16)
+        tx = pool.tx_begin()
+        pool.arm_crash(CrashPlan(trigger=3))  # record, log state, then the store
+        with pytest.raises(SimulatedCrash):
+            tx.write(a, 0, b"A" * 16)
+        capacity = pool.capacity
+        with open(pool_path, "r+b") as f:
+            f.seek(pool.heap_offset + 8)  # target of the one SNAP record
+            f.write(struct.pack("<Q", capacity - 4))
+            f.seek(0)
+            before = f.read()
+        for _ in range(2):  # the refusal left no lock and applied nothing
+            with pytest.raises(OutOfBounds):
+                recover(pool_path)
+            with open(pool_path, "rb") as f:
+                assert f.read() == before
+
     def _scripted_run(self, path, crash_at=None):
         """Three-transaction script; returns boundary digests and commit ordinals."""
         handle = create_pool(path, "crash-test", MIB, log_capacity=256 * 1024)
