@@ -113,6 +113,7 @@ _3U64 = struct.Struct("<QQQ")
 _U32 = struct.Struct("<I")
 
 _ZEROS = bytes(1 << 16)
+_NEVER = 1 << 63  # a trip ordinal no store count reaches
 
 
 def _round16(n: int) -> int:
@@ -142,13 +143,12 @@ NULL_OID = ObjectId(0, 0)
 class CrashPlan:
     """Fires a SimulatedCrash instead of performing the Nth persistent store."""
 
-    __slots__ = ("trigger", "armed")
+    __slots__ = ("trigger",)
 
     def __init__(self, trigger: int):
         if trigger < 1:
             raise ValueError("crash trigger must be >= 1")
         self.trigger = trigger
-        self.armed = True
 
 
 class _Allocator:
@@ -227,14 +227,15 @@ class PoolHandle:
         self.stats = WriteStats()
         self.closed = False
         self._active_tx = None
-        self._crash_plan: CrashPlan | None = None
-        self._write_ordinal = 0
+        self._trip = _NEVER            # flush_events value whose store is refused
+        self._arm_base = 0             # flush_events when the crash plan was armed
         self.commit_ordinals: list[int] = []
         self.on_commit = None          # optional callable, invoked after truncation
         self.translation_cache_enabled = False
         self._xlat_cache: dict[int, tuple[int, int]] = {}
 
         self._alloc = _Allocator()
+        self._live = self._alloc.live
         self._cache_header()
 
     def _cache_header(self) -> None:
@@ -251,22 +252,13 @@ class PoolHandle:
         return _U64.unpack_from(self.buf, off)[0]
 
     def _store(self, off: int, data: bytes, category: str) -> None:
-        """Single choke point for every persistent store: counted, crash-checked."""
-        if self.closed:
-            raise TxStateError("handle is closed")
-        plan = self._crash_plan
-        if plan is not None and plan.armed:
-            self._write_ordinal += 1
-            if self._write_ordinal >= plan.trigger:
-                plan.armed = False
-                self._die()
-                raise SimulatedCrash(
-                    f"simulated crash at persistent write #{self._write_ordinal}"
-                )
-        else:
-            self._write_ordinal += 1
-        self.buf[off : off + len(data)] = data
+        """Single choke point for every persistent store: counted, crash-checked.
+        One comparison covers both refusals: the armed crash ordinal and a
+        closed handle (whose trip ordinal is 0)."""
         st = self.stats
+        if st.flush_events >= self._trip:
+            self._trip_store()
+        self.buf[off : off + len(data)] = data
         if category == "user":
             st.bytes_user += len(data)
         elif category == "log":
@@ -274,6 +266,13 @@ class PoolHandle:
         else:
             st.bytes_meta += len(data)
         st.flush_events += 1
+
+    def _trip_store(self) -> None:
+        if self.closed:
+            raise TxStateError("handle is closed")
+        ordinal = self._write_ordinal + 1
+        self._die()
+        raise SimulatedCrash(f"simulated crash at persistent write #{ordinal}")
 
     def _store_zeros(self, off: int, length: int, category: str) -> None:
         while length > len(_ZEROS):
@@ -286,6 +285,7 @@ class PoolHandle:
     def _die(self) -> None:
         """Simulated process death: unmap, close the fd (dropping the lock)."""
         self.closed = True
+        self._trip = 0
         self.buf.flush()
         self.buf.close()
         self._file.close()
@@ -332,43 +332,48 @@ class PoolHandle:
 
     # ------------------------------------------------------------------ oids
 
-    def _resolve(self, oid: ObjectId) -> tuple[int, int]:
-        """Validate an id and return (address, payload size).
+    def _resolve(self, oid: ObjectId, off: int, length: int) -> int:
+        """Validate an id and the range [off, off + length) of its payload;
+        return the range's address. Counts one translation.
 
         With the translation cache enabled, repeated resolutions of one id
-        within a transaction skip the whole validation sequence (hits are
-        keyed by offset and trust the earlier validation, like a direct
-        pointer would); only misses count toward the translation counter.
+        within a transaction skip the id validation (hits are keyed by
+        offset and trust the earlier validation, like a direct pointer
+        would); only misses count toward the translation counter.
         """
         if self.translation_cache_enabled:
-            hit = self._xlat_cache.get(oid.offset)
-            if hit is not None:
-                return hit
-        uuid, offset = oid
-        if uuid != self.pool_uuid:
-            if uuid == 0 and offset == 0:
-                raise OutOfBounds("null ObjectId")
-            raise ForeignPool(f"id from pool {uuid:#x}, this is {self.pool_uuid:#x}")
-        size = self._alloc.live.get(offset)
+            size = self._cached_size(oid)
+        else:
+            size = self._live.get(oid[1])
+            if size is None or oid[0] != self.pool_uuid:
+                self._refuse(oid)
+            self.stats.translations += 1
+        if off < 0 or length < 0 or off + length > size:
+            raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
+        return oid[1] + off
+
+    def _cached_size(self, oid: ObjectId) -> int:
+        size = self._xlat_cache.get(oid[1])
         if size is None:
-            raise OutOfBounds(f"offset {offset} is not an allocated payload")
-        self.stats.translations += 1
-        if self.translation_cache_enabled:
-            self._xlat_cache[offset] = (offset, size)
-        return offset, size
+            size = self._live.get(oid[1])
+            if size is None or oid[0] != self.pool_uuid:
+                self._refuse(oid)
+            self.stats.translations += 1
+            self._xlat_cache[oid[1]] = size
+        return size
+
+    def _refuse(self, oid: ObjectId) -> None:
+        """Raise the typed error for an id that does not name a live payload."""
+        uuid, offset = oid
+        if uuid == 0 and offset == 0:
+            raise OutOfBounds("null ObjectId")
+        if uuid != self.pool_uuid:
+            raise ForeignPool(f"id from pool {uuid:#x}, this is {self.pool_uuid:#x}")
+        raise OutOfBounds(f"offset {offset} is not an allocated payload")
 
     def translate(self, oid: ObjectId) -> int:
         """Resolve an ObjectId to its session address (absolute buffer offset)."""
-        return self._resolve(oid)[0]
-
-    def object_size(self, oid: ObjectId) -> int:
-        return self._resolve(oid)[1]
-
-    def _check_range(self, oid: ObjectId, off: int, length: int) -> int:
-        addr, size = self._resolve(oid)
-        if off < 0 or length < 0 or off + length > size:
-            raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
-        return addr + off
+        return self._resolve(oid, 0, 0)
 
     # ------------------------------------------------------------------ data access
 
@@ -376,22 +381,18 @@ class PoolHandle:
         """Decode one record at `off` in a payload: one resolve, one counted
         translation, no byte copy. `codec` is a struct.Struct or a
         leds.RecordLayout; a record running past the payload is OutOfBounds."""
-        addr, size = self._resolve(oid)
-        if off < 0 or off + codec.size > size:
-            raise OutOfBounds(f"record at {off}, {codec.size} bytes, outside {size}-byte payload")
-        return codec.unpack_from(self.buf, addr + off)
+        return codec.unpack_from(self.buf, self._resolve(oid, off, codec.size))
 
     def load(self, oid: ObjectId, off: int, length: int) -> bytes:
         """Copy raw bytes out of a payload (one counted translation)."""
-        addr = self._check_range(oid, off, length)
-        return bytes(self.buf[addr : addr + length])
+        addr = self._resolve(oid, off, length)
+        return self.buf[addr : addr + length]
 
     def store(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
         """Direct (non-transactional) store. Refused while a transaction is open."""
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's write()")
-        addr = self._check_range(oid, off, len(data))
-        self._store(addr, data, category)
+        self._store(self._resolve(oid, off, len(data)), data, category)
 
     # ------------------------------------------------------------------ allocation
 
@@ -477,12 +478,20 @@ class PoolHandle:
 
         return Transaction(self)
 
+    @property
+    def _write_ordinal(self) -> int:
+        """Stores performed since the crash plan was armed (or the handle opened)."""
+        return self.stats.flush_events - self._arm_base
+
     def arm_crash(self, plan: CrashPlan) -> None:
-        self._crash_plan = plan
-        self._write_ordinal = 0
+        """Refuse the plan.trigger-th store from now with a SimulatedCrash."""
+        if not self.closed:
+            self._arm_base = self.stats.flush_events
+            self._trip = self._arm_base + plan.trigger - 1
 
     def disarm_crash(self) -> None:
-        self._crash_plan = None
+        if not self.closed:
+            self._trip = _NEVER
 
     # ------------------------------------------------------------------ lifecycle
 

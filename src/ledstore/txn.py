@@ -40,6 +40,7 @@ from .pool import (
     LOG_ACTIVE,
     LOG_COMMITTING,
     LOG_IDLE,
+    OFF_LOG_STATE,
     ObjectId,
     PoolHandle,
     ST_FREE,
@@ -52,6 +53,8 @@ REC_FREE = 3
 REC_HDR_SIZE = 24
 _REC_HDR = struct.Struct("<IIQQ")
 _2U64 = struct.Struct("<QQ")
+_U64 = struct.Struct("<Q")
+_ACTIVE_WORD = LOG_ACTIVE << 56
 
 TX_ACTIVE = "active"
 TX_COMMITTED = "committed"
@@ -88,11 +91,11 @@ class Transaction:
             )
         pool._store(rec_off, _REC_HDR.pack(kind, len(body), target, aux) + body, "log")
         self._log_used += total
-        pool._set_log_state(LOG_ACTIVE, self._log_used)
+        pool._store(OFF_LOG_STATE, _U64.pack(_ACTIVE_WORD | self._log_used), "meta")
 
     def _snap(self, addr: int, length: int) -> None:
         """Log the prior bytes of [addr, addr + length) for rollback."""
-        self._append(REC_SNAP, addr, 0, bytes(self.pool.buf[addr : addr + length]))
+        self._append(REC_SNAP, addr, 0, self.pool.buf[addr : addr + length])
         self._covered.add((addr, length))
 
     def _require_active(self) -> None:
@@ -104,16 +107,21 @@ class Transaction:
     def snapshot_range(self, oid: ObjectId, off: int, length: int) -> None:
         """Log prior bytes so later in-place stores to the range can be undone."""
         self._require_active()
-        addr = self.pool._check_range(oid, off, length)
-        if oid.offset not in self._fresh:
+        addr = self.pool._resolve(oid, off, length)
+        if oid[1] not in self._fresh:
             self._snap(addr, length)
 
     def write(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
-        self._require_active()
-        addr = self.pool._check_range(oid, off, len(data))
-        if oid.offset not in self._fresh and (addr, len(data)) not in self._covered:
+        """Snapshotted store into a payload. Only a live transaction has this
+        method: `_end` shadows it with `_refuse_write`."""
+        pool = self.pool
+        addr = pool._resolve(oid, off, len(data))
+        if oid[1] not in self._fresh and (addr, len(data)) not in self._covered:
             self._snap(addr, len(data))
-        self.pool._store(addr, data, category)
+        pool._store(addr, data, category)
+
+    def _refuse_write(self, *args, **kw) -> None:
+        raise TxStateError(f"transaction is {self.state}")
 
     def write_header(self, off: int, data: bytes) -> None:
         """Snapshotted store into the header page (root id, layout version)."""
@@ -128,7 +136,7 @@ class Transaction:
         self._require_active()
         if length == 0:
             return
-        src_addr = self.pool._check_range(src, src_off, length)
+        src_addr = self.pool._resolve(src, src_off, length)
         data = bytes(self.pool.buf[src_addr : src_addr + length])
         self.write(dst, dst_off, data)
 
@@ -183,6 +191,7 @@ class Transaction:
 
     def _end(self, state: str) -> None:
         self.state = state
+        self.write = self._refuse_write
         self.pool._active_tx = None
         self.pool._xlat_cache.clear()
 

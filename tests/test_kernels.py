@@ -179,9 +179,9 @@ def test_lookup_resolves_each_node_once(tmp_path, monkeypatch, kind):
     resolved = []
     real_resolve = PoolHandle._resolve
 
-    def resolve(self, oid):
+    def resolve(self, oid, *range_):
         resolved.append(oid.offset)
-        return real_resolve(self, oid)
+        return real_resolve(self, oid, *range_)
 
     monkeypatch.setattr(PoolHandle, "_resolve", resolve)
     root = pool.root_id.offset
