@@ -24,11 +24,16 @@ of live keys can be decided from the base field alone and the extension is
 read (materializing it) only to confirm a positive match. That keeps
 lazy-migration counts equal to the number of matched entries.
 
-Read-only walks resolve each visited node once: lookup (value included),
-the search that starts insert and remove, scan and validate decode a node
-with one `pool.read`, through a codec the kernel derives in __init__ from
-`entry` with `entry_parts` (oid fields as two u64 words), never from literal
-record offsets. Reads at mutation sites, between writes, may use `load`.
+Every operation reads the pool root once (count, tree root, buckets or nil
+together) and decodes each node it touches once, with one `pool.read`
+through a codec the kernel derives in __init__ from `entry` with
+`entry_parts` (oid fields as two u64 words) and, in the auto lane,
+`link_parts`, never from literal record offsets. Insert and remove edit the
+decoded values and write each contiguous changed span of a node with one
+`tx.write` (NodeCodec.put): one store per span, not one per field. A
+matched entry's decoded link words let `_confirm` read a materialized
+key64 straight from its extension record and `_free_entry` free its chain
+without reloading the link slot.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
 Keys must fit in 32 bits: version-1 records could not hold more, and the
@@ -49,6 +54,38 @@ _U64 = struct.Struct("<Q")
 _LINK = struct.Struct("<QQ")
 
 KEY_LIMIT = 1 << 32
+
+
+class NodeCodec:
+    """A node record decoded by one struct into a flat tuple of values (an
+    oid part "QQ" gives two), written back by value span: a kernel edits the
+    values as a list, and `put(tx, oid, values, a, b)` stores values a..b-1,
+    contiguous on file, with one tx.write."""
+
+    __slots__ = ("codec", "size", "offsets", "ends", "codes", "_runs")
+
+    def __init__(self, parts):
+        self.codec = leds.packed_struct(parts)
+        self.size = self.codec.size
+        self.offsets, self.ends, self.codes = [], [], []
+        for off, fmt in parts:
+            for code in ("Q", "Q") if fmt == "QQ" else (fmt,):
+                self.offsets.append(off)
+                off += struct.calcsize("<" + code)
+                self.ends.append(off)
+                self.codes.append(code)
+        self._runs: dict[tuple[int, int], struct.Struct] = {}
+
+    def unpack_from(self, buf, off: int = 0) -> tuple:
+        return self.codec.unpack_from(buf, off)
+
+    def put(self, tx, oid, values, a: int, b: int) -> None:
+        run = self._runs.get((a, b))
+        if run is None:
+            run = self._runs[(a, b)] = struct.Struct("<" + "".join(self.codes[a:b]))
+            if self.offsets[a] + run.size != self.ends[b - 1]:
+                raise ValueError(f"values {a}..{b - 1} are not contiguous")
+        tx.write(oid, self.offsets[a], run.pack(*values[a:b]))
 
 
 def encode_value(v: int) -> bytes:
@@ -93,6 +130,7 @@ class MapKernel:
             self.entry_size = self.entry.size
         # auto "change": key64 lives in an extension, see the module docstring
         self.key64_ext = mode == "auto" and edit == "change"
+        self.key64_off = self.desc.resolve("key64")[1].offset if self.key64_ext else None
         self.root = NULL_OID
 
     @classmethod
@@ -156,14 +194,10 @@ class MapKernel:
     def _load_structure(self) -> None:
         pass
 
-    def _root_oid_field(self, off: int) -> ObjectId:
-        return ObjectId.unpack(self.pool.load(self.root, off, 16))
-
     def count(self) -> int:
-        return _U64.unpack_from(self.pool.load(self.root, self.COUNT_OFF, 8))[0]
+        return self.pool.read(self.root, _U64, self.COUNT_OFF)[0]
 
-    def _bump_count(self, tx, delta: int) -> None:
-        n = self.count() + delta
+    def _set_count(self, tx, n: int) -> None:
         tx.write(self.root, self.COUNT_OFF, _U64.pack(n))
 
     # -- operation surface --------------------------------------------------
@@ -195,6 +229,11 @@ class MapKernel:
         fields = [self.entry.field(name) for name in names]
         return [(base_off + f.offset, "QQ" if f.kind == "objectid" else f.fmt) for f in fields]
 
+    def link_parts(self, base_off: int) -> list[tuple[int, str]]:
+        """The auto-lane link slot of the entry at `base_off`, as two words;
+        no part in the manual lane."""
+        return [] if self.desc is None else [(base_off + self.desc.link_offset, "QQ")]
+
     def _observed(self, holder: ObjectId, key: int, base_off: int = 0) -> int:
         """The key as the program reads it, given the stored `key` field: key64
         through the extension in auto "change" mode, materializing it on first
@@ -203,10 +242,20 @@ class MapKernel:
             return leds.read_field(self.pool, holder, self.desc, "key64", base_off=base_off)
         return key
 
-    def _confirm(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
-        """A positive match in auto "change" mode reads key64 through the extension."""
-        if self.key64_ext:
-            assert self._observed(holder, key, base_off) == key, "key64 invariant violated"
+    def _confirm(self, holder: ObjectId, key: int, base_off: int = 0, link=()):
+        """A positive match in auto "change" mode reads key64 through the
+        extension, given the entry's decoded link words: a null link is
+        materialized, a non-null one counts the check ensure_extension would
+        make and is not reloaded. Returns the entry's link as it now is."""
+        if not self.key64_ext:
+            return link
+        if link[0] or link[1]:
+            self.pool.stats.checks += 1
+        else:
+            link = leds.extension_record(self.pool, holder, self.desc, 1, base_off=base_off)
+        assert self.pool.read(ObjectId(*link), _U64, self.key64_off)[0] == key, \
+            "key64 invariant violated"
+        return link
 
     def _peek_key64(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
         """Validation: a materialized key64 must equal `key`. The read is
@@ -223,32 +272,33 @@ class MapKernel:
         if self.key64_ext:
             leds.ensure_extension(tx, self.pool, holder, self.desc, 1, base_off=base_off)
 
-    def _relocated(self, tx, raw: bytes) -> bytes:
-        """An embedded entry's bytes for a new slot. In the auto lane the
-        extension link moves along (shallow copy) or, with shallow_copy off,
-        the chain is cloned and the original freed."""
+    def _relocated(self, tx, raw: bytes, link_off: int | None = None) -> bytes:
+        """An embedded entry's bytes for a new slot; the link slot sits at
+        `link_off` in `raw` (default: the entry's own link offset). In the
+        auto lane the extension link moves along (shallow copy) or, with
+        shallow_copy off, the chain is cloned and the original freed."""
         if self.desc is None or self.shallow_copy:
             return raw
-        link_off = self.desc.link_offset
+        if link_off is None:
+            link_off = self.desc.link_offset
         link = ObjectId.unpack(raw, link_off)
         if link.is_null():
             return raw
         clone = leds.clone_extension_chain(tx, self.pool, link, self.desc)
         leds.free_extension_chain(tx, self.pool, link, self.desc)
         self.pool.stats.deep_copies += 1
-        return raw[:link_off] + clone.pack()
+        return raw[:link_off] + clone.pack() + raw[link_off + leds.LINK_SIZE:]
 
-    def _free_entry(self, tx, holder: ObjectId, base_off: int | None = None) -> None:
-        """Free an entry with its extension chain. A standalone record (no
-        `base_off`) is freed whole; an embedded entry loses its chain only,
-        found by reading its link slot alone."""
-        if self.desc is None:
-            if base_off is None:
-                tx.free(holder)
-        elif base_off is None:
-            leds.free_extendible(tx, self.pool, holder, self.desc)
-        else:
-            link_off = base_off + self.desc.link_offset
-            link = ObjectId.unpack(self.pool.load(holder, link_off, leds.LINK_SIZE))
-            if not link.is_null():
-                leds.free_extension_chain(tx, self.pool, link, self.desc)
+    def _free_entry(self, tx, holder: ObjectId, base_off: int | None = None,
+                    link=None) -> None:
+        """Free an entry's extension chain, found from its decoded `link`
+        words or else its link slot, and a standalone record (no `base_off`)
+        itself."""
+        if self.desc is not None:
+            if link is None:
+                link_off = (base_off or 0) + self.desc.link_offset
+                link = ObjectId.unpack(self.pool.load(holder, link_off, leds.LINK_SIZE))
+            if link[0] or link[1]:
+                leds.free_extension_chain(tx, self.pool, ObjectId(*link), self.desc)
+        if base_off is None:
+            tx.free(holder)

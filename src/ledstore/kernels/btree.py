@@ -23,12 +23,12 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 
-from ..leds import packed_struct
 from ..pool import ObjectId
-from .base import MapKernel, check_key, encode_value
+from .base import MapKernel, NodeCodec, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 _I32 = struct.Struct("<i")
+_LINK = struct.Struct("<QQ")
 
 SLOTS = 8
 MAX_KEYS = 7
@@ -42,6 +42,21 @@ def node_shape(stride: int) -> tuple[int, int]:
     return children_off, children_off + SLOTS * 16
 
 
+# a node decodes to [n, key_0, rest_0, ..., key_7, rest_7, child words]: value
+# 1 + 2i is item i's key, 2 + 2i its remaining bytes raw, and child j's id is
+# the two words at KIDS + 2j
+KIDS = 1 + 2 * SLOTS
+_ROOT = struct.Struct("<QQ16xQ")  # tree root id, count
+
+
+def _kid(rec: list, j: int) -> ObjectId:
+    return ObjectId(rec[KIDS + 2 * j], rec[KIDS + 2 * j + 1])
+
+
+def _has_kids(rec: list) -> bool:
+    return bool(rec[KIDS] or rec[KIDS + 1])
+
+
 class BTreeKernel(MapKernel):
     kind = "btree"
     ENTRY_NAME = "btree_item"
@@ -53,12 +68,16 @@ class BTreeKernel(MapKernel):
         super().__init__(pool, **kw)
         self.stride = self.entry_size
         self.children_off, self.node_size = node_shape(self.stride)
-        # one node visit: n, then (key, value word, _) per item slot, then
-        # every child id as two words
-        item = [self.entry_parts(self._item_off(i), "key", "value") for i in range(SLOTS)]
-        self.item_width = sum(len(codes) for _, codes in item[0])  # values per item
-        self.node = packed_struct([(0, "i")] + sum(item, []) + [
-            (self.children_off + j * 16, "QQ") for j in range(SLOTS)])
+        key = self.entry.field("key")
+        rest = f"{self.stride - key.size}s"
+        self.node = NodeCodec(
+            [(0, "i")] + [part for i in range(SLOTS) for part in (
+                (self._item_off(i), key.fmt), (self._item_off(i) + key.size, rest))]
+            + [(self.children_off + j * 16, "QQ") for j in range(SLOTS)])
+        self.value_at = self.entry.offsets["value"] - key.size  # in an item's rest
+        self.rest_link = None if self.desc is None else self.desc.link_offset - key.size
+        self.zero_rec = self.node.unpack_from(bytes(self.node.size))
+        self._recs: dict[int, list] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -68,279 +87,311 @@ class BTreeKernel(MapKernel):
         tx.write(self.root, 0, node.pack())
         tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
 
-    def _tree_root(self) -> ObjectId:
-        return self._root_oid_field(0)
-
-    # -- node accessors --------------------------------------------------------
-
-    def _n(self, node: ObjectId) -> int:
-        return _I32.unpack(self.pool.load(node, 0, 4))[0]
-
-    def _set_n(self, tx, node: ObjectId, n: int) -> None:
-        tx.write(node, 0, _I32.pack(n))
-
     def _item_off(self, i: int) -> int:
         return ITEMS_OFF + i * self.stride
 
-    def _item_raw(self, node: ObjectId, i: int) -> bytes:
-        return self.pool.load(node, self._item_off(i), self.stride)
+    # -- decoded nodes -----------------------------------------------------------
 
-    def _put_item(self, tx, node: ObjectId, i: int, raw: bytes) -> None:
-        tx.write(node, self._item_off(i), raw)
+    def _begin(self) -> tuple[ObjectId, int]:
+        """Start an operation: forget decoded nodes; one read of the pool
+        root gives the tree root and the count."""
+        self._recs = {}
+        u, o, count = self.pool.read(self.root, _ROOT)
+        return ObjectId(u, o), count
 
-    def _move_item(self, tx, src: ObjectId, si: int, dst: ObjectId, di: int) -> None:
-        """Between-node item move; honors the shallow-copy toggle in auto mode."""
-        self._put_item(tx, dst, di, self._relocated(tx, self._item_raw(src, si)))
+    def _rec(self, node: ObjectId) -> list:
+        """A node's values, read at most once per operation; every write of
+        the operation goes through this list."""
+        rec = self._recs.get(node[1])
+        if rec is None:
+            rec = self._recs[node[1]] = list(self.pool.read(node, self.node))
+        return rec
 
-    def _make_item(self, key: int, value: int) -> bytes:
-        return self.entry.pack(key, encode_value(value)).ljust(self.stride, b"\0")
+    def _put(self, tx, node: ObjectId, rec: list, lo: int, hi: int) -> None:
+        """Store n and items lo..hi-1: one span from n when lo is 0, else two."""
+        if lo == 0:
+            self.node.put(tx, node, rec, 0, 1 + 2 * hi)
+            return
+        self.node.put(tx, node, rec, 0, 1)
+        if hi > lo:
+            self.node.put(tx, node, rec, 1 + 2 * lo, 1 + 2 * hi)
 
-    def _child(self, node: ObjectId, i: int) -> ObjectId:
-        return ObjectId.unpack(self.pool.load(node, self.children_off + i * 16, 16))
+    def _put_kids(self, tx, node: ObjectId, rec: list, lo: int, hi: int) -> None:
+        if hi > lo:
+            self.node.put(tx, node, rec, KIDS + 2 * lo, KIDS + 2 * hi)
 
-    def _set_child(self, tx, node: ObjectId, i: int, child: ObjectId) -> None:
-        tx.write(node, self.children_off + i * 16, child.pack())
+    def _moved(self, tx, rest: bytes) -> bytes:
+        """An item's rest for a slot in another node (see _relocated)."""
+        return self._relocated(tx, rest, self.rest_link)
 
-    def _is_leaf(self, node: ObjectId) -> bool:
-        return self._child(node, 0).is_null()
-
-    def _visit(self, node: ObjectId):
-        """One read of a node: n, its n keys and value words, and the words
-        of every child id (see _kid), None for a leaf (child 0 null)."""
-        rec = self.pool.read(node, self.node)
-        n, w = rec[0], self.item_width
-        kids = rec[1 + SLOTS * w :]
-        leaf = not (kids[0] or kids[1])
-        return n, rec[1 : 1 + n * w : w], rec[2 : 2 + n * w : w], None if leaf else kids
-
-    @staticmethod
-    def _kid(kids: tuple, i: int) -> ObjectId:
-        return ObjectId(kids[2 * i], kids[2 * i + 1])
+    def _link(self, rec: list, i: int):
+        return None if self.desc is None else _LINK.unpack_from(rec[2 + 2 * i], self.rest_link)
 
     # -- search ------------------------------------------------------------------
 
-    def _find(self, key: int):
-        """Key's item, one read per visited node: (node, pos, value) or None."""
-        cur = self._tree_root()
+    def _find(self, troot: ObjectId, key: int):
+        """Key's item, one read per visited node: (node, its values, pos) or None."""
+        cur = troot
         while True:
-            n, keys, values, kids = self._visit(cur)
-            pos = bisect_left(keys, key)
-            if pos < n and keys[pos] == key:
-                return cur, pos, values[pos]
-            if kids is None:
+            rec = self._rec(cur)
+            n = rec[0]
+            pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
+            if pos < n and rec[1 + 2 * pos] == key:
+                return cur, rec, pos
+            if not _has_kids(rec):
                 return None
-            cur = self._kid(kids, pos)
+            cur = _kid(rec, pos)
 
     def lookup(self, key: int):
-        found = self._find(key)
+        found = self._find(self._begin()[0], key)
         if found is None:
             return None
-        node, pos, value = found
-        self._confirm(node, key, self._item_off(pos))
-        return value
+        node, rec, pos = found
+        self._confirm(node, key, self._item_off(pos), self._link(rec, pos))
+        return _U64.unpack_from(rec[2 + 2 * pos], self.value_at)[0]
 
     # -- insert --------------------------------------------------------------------
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        found = self._find(key)
+        troot, count = self._begin()
+        found = self._find(troot, key)
         if found is not None:
-            self._confirm(found[0], key, self._item_off(found[1]))
+            node, rec, pos = found
+            self._confirm(node, key, self._item_off(pos), self._link(rec, pos))
             return False
-        troot = self._tree_root()
-        if self._n(troot) == MAX_KEYS:
+        if self._rec(troot)[0] == MAX_KEYS:
             new_root = tx.alloc_zeroed(self.node_size)
-            self._set_child(tx, new_root, 0, troot)
-            self._split_child(tx, new_root, 0)
+            rec = self._recs[new_root[1]] = list(self.zero_rec)
+            rec[KIDS], rec[KIDS + 1] = troot
+            self._put_kids(tx, new_root, rec, 0, 1)
+            self._split_child(tx, new_root, rec, 0)
             tx.write(self.root, 0, new_root.pack())
             troot = new_root
         self._insert_nonfull(tx, troot, key, value)
-        self._bump_count(tx, 1)
+        self._set_count(tx, count + 1)
         return True
 
     def _insert_nonfull(self, tx, cur: ObjectId, key: int, value: int) -> None:
         while True:
-            n, keys, _, kids = self._visit(cur)
-            pos = bisect_left(keys, key)
-            if kids is None:
-                for j in range(n - 1, pos - 1, -1):
-                    self._put_item(tx, cur, j + 1, self._item_raw(cur, j))
-                self._put_item(tx, cur, pos, self._make_item(key, value))
-                self._set_n(tx, cur, n + 1)
+            rec = self._rec(cur)
+            n = rec[0]
+            pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
+            if not _has_kids(rec):
+                rec[3 + 2 * pos : 3 + 2 * n] = rec[1 + 2 * pos : 1 + 2 * n]
+                rec[1 + 2 * pos] = key
+                rec[2 + 2 * pos] = encode_value(value).ljust(len(rec[2]), b"\0")
+                rec[0] = n + 1
+                self._put(tx, cur, rec, pos, n + 1)
                 self._extend_new(tx, cur, self._item_off(pos))
                 return
-            child = self._kid(kids, pos)
-            if self._n(child) == MAX_KEYS:
-                self._split_child(tx, cur, pos)
-                if key > self._visit(cur)[1][pos]:
+            if self._rec(_kid(rec, pos))[0] == MAX_KEYS:
+                self._split_child(tx, cur, rec, pos)
+                if key > rec[1 + 2 * pos]:
                     pos += 1
-                child = self._child(cur, pos)
-            cur = child
+            cur = _kid(rec, pos)
 
-    def _split_child(self, tx, parent: ObjectId, i: int) -> None:
-        child = self._child(parent, i)
+    def _split_child(self, tx, parent: ObjectId, prec: list, i: int) -> None:
+        child = _kid(prec, i)
+        crec = self._rec(child)
         right = tx.alloc_zeroed(self.node_size)
+        rrec = self._recs[right[1]] = list(self.zero_rec)
         for j in range(MIN_KEYS):
-            self._move_item(tx, child, MIN_KEYS + 1 + j, right, j)
-        if not self._is_leaf(child):
-            for j in range(MIN_KEYS + 1):
-                self._set_child(tx, right, j, self._child(child, MIN_KEYS + 1 + j))
-        self._set_n(tx, right, MIN_KEYS)
-        pn = self._n(parent)
-        for j in range(pn - 1, i - 1, -1):
-            self._put_item(tx, parent, j + 1, self._item_raw(parent, j))
-        for j in range(pn, i, -1):
-            self._set_child(tx, parent, j + 1, self._child(parent, j))
-        self._move_item(tx, child, MIN_KEYS, parent, i)
-        self._set_child(tx, parent, i + 1, right)
-        self._set_n(tx, parent, pn + 1)
-        self._set_n(tx, child, MIN_KEYS)
+            src = 1 + 2 * (MIN_KEYS + 1 + j)
+            rrec[1 + 2 * j], rrec[2 + 2 * j] = crec[src], self._moved(tx, crec[src + 1])
+        rrec[0] = MIN_KEYS
+        self._put(tx, right, rrec, 0, MIN_KEYS)
+        if _has_kids(crec):
+            rrec[KIDS : KIDS + 2 * (MIN_KEYS + 1)] = crec[KIDS + 2 * (MIN_KEYS + 1) : KIDS + 2 * SLOTS]
+            self._put_kids(tx, right, rrec, 0, MIN_KEYS + 1)
+        pn = prec[0]
+        prec[3 + 2 * i : 3 + 2 * pn] = prec[1 + 2 * i : 1 + 2 * pn]
+        prec[KIDS + 2 * (i + 2) : KIDS + 2 * (pn + 2)] = prec[KIDS + 2 * (i + 1) : KIDS + 2 * (pn + 1)]
+        mid = 1 + 2 * MIN_KEYS
+        prec[1 + 2 * i], prec[2 + 2 * i] = crec[mid], self._moved(tx, crec[mid + 1])
+        prec[KIDS + 2 * (i + 1)], prec[KIDS + 2 * (i + 1) + 1] = right
+        prec[0] = pn + 1
+        self._put(tx, parent, prec, i, pn + 1)
+        self._put_kids(tx, parent, prec, i + 1, pn + 2)
+        crec[0] = MIN_KEYS
+        self.node.put(tx, child, crec, 0, 1)
 
     # -- delete ----------------------------------------------------------------------
 
     def remove(self, tx, key: int) -> bool:
-        found = self._find(key)
+        troot, count = self._begin()
+        found = self._find(troot, key)
         if found is None:
             return False
-        self._confirm(found[0], key, self._item_off(found[1]))
-        troot = self._tree_root()
+        node, rec, pos = found
+        link = self._link(rec, pos)
+        new_link = self._confirm(node, key, self._item_off(pos), link)
+        if new_link != link:  # materialized: the stored rest has the new link
+            rest, at = rec[2 + 2 * pos], self.rest_link
+            rec[2 + 2 * pos] = rest[:at] + new_link.pack() + rest[at + 16:]
         self._delete_from(tx, troot, key)
-        if self._n(troot) == 0 and not self._is_leaf(troot):
-            tx.write(self.root, 0, self._child(troot, 0).pack())
+        rec = self._rec(troot)
+        if rec[0] == 0 and _has_kids(rec):
+            tx.write(self.root, 0, _kid(rec, 0).pack())
             tx.free(troot)
-        self._bump_count(tx, -1)
+        self._set_count(tx, count - 1)
         return True
 
     def _delete_from(self, tx, cur: ObjectId, key: int) -> None:
-        n, keys, _, kids = self._visit(cur)
-        pos = bisect_left(keys, key)
-        if pos < n and keys[pos] == key:
-            if kids is None:
-                self._free_entry(tx, cur, self._item_off(pos))
-                for j in range(pos + 1, n):
-                    self._put_item(tx, cur, j - 1, self._item_raw(cur, j))
-                self._set_n(tx, cur, n - 1)
-                return
-            left, right = self._kid(kids, pos), self._kid(kids, pos + 1)
-            if self._n(left) > MIN_KEYS:
-                raw = self._extract_edge(tx, left, last=True)
-                self._free_entry(tx, cur, self._item_off(pos))
-                self._put_item(tx, cur, pos, raw)
-            elif self._n(right) > MIN_KEYS:
-                raw = self._extract_edge(tx, right, last=False)
-                self._free_entry(tx, cur, self._item_off(pos))
-                self._put_item(tx, cur, pos, raw)
-            else:
-                self._merge(tx, cur, pos)
-                self._delete_from(tx, left, key)
+        while True:
+            rec = self._rec(cur)
+            n = rec[0]
+            pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
+            if pos < n and rec[1 + 2 * pos] == key:
+                break
+            # not in this node
+            if self._rec(_kid(rec, pos))[0] == MIN_KEYS:
+                pos = self._fill(tx, cur, rec, pos)
+            cur = _kid(rec, pos)
+        if not _has_kids(rec):
+            self._free_entry(tx, cur, self._item_off(pos), self._link(rec, pos))
+            rec[1 + 2 * pos : 2 * n - 1] = rec[3 + 2 * pos : 1 + 2 * n]
+            rec[0] = n - 1
+            self._put(tx, cur, rec, pos, n - 1)
             return
-        # not in this node
-        child = self._child(cur, pos)
-        if self._n(child) == MIN_KEYS:
-            pos = self._fill(tx, cur, pos)
-            child = self._child(cur, pos)
-        self._delete_from(tx, child, key)
+        left, right = _kid(rec, pos), _kid(rec, pos + 1)
+        if self._rec(left)[0] > MIN_KEYS:
+            item = self._extract_edge(tx, left, last=True)
+        elif self._rec(right)[0] > MIN_KEYS:
+            item = self._extract_edge(tx, right, last=False)
+        else:
+            self._merge(tx, cur, rec, pos)
+            self._delete_from(tx, left, key)
+            return
+        self._free_entry(tx, cur, self._item_off(pos), self._link(rec, pos))
+        rec[1 + 2 * pos], rec[2 + 2 * pos] = item
+        self.node.put(tx, cur, rec, 1 + 2 * pos, 3 + 2 * pos)
 
-    def _extract_edge(self, tx, cur: ObjectId, *, last: bool) -> bytes:
-        """Detach and return the max (or min) item of a subtree, refilling on
-        the way down; the caller takes over the item's extension chain."""
-        while not self._is_leaf(cur):
-            n = self._n(cur)
-            idx = n if last else 0
-            child = self._child(cur, idx)
-            if self._n(child) == MIN_KEYS:
-                idx = self._fill(tx, cur, idx)
-                child = self._child(cur, idx)
-            cur = child
-        n = self._n(cur)
+    def _extract_edge(self, tx, cur: ObjectId, *, last: bool) -> tuple:
+        """Detach and return the max (or min) item of a subtree as (key, rest),
+        refilling on the way down; the caller takes over the item's
+        extension chain."""
+        while True:
+            rec = self._rec(cur)
+            if not _has_kids(rec):
+                break
+            idx = rec[0] if last else 0
+            if self._rec(_kid(rec, idx))[0] == MIN_KEYS:
+                idx = self._fill(tx, cur, rec, idx)
+            cur = _kid(rec, idx)
+        n = rec[0]
         i = n - 1 if last else 0
-        raw = self._item_raw(cur, i)
-        if not last:
-            for j in range(1, n):
-                self._put_item(tx, cur, j - 1, self._item_raw(cur, j))
-        self._set_n(tx, cur, n - 1)
-        return raw
+        item = rec[1 + 2 * i], rec[2 + 2 * i]
+        rec[0] = n - 1
+        if last:
+            self.node.put(tx, cur, rec, 0, 1)
+        else:
+            rec[1 : 2 * n - 1] = rec[3 : 1 + 2 * n]
+            self._put(tx, cur, rec, 0, n - 1)
+        return item
 
-    def _fill(self, tx, parent: ObjectId, i: int) -> int:
+    def _fill(self, tx, parent: ObjectId, prec: list, i: int) -> int:
         """Give child i more than MIN_KEYS; returns its possibly shifted index."""
-        if i > 0 and self._n(self._child(parent, i - 1)) > MIN_KEYS:
-            self._borrow_prev(tx, parent, i)
+        if i > 0 and self._rec(_kid(prec, i - 1))[0] > MIN_KEYS:
+            self._borrow_prev(tx, parent, prec, i)
             return i
-        if i < self._n(parent) and self._n(self._child(parent, i + 1)) > MIN_KEYS:
-            self._borrow_next(tx, parent, i)
+        if i < prec[0] and self._rec(_kid(prec, i + 1))[0] > MIN_KEYS:
+            self._borrow_next(tx, parent, prec, i)
             return i
-        if i < self._n(parent):
-            self._merge(tx, parent, i)
+        if i < prec[0]:
+            self._merge(tx, parent, prec, i)
             return i
-        self._merge(tx, parent, i - 1)
+        self._merge(tx, parent, prec, i - 1)
         return i - 1
 
-    def _borrow_prev(self, tx, parent: ObjectId, i: int) -> None:
-        child, sib = self._child(parent, i), self._child(parent, i - 1)
-        cn, sn = self._n(child), self._n(sib)
-        for j in range(cn - 1, -1, -1):
-            self._put_item(tx, child, j + 1, self._item_raw(child, j))
-        if not self._is_leaf(child):
-            for j in range(cn, -1, -1):
-                self._set_child(tx, child, j + 1, self._child(child, j))
-            self._set_child(tx, child, 0, self._child(sib, sn))
-        self._move_item(tx, parent, i - 1, child, 0)
-        self._move_item(tx, sib, sn - 1, parent, i - 1)
-        self._set_n(tx, child, cn + 1)
-        self._set_n(tx, sib, sn - 1)
+    def _borrow_prev(self, tx, parent: ObjectId, prec: list, i: int) -> None:
+        child, sib = _kid(prec, i), _kid(prec, i - 1)
+        crec, srec = self._rec(child), self._rec(sib)
+        cn, sn = crec[0], srec[0]
+        crec[3 : 3 + 2 * cn] = crec[1 : 1 + 2 * cn]
+        internal = _has_kids(crec)
+        if internal:
+            crec[KIDS + 2 : KIDS + 2 * (cn + 2)] = crec[KIDS : KIDS + 2 * (cn + 1)]
+            crec[KIDS : KIDS + 2] = srec[KIDS + 2 * sn : KIDS + 2 * sn + 2]
+        up = 1 + 2 * (i - 1)
+        crec[1], crec[2] = prec[up], self._moved(tx, prec[up + 1])
+        last = 1 + 2 * (sn - 1)
+        prec[up], prec[up + 1] = srec[last], self._moved(tx, srec[last + 1])
+        crec[0] = cn + 1
+        srec[0] = sn - 1
+        self._put(tx, child, crec, 0, cn + 1)
+        if internal:
+            self._put_kids(tx, child, crec, 0, cn + 2)
+        self.node.put(tx, parent, prec, up, up + 2)
+        self.node.put(tx, sib, srec, 0, 1)
 
-    def _borrow_next(self, tx, parent: ObjectId, i: int) -> None:
-        child, sib = self._child(parent, i), self._child(parent, i + 1)
-        cn, sn = self._n(child), self._n(sib)
-        self._move_item(tx, parent, i, child, cn)
-        self._move_item(tx, sib, 0, parent, i)
-        if not self._is_leaf(child):
-            self._set_child(tx, child, cn + 1, self._child(sib, 0))
-            for j in range(1, sn + 1):
-                self._set_child(tx, sib, j - 1, self._child(sib, j))
-        for j in range(1, sn):
-            self._put_item(tx, sib, j - 1, self._item_raw(sib, j))
-        self._set_n(tx, child, cn + 1)
-        self._set_n(tx, sib, sn - 1)
+    def _borrow_next(self, tx, parent: ObjectId, prec: list, i: int) -> None:
+        child, sib = _kid(prec, i), _kid(prec, i + 1)
+        crec, srec = self._rec(child), self._rec(sib)
+        cn, sn = crec[0], srec[0]
+        at = 1 + 2 * i
+        crec[1 + 2 * cn], crec[2 + 2 * cn] = prec[at], self._moved(tx, prec[at + 1])
+        prec[at], prec[at + 1] = srec[1], self._moved(tx, srec[2])
+        internal = _has_kids(crec)
+        if internal:
+            crec[KIDS + 2 * (cn + 1) : KIDS + 2 * (cn + 2)] = srec[KIDS : KIDS + 2]
+            srec[KIDS : KIDS + 2 * sn] = srec[KIDS + 2 : KIDS + 2 * (sn + 1)]
+        srec[1 : 2 * sn - 1] = srec[3 : 1 + 2 * sn]
+        crec[0] = cn + 1
+        srec[0] = sn - 1
+        self._put(tx, child, crec, cn, cn + 1)
+        if internal:
+            self._put_kids(tx, child, crec, cn + 1, cn + 2)
+            self._put_kids(tx, sib, srec, 0, sn)
+        self.node.put(tx, parent, prec, at, at + 2)
+        self._put(tx, sib, srec, 0, sn - 1)
 
-    def _merge(self, tx, parent: ObjectId, i: int) -> None:
-        left, right = self._child(parent, i), self._child(parent, i + 1)
-        ln, rn = self._n(left), self._n(right)
-        self._move_item(tx, parent, i, left, ln)
+    def _merge(self, tx, parent: ObjectId, prec: list, i: int) -> None:
+        left, right = _kid(prec, i), _kid(prec, i + 1)
+        lrec, rrec = self._rec(left), self._rec(right)
+        ln, rn = lrec[0], rrec[0]
+        at = 1 + 2 * i
+        lrec[1 + 2 * ln], lrec[2 + 2 * ln] = prec[at], self._moved(tx, prec[at + 1])
         for j in range(rn):
-            self._move_item(tx, right, j, left, ln + 1 + j)
-        if not self._is_leaf(right):
-            for j in range(rn + 1):
-                self._set_child(tx, left, ln + 1 + j, self._child(right, j))
-        self._set_n(tx, left, ln + 1 + rn)
-        pn = self._n(parent)
-        for j in range(i + 1, pn):
-            self._put_item(tx, parent, j - 1, self._item_raw(parent, j))
-        for j in range(i + 2, pn + 1):
-            self._set_child(tx, parent, j - 1, self._child(parent, j))
-        self._set_n(tx, parent, pn - 1)
+            dst = 1 + 2 * (ln + 1 + j)
+            lrec[dst], lrec[dst + 1] = rrec[1 + 2 * j], self._moved(tx, rrec[2 + 2 * j])
+        lrec[0] = ln + 1 + rn
+        self._put(tx, left, lrec, ln, ln + 1 + rn)
+        if _has_kids(rrec):
+            lrec[KIDS + 2 * (ln + 1) : KIDS + 2 * (ln + rn + 2)] = rrec[KIDS : KIDS + 2 * (rn + 1)]
+            self._put_kids(tx, left, lrec, ln + 1, ln + rn + 2)
+        pn = prec[0]
+        prec[at : 2 * pn - 1] = prec[at + 2 : 1 + 2 * pn]
+        prec[KIDS + 2 * (i + 1) : KIDS + 2 * pn] = prec[KIDS + 2 * (i + 2) : KIDS + 2 * (pn + 1)]
+        prec[0] = pn - 1
+        self._put(tx, parent, prec, i, pn - 1)
+        self._put_kids(tx, parent, prec, i + 1, pn)
         tx.free(right)
+        del self._recs[right[1]]
 
     # -- scan / validate ------------------------------------------------------------
 
     def scan(self):
         def walk(cur):
-            n, keys, values, kids = self._visit(cur)
+            rec = self.pool.read(cur, self.node)
+            n, kids = rec[0], _has_kids(rec)
             for i in range(n):
                 if kids:
-                    yield from walk(self._kid(kids, i))
-                yield self._observed(cur, keys[i], self._item_off(i)), values[i]
+                    yield from walk(_kid(rec, i))
+                value = _U64.unpack_from(rec[2 + 2 * i], self.value_at)[0]
+                yield self._observed(cur, rec[1 + 2 * i], self._item_off(i)), value
             if kids:
-                yield from walk(self._kid(kids, n))
+                yield from walk(_kid(rec, n))
 
-        yield from walk(self._tree_root())
+        yield from walk(self._begin()[0])
 
     def validate(self) -> None:
-        troot = self._tree_root()
+        troot, count = self._begin()
 
         def check(cur, lo, hi, is_root):
-            n, keys, _, kids = self._visit(cur)
-            keys = list(keys)
+            rec = self.pool.read(cur, self.node)
+            n = rec[0]
+            keys = list(rec[1 : 1 + 2 * n : 2])
             assert n <= MAX_KEYS, f"node over capacity: {n}"
             if not is_root:
                 assert n >= MIN_KEYS, f"node under occupancy: {n}"
@@ -349,20 +400,20 @@ class BTreeKernel(MapKernel):
                 assert lo < keys[0] and keys[-1] < hi, "key range violated"
             for i in range(n):
                 self._peek_key64(cur, keys[i], self._item_off(i))
-            if kids is None:
+            if not _has_kids(rec):
                 return 1, n
             depth = None
             total = n
             bounds = [lo] + keys + [hi]
             for i in range(n + 1):
-                d, c = check(self._kid(kids, i), bounds[i], bounds[i + 1], False)
+                d, c = check(_kid(rec, i), bounds[i], bounds[i + 1], False)
                 assert depth is None or d == depth, "leaves at different depths"
                 depth = d
                 total += c
             return depth + 1, total
 
         _, total = check(troot, -1, 1 << 65, True)
-        assert total == self.count(), f"count {self.count()} != walked {total}"
+        assert total == count, f"count {count} != walked {total}"
 
 
     # -- manual migration ------------------------------------------------------

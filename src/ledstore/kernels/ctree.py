@@ -27,6 +27,7 @@ from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
+_LINK = struct.Struct("<QQ")
 
 ROOT_ENTRY_OFF = 48
 
@@ -51,12 +52,13 @@ class CritBitKernel(MapKernel):
         super().__init__(pool, **kw)
         self.stride = self.entry_size
         self.node_size = 4 + 2 * self.stride
-        # one visit of the root: (is_leaf, key, slot words); of a node:
-        # (diff word, key 0, slot 0 words, key 1, slot 1 words)
-        self.root_codec = packed_struct(
-            [(0, "Q")] + self.entry_parts(ROOT_ENTRY_OFF, "key", "slot"))
-        self.node = packed_struct([(0, "I")] + self.entry_parts(4, "key", "slot")
-                                + self.entry_parts(4 + self.stride, "key", "slot"))
+        raw = f"{self.stride}s"
+        # one read of the root: (is_leaf, count, entry bytes); of a node:
+        # (diff word, entry 0 bytes, entry 1 bytes); an entry's key and slot
+        # words are decoded from its bytes by `head`
+        self.root_codec = packed_struct([(0, "Q"), (self.COUNT_OFF, "Q"), (ROOT_ENTRY_OFF, raw)])
+        self.node = packed_struct([(0, "I"), (4, raw), (4 + self.stride, raw)])
+        self.head = packed_struct(self.entry_parts(0, "key", "slot"))
 
     # -- structure ----------------------------------------------------------
 
@@ -66,62 +68,71 @@ class CritBitKernel(MapKernel):
 
     # -- entry plumbing -------------------------------------------------------
 
-    def _diff_word(self, node: ObjectId) -> int:
-        return _U32.unpack(self.pool.load(node, 0, 4))[0]
-
     def _make_entry(self, key: int, slot: bytes) -> bytes:
         return self.entry.pack(key, slot).ljust(self.stride, b"\0")
 
-    def _descend(self, key: int):
-        """Walk to the leaf entry key's bits select, one read per node.
-        Returns the path of (holder, entry offset, is_leaf, holder's diff
-        word) ending at a leaf (the root's word is None), the leaf's key and
-        its value word."""
-        _, is_leaf, k, s0, s1 = self._root_entry()
-        path = [(self.root, ROOT_ENTRY_OFF, is_leaf, None)]
+    def _link(self, raw: bytes):
+        return () if self.desc is None else _LINK.unpack_from(raw, self.desc.link_offset)
+
+    def _descend(self, key: int, root_leaf: bool, raw: bytes):
+        """Walk from the root's entry to the leaf entry key's bits select,
+        one read per node. Returns the path of (holder, entry offset,
+        is_leaf, holder's diff word, entry bytes, sibling entry bytes) ending
+        at a leaf (the root's word is its is_leaf flag, its sibling None),
+        the leaf's key and its value word."""
+        is_leaf = root_leaf
+        path = [(self.root, ROOT_ENTRY_OFF, is_leaf, int(root_leaf), raw, None)]
+        k, s0, s1 = self.head.unpack_from(raw)
         while not is_leaf:
             node = ObjectId(s0, s1)
-            word, entries = self._entries(node)
-            off, is_leaf, k, s0, s1 = entries[bit_of(key, word & 0xFF)]
-            path.append((node, off, is_leaf, word))
+            word, raw0, raw1 = self.pool.read(node, self.node)
+            if bit_of(key, word & 0xFF):
+                is_leaf = bool(word & 0x200)
+                path.append((node, 4 + self.stride, is_leaf, word, raw1, raw0))
+                k, s0, s1 = self.head.unpack_from(raw1)
+            else:
+                is_leaf = bool(word & 0x100)
+                path.append((node, 4, is_leaf, word, raw0, raw1))
+                k, s0, s1 = self.head.unpack_from(raw0)
         return path, k, s0
 
-    def _root_entry(self):
-        """One read of the root's entry: (offset, is_leaf, key, slot words)."""
-        is_leaf, key, s0, s1 = self.pool.read(self.root, self.root_codec)
-        return ROOT_ENTRY_OFF, is_leaf == 1, key, s0, s1
-
-    def _entries(self, node: ObjectId):
-        """One read of a node: its diff word and, per entry, (offset, is_leaf,
-        key, slot words)."""
-        word, k0, a0, a1, k1, b0, b1 = self.pool.read(node, self.node)
-        return word, ((4, bool(word >> 8 & 1), k0, a0, a1),
-                      (4 + self.stride, bool(word >> 9 & 1), k1, b0, b1))
-
-    def _set_entry_leafness(self, tx, holder: ObjectId, off: int, leaf: bool) -> None:
+    def _put_entry(self, tx, holder: ObjectId, off: int, word, entry: bytes,
+                   leaf: bool) -> None:
+        """Store an entry and its leaf flag: the root's is_leaf word (`word`
+        is its old value) or a bit of the holder's diff word, written only
+        when it changes; a node's word and its first entry are one span."""
         if holder == self.root:
-            tx.write(self.root, 0, _U64.pack(1 if leaf else 0))
+            tx.write(holder, off, entry)
+            if leaf != word:
+                tx.write(holder, 0, _U64.pack(leaf))
+            return
+        bit = 1 << (8 + (off - 4) // self.stride)
+        new = (word | bit) if leaf else (word & ~bit)
+        if new == word:
+            tx.write(holder, off, entry)
+        elif off == 4:
+            tx.write(holder, 0, _U32.pack(new) + entry)
         else:
-            i = (off - 4) // self.stride
-            word = self._diff_word(holder)
-            word = (word | (1 << (8 + i))) if leaf else (word & ~(1 << (8 + i)))
-            tx.write(holder, 0, _U32.pack(word))
+            tx.write(holder, 0, _U32.pack(new))
+            tx.write(holder, off, entry)
 
     # -- operations -------------------------------------------------------------
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        if self.count() == 0:
+        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        if count == 0:
             tx.write(self.root, ROOT_ENTRY_OFF,
                      self._make_entry(key, encode_value(value)))
             tx.write(self.root, 0, _U64.pack(1))
             self._extend_new(tx, self.root, ROOT_ENTRY_OFF)
-            self._bump_count(tx, 1)
+            self._set_count(tx, 1)
             return True
 
-        path, leafkey, _ = self._descend(key)
+        path, leafkey, _ = self._descend(key, root_leaf == 1, raw)
         if leafkey == key:
-            self._confirm(path[-1][0], key, path[-1][1])
+            holder, off, _, _, raw, _ = path[-1]
+            self._confirm(holder, key, off, self._link(raw))
             return False
         b = crit_bit(leafkey, key)
 
@@ -130,93 +141,96 @@ class CritBitKernel(MapKernel):
         j = 0
         while not path[j][2] and (path[j + 1][3] & 0xFF) <= b:
             j += 1
-        holder, off, is_leaf, _ = path[j]
+        holder, off, is_leaf, word, raw, _ = path[j]
 
-        displaced = self._relocated(tx, self.pool.load(holder, off, self.stride))
+        displaced = self._relocated(tx, raw)
         i = bit_of(key, b)
         node = tx.alloc_zeroed(self.node_size)
-        word = b | (1 << (8 + i)) | ((1 << (8 + (1 - i))) if is_leaf else 0)
+        new_word = b | (1 << (8 + i)) | ((1 << (8 + (1 - i))) if is_leaf else 0)
         fresh = self._make_entry(key, encode_value(value))
         entries = (fresh, displaced) if i == 0 else (displaced, fresh)
-        tx.write(node, 0, _U32.pack(word) + entries[0] + entries[1])
-        tx.write(holder, off, self._make_entry(0, node.pack()))
-        self._set_entry_leafness(tx, holder, off, False)
+        tx.write(node, 0, _U32.pack(new_word) + entries[0] + entries[1])
+        self._put_entry(tx, holder, off, word, self._make_entry(0, node.pack()), False)
         self._extend_new(tx, node, 4 + i * self.stride)
-        self._bump_count(tx, 1)
+        self._set_count(tx, count + 1)
         return True
 
     def remove(self, tx, key: int) -> bool:
-        if self.count() == 0:
+        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        if count == 0:
             return False
-        path, leafkey, _ = self._descend(key)
-        holder, off, _, word = path[-1]
+        path, leafkey, _ = self._descend(key, root_leaf == 1, raw)
+        holder, off, _, word, raw, sibling = path[-1]
         if leafkey != key:
             return False
-        self._confirm(holder, key, off)
-        self._free_entry(tx, holder, off)
+        link = self._confirm(holder, key, off, self._link(raw))
+        self._free_entry(tx, holder, off, link)
         if len(path) == 1:
             tx.write(self.root, 0, _U64.pack(0))
-            self._bump_count(tx, -1)
+            self._set_count(tx, count - 1)
             return True
-        node = holder
-        j = (off - 4) // self.stride
-        sib_off = 4 + (1 - j) * self.stride
-        sib_leaf = bool(word >> (8 + (1 - j)) & 1)
-        sibling = self._relocated(tx, self.pool.load(node, sib_off, self.stride))
-        g_holder, g_off = path[-2][:2]
-        tx.write(g_holder, g_off, sibling)
-        self._set_entry_leafness(tx, g_holder, g_off, sib_leaf)
-        tx.free(node)
-        self._bump_count(tx, -1)
+        sib_leaf = bool(word >> (8 + (4 + self.stride - off) // self.stride) & 1)
+        g_holder, g_off, _, g_word = path[-2][:4]
+        self._put_entry(tx, g_holder, g_off, g_word, self._relocated(tx, sibling), sib_leaf)
+        tx.free(holder)
+        self._set_count(tx, count - 1)
         return True
 
     def lookup(self, key: int):
-        if self.count() == 0:
+        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        if count == 0:
             return None
-        path, leafkey, value = self._descend(key)
+        path, leafkey, value = self._descend(key, root_leaf == 1, raw)
         if leafkey != key:
             return None
-        self._confirm(path[-1][0], key, path[-1][1])
+        holder, off, _, _, raw, _ = path[-1]
+        self._confirm(holder, key, off, self._link(raw))
         return value
 
-    def scan(self):
-        if self.count() == 0:
-            return
+    def _walk(self, visit):
+        """Depth-first over every leaf entry, entry 0 first: calls
+        visit(holder, off, key, value word, bits fixed on the path); returns
+        False on an empty tree. Checks the diff words on the way."""
+        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        if count == 0:
+            return False
 
-        def walk(holder, off, is_leaf, key, s0, s1):
+        def walk(holder, off, is_leaf, raw, fixed_bits, parent_diff):
+            key, s0, s1 = self.head.unpack_from(raw)
             if is_leaf:
-                yield self._observed(holder, key, off), s0
+                visit(holder, off, key, s0, fixed_bits)
                 return
             node = ObjectId(s0, s1)
-            for entry in self._entries(node)[1]:
-                yield from walk(node, *entry)
-
-        yield from walk(self.root, *self._root_entry())
-
-    def validate(self) -> None:
-        if self.count() == 0:
-            return
-        keys: list[int] = []
-
-        def walk(holder, off, is_leaf, key, s0, s1, fixed_bits, parent_diff):
-            if is_leaf:
-                for b, v in fixed_bits:
-                    assert bit_of(key, b) == v, f"key {key} violates bit {b}={v}"
-                self._peek_key64(holder, key, off)
-                keys.append(key)
-                return
-            node = ObjectId(s0, s1)
-            word, entries = self._entries(node)
+            word, raw0, raw1 = self.pool.read(node, self.node)
             d = word & 0xFF
             assert d < 64, f"bit index out of range: {d}"
             assert d > parent_diff, "critical bits not increasing along path"
-            for bit, entry in enumerate(entries):
-                walk(node, *entry, fixed_bits + [(d, bit)], d)
+            walk(node, 4, bool(word & 0x100), raw0, fixed_bits + [(d, 0)], d)
+            walk(node, 4 + self.stride, bool(word & 0x200), raw1, fixed_bits + [(d, 1)], d)
 
-        walk(self.root, *self._root_entry(), [], -1)
+        walk(self.root, ROOT_ENTRY_OFF, root_leaf == 1, raw, [], -1)
+        return True
+
+    def scan(self):
+        out = []
+        self._walk(lambda holder, off, key, value, _: out.append((holder, off, key, value)))
+        for holder, off, key, value in out:
+            yield self._observed(holder, key, off), value
+
+    def validate(self) -> None:
+        keys: list[int] = []
+
+        def leaf(holder, off, key, _, fixed_bits):
+            for b, v in fixed_bits:
+                assert bit_of(key, b) == v, f"key {key} violates bit {b}={v}"
+            self._peek_key64(holder, key, off)
+            keys.append(key)
+
+        self._walk(leaf)
+        count = self.count()
         assert keys == sorted(keys), "in-order walk not ascending"
         assert len(keys) == len(set(keys)), "duplicate keys"
-        assert len(keys) == self.count(), f"count {self.count()} != leaves {len(keys)}"
+        assert len(keys) == count, f"count {count} != leaves {len(keys)}"
 
 
     # -- manual migration ------------------------------------------------------

@@ -22,6 +22,7 @@ from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
 _SLOT = struct.Struct("<QQ")
+_ROOT = struct.Struct("<QQQ8xQ")  # bucket array id, nbuckets, count
 
 INITIAL_BUCKETS = 10
 GROWTH = 8
@@ -47,8 +48,10 @@ class HashMapKernel(MapKernel):
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
         self.next_off = self.entry.offsets["next"]
-        # one chain-node visit: (key, value word, _, next uuid, next offset)
-        self.node = packed_struct(self.entry_parts(0, "key", "value", "next"))
+        # one chain-node visit: (key, value word, _, next uuid, next offset,
+        # then the link words in the auto lane)
+        self.node = packed_struct(self.entry_parts(0, "key", "value", "next")
+                                  + self.link_parts(0))
 
     # -- structure ----------------------------------------------------------
 
@@ -58,9 +61,10 @@ class HashMapKernel(MapKernel):
         tx.write(self.root, self.NBUCKETS_OFF, _U64.pack(INITIAL_BUCKETS))
         tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
 
-    def _buckets(self) -> tuple[ObjectId, int]:
-        raw = self.pool.load(self.root, 0, 24)
-        return ObjectId.unpack(raw), _U64.unpack_from(raw, 16)[0]
+    def _buckets(self) -> tuple[ObjectId, int, int]:
+        """One read of the root: the bucket array, its length and the count."""
+        uuid, off, nbuckets, count = self.pool.read(self.root, _ROOT)
+        return ObjectId(uuid, off), nbuckets, count
 
     def _head(self, buckets: ObjectId, idx: int) -> ObjectId:
         return ObjectId(*self.pool.read(buckets, _SLOT, idx * 16))
@@ -69,62 +73,62 @@ class HashMapKernel(MapKernel):
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        buckets, nbuckets = self._buckets()
+        buckets, nbuckets, count = self._buckets()
         idx = bucket_index(key, nbuckets)
         head = cur = self._head(buckets, idx)
         while not cur.is_null():
-            k, _, _, uuid, off = self.pool.read(cur, self.node)
-            if k == key:
-                self._confirm(cur, key)
+            rec = self.pool.read(cur, self.node)
+            if rec[0] == key:
+                self._confirm(cur, key, 0, rec[5:])
                 return False
-            cur = ObjectId(uuid, off)
+            cur = ObjectId(rec[3], rec[4])
 
         node = tx.alloc_zeroed(self.entry_size)
         tx.write(node, 0, self.entry.pack(key, encode_value(value), head.pack()))
         tx.write(buckets, idx * 16, node.pack())
         self._extend_new(tx, node)
-        self._bump_count(tx, 1)
-        if self.count() > nbuckets * MAX_LOAD:
+        self._set_count(tx, count + 1)
+        if count + 1 > nbuckets * MAX_LOAD:
             self._rehash(tx, buckets, nbuckets)
         return True
 
     def remove(self, tx, key: int) -> bool:
-        buckets, nbuckets = self._buckets()
+        buckets, nbuckets, count = self._buckets()
         idx = bucket_index(key, nbuckets)
         prev = None
         cur = self._head(buckets, idx)
         while not cur.is_null():
-            k, _, _, uuid, off = self.pool.read(cur, self.node)
-            nxt = ObjectId(uuid, off)
-            if k == key:
-                self._confirm(cur, key)
+            rec = self.pool.read(cur, self.node)
+            nxt = ObjectId(rec[3], rec[4])
+            if rec[0] == key:
+                link = self._confirm(cur, key, 0, rec[5:])
                 if prev is None:
                     tx.write(buckets, idx * 16, nxt.pack())
                 else:
                     tx.write(prev, self.next_off, nxt.pack())
-                self._free_entry(tx, cur)
-                self._bump_count(tx, -1)
+                self._free_entry(tx, cur, link=link)
+                self._set_count(tx, count - 1)
                 return True
             prev, cur = cur, nxt
         return False
 
     def lookup(self, key: int):
-        buckets, nbuckets = self._buckets()
+        buckets, nbuckets, _ = self._buckets()
         cur = self._head(buckets, bucket_index(key, nbuckets))
         while not cur.is_null():
-            k, value, _, uuid, off = self.pool.read(cur, self.node)
-            if k == key:
-                self._confirm(cur, key)
-                return value
-            cur = ObjectId(uuid, off)
+            rec = self.pool.read(cur, self.node)
+            if rec[0] == key:
+                self._confirm(cur, key, 0, rec[5:])
+                return rec[1]
+            cur = ObjectId(rec[3], rec[4])
         return None
 
     def scan(self):
-        buckets, nbuckets = self._buckets()
+        buckets, nbuckets, _ = self._buckets()
         for idx in range(nbuckets):
             cur = self._head(buckets, idx)
             while not cur.is_null():
-                k, value, _, uuid, off = self.pool.read(cur, self.node)
+                k, value, _, uuid, off = self.pool.read(cur, self.node)[:5]
                 yield self._observed(cur, k), value
                 cur = ObjectId(uuid, off)
 
@@ -132,10 +136,11 @@ class HashMapKernel(MapKernel):
         new_n = old_n * GROWTH
         new_buckets = tx.alloc_zeroed(new_n * 16)
         heads = [NULL_OID] * new_n
+        old_heads = self.pool.read(old_buckets, struct.Struct(f"<{2 * old_n}Q"))
         for idx in range(old_n):
-            cur = self._head(old_buckets, idx)
+            cur = ObjectId(old_heads[2 * idx], old_heads[2 * idx + 1])
             while not cur.is_null():
-                k, _, _, uuid, off = self.pool.read(cur, self.node)
+                k, _, _, uuid, off = self.pool.read(cur, self.node)[:5]
                 nxt = ObjectId(uuid, off)
                 widx = bucket_index(k, new_n)
                 tx.write(cur, self.next_off, heads[widx].pack())
@@ -143,17 +148,15 @@ class HashMapKernel(MapKernel):
                 cur = nxt
         tx.write(new_buckets, 0, b"".join(h.pack() for h in heads))
         tx.free(old_buckets)
-        tx.write(self.root, 0, new_buckets.pack())
-        tx.write(self.root, self.NBUCKETS_OFF, _U64.pack(new_n))
+        tx.write(self.root, 0, new_buckets.pack() + _U64.pack(new_n))  # nbuckets follows
 
     def validate(self) -> None:
-        buckets, nbuckets = self._buckets()
-        expected = self.count()
+        buckets, nbuckets, expected = self._buckets()
         seen: set[int] = set()
         for idx in range(nbuckets):
             cur = self._head(buckets, idx)
             while not cur.is_null():
-                key, _, _, uuid, off = self.pool.read(cur, self.node)
+                key, _, _, uuid, off = self.pool.read(cur, self.node)[:5]
                 assert bucket_index(key, nbuckets) == idx, f"key {key} in wrong bucket"
                 assert key not in seen, f"duplicate key {key}"
                 seen.add(key)

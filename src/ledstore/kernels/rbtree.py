@@ -17,15 +17,38 @@ from __future__ import annotations
 
 import struct
 
-from ..leds import packed_struct
 from ..pool import ObjectId
-from .base import MapKernel, check_key, encode_value
+from .base import MapKernel, NodeCodec, check_key
 
 _U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 
 RED = 0
 BLACK = 1
+
+# a node decodes to (key, value words, color, parent, left, right, [link]),
+# ids as (uuid, offset) words. Operations address nodes by payload offset
+# (every id in a tree is in this pool) and edit these value indices:
+COLOR, PARENT, LEFT, RIGHT = 3, 5, 7, 9
+_BIT = {COLOR: 1, PARENT: 2, LEFT: 4, RIGHT: 8}
+_FIELD_SPANS = ((3, 4), (4, 6), (6, 8), (8, 10))  # color, parent, left, right; adjacent
+
+
+def _spans(mask: int) -> list[tuple[int, int]]:
+    """Value spans that store the changed fields in `mask`, one per run of
+    adjacent changed fields."""
+    runs: list[list[int]] = []
+    for bit, (a, b) in enumerate(_FIELD_SPANS):
+        if mask >> bit & 1:
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+    return [tuple(r) for r in runs]
+
+
+_SPANS = [_spans(mask) for mask in range(16)]
+_ROOT = struct.Struct("<QQQQQ")  # tree root id, nil id, count
+_LINK = struct.Struct("<QQ")
 
 
 class RBTreeKernel(MapKernel):
@@ -38,249 +61,273 @@ class RBTreeKernel(MapKernel):
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        off = self.entry.offsets
-        self.color_off = off["color"]
-        self.par_off, self.left_off, self.right_off = off["parent"], off["left"], off["right"]
-        # one node visit: (key, value word, _, color, parent, left, right), oids as two words
-        self.node = packed_struct(self.entry_parts(
-            0, "key", "value", "color", "parent", "left", "right"))
+        self.node = NodeCodec(self.entry_parts(
+            0, "key", "value", "color", "parent", "left", "right") + self.link_parts(0))
+        self.uuid = pool.pool_uuid
         self.nil = None
+        # per operation: decoded nodes, their changed fields, the tree root
+        self._recs: dict[int, list] = {}
+        self._dirty: dict[int, int] = {}
+        self._troot = self._troot0 = None
 
     # -- structure ----------------------------------------------------------
 
     def _init_structure(self, tx) -> None:
         nil = tx.alloc_zeroed(self.entry_size)
-        tx.write(nil, 0, self._node_record(0, b"", BLACK, nil, nil, nil))
+        tx.write(nil, 0, self.entry.pack(0, b"", BLACK, nil.pack(), nil.pack(), nil.pack()))
         tx.write(self.root, 0, nil.pack())
         tx.write(self.root, 16, nil.pack())
         tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
-        self.nil = nil
+        self.nil = nil.offset
 
     def _load_structure(self) -> None:
-        self.nil = self._root_oid_field(16)
+        self.nil = self.pool.read(self.root, _ROOT)[3]
 
-    def _tree_root(self) -> ObjectId:
-        return self._root_oid_field(0)
+    # -- decoded nodes ------------------------------------------------------------
 
-    # -- field access ---------------------------------------------------------
+    def _begin(self) -> int:
+        """Start an operation: forget decoded nodes; one read of the pool
+        root gives the tree root and the count."""
+        self._recs = {}
+        self._dirty = {}
+        _, troot, _, _, count = self.pool.read(self.root, _ROOT)
+        self._troot = self._troot0 = troot
+        return count
 
-    def _node_record(self, key, value, color, parent, left, right) -> bytes:
-        """A whole node's fields; the auto lane's link slot stays as allocated."""
-        return self.entry.pack(key, value, color, parent.pack(), left.pack(), right.pack())
+    def _rec(self, x: int) -> list:
+        """Node `x`'s values, read at most once per operation."""
+        rec = self._recs.get(x)
+        if rec is None:
+            rec = self._recs[x] = list(self.pool.read(ObjectId(self.uuid, x), self.node))
+        return rec
 
-    def _color(self, oid: ObjectId) -> int:
-        return _U32.unpack(self.pool.load(oid, self.color_off, 4))[0]
+    def _set(self, x: int, field: int, v: int) -> None:
+        """Change one field of node `x`; _flush stores it."""
+        self._rec(x)[field] = v
+        self._dirty[x] = self._dirty.get(x, 0) | _BIT[field]
 
-    def _oid_at(self, oid: ObjectId, off: int) -> ObjectId:
-        return ObjectId.unpack(self.pool.load(oid, off, 16))
+    def _flush(self, tx, count: int) -> None:
+        """Store every changed node, one write per span of changed fields,
+        then the pool root: the tree root if it moved, and the count."""
+        for x, mask in self._dirty.items():
+            oid, rec = ObjectId(self.uuid, x), self._recs[x]
+            for a, b in _SPANS[mask]:
+                self.node.put(tx, oid, rec, a, b)
+        if self._troot != self._troot0:
+            tx.write(self.root, 0, _LINK.pack(self.uuid, self._troot))
+        self._set_count(tx, count)
+
+    def _search(self, key: int):
+        """Key's node offset and values, one read per visited node, or None."""
+        x, nil = self._troot, self.nil
+        while x != nil:
+            rec = self._rec(x)
+            if key == rec[0]:
+                return x, rec
+            x = rec[LEFT] if key < rec[0] else rec[RIGHT]
+        return None
 
     # -- rotations -------------------------------------------------------------
 
-    def _rotate(self, tx, x: ObjectId, left: bool) -> None:
-        a_off, b_off = (self.left_off, self.right_off) if left else (self.right_off, self.left_off)
-        y = self._oid_at(x, b_off)
-        y_a = self._oid_at(y, a_off)
-        tx.write(x, b_off, y_a.pack())
+    def _rotate(self, x: int, left: bool) -> None:
+        a, b = (LEFT, RIGHT) if left else (RIGHT, LEFT)
+        y = self._rec(x)[b]
+        y_a = self._rec(y)[a]
+        self._set(x, b, y_a)
         if y_a != self.nil:
-            tx.write(y_a, self.par_off, x.pack())
-        xp = self._oid_at(x, self.par_off)
-        tx.write(y, self.par_off, xp.pack())
+            self._set(y_a, PARENT, x)
+        xp = self._rec(x)[PARENT]
+        self._set(y, PARENT, xp)
         if xp == self.nil:
-            tx.write(self.root, 0, y.pack())
-        elif x == self._oid_at(xp, self.left_off):
-            tx.write(xp, self.left_off, y.pack())
+            self._troot = y
+        elif x == self._rec(xp)[LEFT]:
+            self._set(xp, LEFT, y)
         else:
-            tx.write(xp, self.right_off, y.pack())
-        tx.write(y, a_off, x.pack())
-        tx.write(x, self.par_off, y.pack())
+            self._set(xp, RIGHT, y)
+        self._set(y, a, x)
+        self._set(x, PARENT, y)
 
     # -- operations --------------------------------------------------------------
 
-    def _search(self, key: int):
-        """Key's node, one read per visited node: (node, value, color, left,
-        right) from the match's read, or None."""
-        cur = self._tree_root()
-        while cur != self.nil:
-            k, value, _, color, _, _, lu, lo, ru, ro = self.pool.read(cur, self.node)
-            if key == k:
-                return cur, value, color, ObjectId(lu, lo), ObjectId(ru, ro)
-            cur = ObjectId(lu, lo) if key < k else ObjectId(ru, ro)
-        return None
-
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        y, y_key = self.nil, None
-        x = self._tree_root()
-        while x != self.nil:
-            k, _, _, _, _, _, lu, lo, ru, ro = self.pool.read(x, self.node)
-            if key == k:
-                self._confirm(x, key)
+        count = self._begin()
+        nil, u = self.nil, self.uuid
+        y, y_key = nil, None
+        x = self._troot
+        while x != nil:
+            rec = self._rec(x)
+            if key == rec[0]:
+                self._confirm(ObjectId(u, x), key, 0, rec[10:])
                 return False
-            y, y_key = x, k
-            x = ObjectId(lu, lo) if key < k else ObjectId(ru, ro)
+            y, y_key = x, rec[0]
+            x = rec[LEFT] if key < y_key else rec[RIGHT]
 
         z = tx.alloc_zeroed(self.entry_size)
-        tx.write(z, 0, self._node_record(key, encode_value(value), RED, y, self.nil, self.nil))
-        if y == self.nil:
-            tx.write(self.root, 0, z.pack())
+        zrec = self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil] + [0] * (
+            len(self.node.offsets) - 10)
+        self.node.put(tx, z, zrec, 0, 10)
+        if y == nil:
+            self._troot = z.offset
         elif key < y_key:
-            tx.write(y, self.left_off, z.pack())
+            self._set(y, LEFT, z.offset)
         else:
-            tx.write(y, self.right_off, z.pack())
+            self._set(y, RIGHT, z.offset)
         self._extend_new(tx, z)
-        self._insert_fixup(tx, z)
-        self._bump_count(tx, 1)
+        self._insert_fixup(z.offset)
+        self._flush(tx, count + 1)
         return True
 
-    def _insert_fixup(self, tx, z: ObjectId) -> None:
+    def _insert_fixup(self, z: int) -> None:
+        nil, rec, put = self.nil, self._rec, self._set
         while True:
-            zp = self._oid_at(z, self.par_off)
-            if zp == self.nil or self._color(zp) != RED:
+            zp = rec(z)[PARENT]
+            if zp == nil or rec(zp)[COLOR] != RED:
                 break
-            zpp = self._oid_at(zp, self.par_off)
-            zp_is_left = zp == self._oid_at(zpp, self.left_off)
-            uncle = self._oid_at(zpp, self.right_off if zp_is_left else self.left_off)
-            if uncle != self.nil and self._color(uncle) == RED:
-                tx.write(zp, self.color_off, _U32.pack(BLACK))
-                tx.write(uncle, self.color_off, _U32.pack(BLACK))
-                tx.write(zpp, self.color_off, _U32.pack(RED))
+            zpp = rec(zp)[PARENT]
+            zp_is_left = zp == rec(zpp)[LEFT]
+            uncle = rec(zpp)[RIGHT if zp_is_left else LEFT]
+            if uncle != nil and rec(uncle)[COLOR] == RED:
+                put(zp, COLOR, BLACK)
+                put(uncle, COLOR, BLACK)
+                put(zpp, COLOR, RED)
                 z = zpp
                 continue
-            if zp_is_left:
-                if z == self._oid_at(zp, self.right_off):
-                    z = zp
-                    self._rotate(tx, z, left=True)
-                    zp = self._oid_at(z, self.par_off)
-                    zpp = self._oid_at(zp, self.par_off)
-                tx.write(zp, self.color_off, _U32.pack(BLACK))
-                tx.write(zpp, self.color_off, _U32.pack(RED))
-                self._rotate(tx, zpp, left=False)
-            else:
-                if z == self._oid_at(zp, self.left_off):
-                    z = zp
-                    self._rotate(tx, z, left=False)
-                    zp = self._oid_at(z, self.par_off)
-                    zpp = self._oid_at(zp, self.par_off)
-                tx.write(zp, self.color_off, _U32.pack(BLACK))
-                tx.write(zpp, self.color_off, _U32.pack(RED))
-                self._rotate(tx, zpp, left=True)
-        troot = self._tree_root()
-        if self._color(troot) != BLACK:
-            tx.write(troot, self.color_off, _U32.pack(BLACK))
+            inner = RIGHT if zp_is_left else LEFT
+            if z == rec(zp)[inner]:
+                z = zp
+                self._rotate(z, left=zp_is_left)
+                zp = rec(z)[PARENT]
+                zpp = rec(zp)[PARENT]
+            put(zp, COLOR, BLACK)
+            put(zpp, COLOR, RED)
+            self._rotate(zpp, left=not zp_is_left)
+        if rec(self._troot)[COLOR] != BLACK:
+            put(self._troot, COLOR, BLACK)
 
-    def _transplant(self, tx, u: ObjectId, v: ObjectId) -> None:
-        up = self._oid_at(u, self.par_off)
+    def _transplant(self, u: int, v: int) -> None:
+        up = self._rec(u)[PARENT]
         if up == self.nil:
-            tx.write(self.root, 0, v.pack())
-        elif u == self._oid_at(up, self.left_off):
-            tx.write(up, self.left_off, v.pack())
+            self._troot = v
+        elif u == self._rec(up)[LEFT]:
+            self._set(up, LEFT, v)
         else:
-            tx.write(up, self.right_off, v.pack())
-        tx.write(v, self.par_off, up.pack())  # nil's parent is legal scratch
+            self._set(up, RIGHT, v)
+        self._set(v, PARENT, up)  # nil's parent is legal scratch
 
     def remove(self, tx, key: int) -> bool:
+        count = self._begin()
         found = self._search(key)
         if found is None:
             return False
-        z, _, z_color, z_left, z_right = found
-        self._confirm(z, key)
+        z, zrec = found
+        link = self._confirm(ObjectId(self.uuid, z), key, 0, zrec[10:])
+        nil, rec, put = self.nil, self._rec, self._set
+        z_color, z_left, z_right = zrec[COLOR], zrec[LEFT], zrec[RIGHT]
         y, y_color = z, z_color
-        if z_left == self.nil:
+        if z_left == nil:
             x = z_right
-            self._transplant(tx, z, z_right)
-        elif z_right == self.nil:
+            self._transplant(z, z_right)
+        elif z_right == nil:
             x = z_left
-            self._transplant(tx, z, z_left)
+            self._transplant(z, z_left)
         else:
             y = z_right
-            while (nxt := self._oid_at(y, self.left_off)) != self.nil:
+            while (nxt := rec(y)[LEFT]) != nil:
                 y = nxt
-            y_color = self._color(y)
-            x = self._oid_at(y, self.right_off)
-            if self._oid_at(y, self.par_off) == z:
-                tx.write(x, self.par_off, y.pack())
+            y_color = rec(y)[COLOR]
+            x = rec(y)[RIGHT]
+            if rec(y)[PARENT] == z:
+                put(x, PARENT, y)
             else:
-                self._transplant(tx, y, x)
-                tx.write(y, self.right_off, z_right.pack())
-                tx.write(z_right, self.par_off, y.pack())
-            self._transplant(tx, z, y)
-            tx.write(y, self.left_off, z_left.pack())
-            tx.write(z_left, self.par_off, y.pack())
-            tx.write(y, self.color_off, _U32.pack(z_color))
+                self._transplant(y, x)
+                put(y, RIGHT, z_right)
+                put(z_right, PARENT, y)
+            self._transplant(z, y)
+            put(y, LEFT, z_left)
+            put(z_left, PARENT, y)
+            put(y, COLOR, z_color)
         if y_color == BLACK:
-            self._delete_fixup(tx, x)
-        self._free_entry(tx, z)
-        self._bump_count(tx, -1)
+            self._delete_fixup(x)
+        self._dirty.pop(z, None)
+        self._free_entry(tx, ObjectId(self.uuid, z), link=link)
+        self._flush(tx, count - 1)
         return True
 
-    def _delete_fixup(self, tx, x: ObjectId) -> None:
-        while x != self._tree_root() and self._color(x) == BLACK:
-            xp = self._oid_at(x, self.par_off)
-            x_is_left = x == self._oid_at(xp, self.left_off)
-            sib_off = self.right_off if x_is_left else self.left_off
-            w = self._oid_at(xp, sib_off)
-            if self._color(w) == RED:
-                tx.write(w, self.color_off, _U32.pack(BLACK))
-                tx.write(xp, self.color_off, _U32.pack(RED))
-                self._rotate(tx, xp, left=x_is_left)
-                w = self._oid_at(xp, sib_off)
-            w_left = self._oid_at(w, self.left_off)
-            w_right = self._oid_at(w, self.right_off)
-            if self._color(w_left) == BLACK and self._color(w_right) == BLACK:
-                tx.write(w, self.color_off, _U32.pack(RED))
+    def _delete_fixup(self, x: int) -> None:
+        nil, rec, put = self.nil, self._rec, self._set
+        while x != self._troot and rec(x)[COLOR] == BLACK:
+            xp = rec(x)[PARENT]
+            x_is_left = x == rec(xp)[LEFT]
+            sib = RIGHT if x_is_left else LEFT
+            w = rec(xp)[sib]
+            if rec(w)[COLOR] == RED:
+                put(w, COLOR, BLACK)
+                put(xp, COLOR, RED)
+                self._rotate(xp, left=x_is_left)
+                w = rec(xp)[sib]
+            w_left, w_right = rec(w)[LEFT], rec(w)[RIGHT]
+            if rec(w_left)[COLOR] == BLACK and rec(w_right)[COLOR] == BLACK:
+                put(w, COLOR, RED)
                 x = xp
                 continue
             near, far = (w_right, w_left) if not x_is_left else (w_left, w_right)
-            if self._color(far) == BLACK:
-                tx.write(near, self.color_off, _U32.pack(BLACK))
-                tx.write(w, self.color_off, _U32.pack(RED))
-                self._rotate(tx, w, left=not x_is_left)
-                w = self._oid_at(xp, sib_off)
-                far = self._oid_at(w, sib_off)
-            tx.write(w, self.color_off, _U32.pack(self._color(xp)))
-            tx.write(xp, self.color_off, _U32.pack(BLACK))
-            if far != self.nil:
-                tx.write(far, self.color_off, _U32.pack(BLACK))
-            self._rotate(tx, xp, left=x_is_left)
+            if rec(far)[COLOR] == BLACK:
+                put(near, COLOR, BLACK)
+                put(w, COLOR, RED)
+                self._rotate(w, left=not x_is_left)
+                w = rec(xp)[sib]
+                far = rec(w)[sib]
+            put(w, COLOR, rec(xp)[COLOR])
+            put(xp, COLOR, BLACK)
+            if far != nil:
+                put(far, COLOR, BLACK)
+            self._rotate(xp, left=x_is_left)
             break
-        if self._color(x) != BLACK:
-            tx.write(x, self.color_off, _U32.pack(BLACK))
+        if rec(x)[COLOR] != BLACK:
+            put(x, COLOR, BLACK)
 
     def lookup(self, key: int):
+        self._begin()
         found = self._search(key)
         if found is None:
             return None
-        node, value = found[:2]
-        self._confirm(node, key)
-        return value
+        x, rec = found
+        self._confirm(ObjectId(self.uuid, x), key, 0, rec[10:])
+        return rec[1]
 
     def scan(self):
+        self._begin()
+        u, nil = self.uuid, self.nil
         stack = []
-        cur = self._tree_root()
-        while stack or cur != self.nil:
-            while cur != self.nil:
-                k, value, _, _, _, _, lu, lo, ru, ro = self.pool.read(cur, self.node)
-                stack.append((cur, k, value, ObjectId(ru, ro)))
-                cur = ObjectId(lu, lo)
+        cur = self._troot
+        while stack or cur != nil:
+            while cur != nil:
+                rec = self.pool.read(ObjectId(u, cur), self.node)
+                stack.append((cur, rec[0], rec[1], rec[RIGHT]))
+                cur = rec[LEFT]
             node, k, value, cur = stack.pop()
-            yield self._observed(node, k), value
+            yield self._observed(ObjectId(u, node), k), value
 
     def validate(self) -> None:
-        troot = self._tree_root()
-        if troot == self.nil:
-            assert self.count() == 0, "count drift on empty tree"
+        count = self._begin()
+        u, nil, troot = self.uuid, self.nil, self._troot
+        if troot == nil:
+            assert count == 0, "count drift on empty tree"
             return
 
-        def check(oid, lo, hi, parent):
-            """(black height, size, color) of the subtree at `oid`; its parent
+        def check(x, lo, hi, parent):
+            """(black height, size, color) of the subtree at `x`; its parent
             link must be `parent` (None at the root). nil counts as black."""
-            if oid == self.nil:
+            if x == nil:
                 return 1, 0, BLACK
-            k, _, _, color, pu, po, lu, lo_, ru, ro = self.pool.read(oid, self.node)
+            rec = self.pool.read(ObjectId(u, x), self.node)
+            k, color = rec[0], rec[COLOR]
             assert lo < k < hi, f"BST order violated at {k}"
-            assert parent is None or ObjectId(pu, po) == parent, "parent link broken"
-            bh_l, n_l, color_l = check(ObjectId(lu, lo_), lo, k, oid)
-            bh_r, n_r, color_r = check(ObjectId(ru, ro), k, hi, oid)
+            assert parent is None or rec[PARENT] == parent, "parent link broken"
+            assert rec[PARENT - 1] == rec[LEFT - 1] == rec[RIGHT - 1] == u, "foreign link"
+            bh_l, n_l, color_l = check(rec[LEFT], lo, k, x)
+            bh_r, n_r, color_r = check(rec[RIGHT], k, hi, x)
             if color == RED:
                 assert color_l == BLACK and color_r == BLACK, f"red node {k} has a red child"
             assert bh_l == bh_r, f"black heights differ under {k}"
@@ -288,7 +335,7 @@ class RBTreeKernel(MapKernel):
 
         _, size, color = check(troot, -1, 1 << 65, None)
         assert color == BLACK, "root must be black"
-        assert size == self.count(), f"count {self.count()} != walked {size}"
+        assert size == count, f"count {count} != walked {size}"
 
 
     # -- manual migration ------------------------------------------------------

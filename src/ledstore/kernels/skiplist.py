@@ -29,6 +29,7 @@ from ..pool import NULL_OID, ObjectId
 from .base import MapKernel, check_key, encode_value
 
 _U64 = struct.Struct("<Q")
+_LINK = struct.Struct("<QQ")
 
 LEVELS = 4
 
@@ -44,9 +45,10 @@ class SkipListKernel(MapKernel):
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
         self.next0 = self.entry.offsets["next0"]
-        # one node visit: (key, value word, _, then two words per next link)
+        # one node visit: (key, value word, _, then two words per next link,
+        # then the link words in the auto lane)
         self.node = leds.packed_struct(self.entry_parts(
-            0, "key", "value", *(f"next{i}" for i in range(LEVELS))))
+            0, "key", "value", *(f"next{i}" for i in range(LEVELS))) + self.link_parts(0))
         if self.rng is None:
             self.rng = random.Random(0x51C1)
         # volatile navigation index
@@ -67,7 +69,7 @@ class SkipListKernel(MapKernel):
         self.head = head
 
     def _load_structure(self) -> None:
-        self.head = self._root_oid_field(0)
+        self.head = ObjectId(*self.pool.read(self.root, _LINK))
         self.by_key.clear()
         self.height.clear()
         self.level_keys = [[] for _ in range(LEVELS)]
@@ -93,53 +95,79 @@ class SkipListKernel(MapKernel):
         pos = bisect_left(keys, key)
         return self.head if pos == 0 else self.by_key[keys[pos - 1]]
 
+    def _pred_runs(self, key: int, h: int) -> list[tuple[ObjectId, int, int]]:
+        """(pred, first level, end level) per distinct predecessor of `key`
+        over levels 0..h-1; one node precedes key on a contiguous run of
+        levels, so each run's next slots are one span."""
+        runs = []
+        for level in range(h):
+            pred = self._pred(level, key)
+            if runs and runs[-1][0] == pred:
+                runs[-1][2] = level + 1
+            else:
+                runs.append([pred, level, level + 1])
+        return runs
+
+    def _auto_link(self, node: ObjectId):
+        """An indexed node's link words, read only when _confirm needs them."""
+        return self.pool.read(node, _LINK, self.desc.link_offset) if self.key64_ext else ()
+
     # -- operations ----------------------------------------------------------
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
         if key in self.by_key:
-            self._confirm(self.by_key[key], key)
+            node = self.by_key[key]
+            self._confirm(node, key, 0, self._auto_link(node))
             return False
         h = 1
         while h < LEVELS and self.rng.random() < 0.5:
             h += 1
+        count = self.count()
         node = tx.alloc_zeroed(self.entry_size)
-        preds = [self._pred(level, key) for level in range(h)]
-        succs = [self._node_next(preds[level], level) for level in range(h)]
-        tx.write(node, 0, self.entry.pack(key, encode_value(value), *(s.pack() for s in succs)))
-        for level in range(h):
-            tx.write(preds[level], self._next_off(level), node.pack())
+        runs = self._pred_runs(key, h)
+        succs = []
+        for pred, lo, hi in runs:
+            words = self.pool.read(pred, self.node)[3:]
+            succs += [self._link(words, level).pack() for level in range(lo, hi)]
+        tx.write(node, 0, self.entry.pack(key, encode_value(value), *succs))
+        for pred, lo, hi in runs:
+            tx.write(pred, self._next_off(lo), node.pack() * (hi - lo))
         self._extend_new(tx, node)
         self.by_key[key] = node
         self.height[key] = h
         for level in range(h):
             insort(self.level_keys[level], key)
-        self._bump_count(tx, 1)
+        self._set_count(tx, count + 1)
         return True
 
     def remove(self, tx, key: int) -> bool:
         node = self.by_key.get(key)
         if node is None:
             return False
-        self._confirm(node, key)
-        _, _, _, *links = self.pool.read(node, self.node)
-        for level in range(self.height[key]):
-            pred = self._pred(level, key)
-            tx.write(pred, self._next_off(level), self._link(links, level).pack())
+        count = self.count()
+        rec = self.pool.read(node, self.node)
+        link = self._confirm(node, key, 0, rec[3 + 2 * LEVELS:])
+        h = self.height[key]
+        for pred, lo, hi in self._pred_runs(key, h):
+            tx.write(pred, self._next_off(lo),
+                     b"".join(self._link(rec[3:], level).pack() for level in range(lo, hi)))
+        for level in range(h):
             keys = self.level_keys[level]
             keys.pop(bisect_left(keys, key))
-        self._free_entry(tx, node)
+        self._free_entry(tx, node, link=link)
         del self.by_key[key]
         del self.height[key]
-        self._bump_count(tx, -1)
+        self._set_count(tx, count - 1)
         return True
 
     def lookup(self, key: int):
         node = self.by_key.get(key)
         if node is None:
             return None
-        self._confirm(node, key)
-        return self.pool.read(node, self.node)[1]
+        rec = self.pool.read(node, self.node)
+        self._confirm(node, key, 0, rec[3 + 2 * LEVELS:])
+        return rec[1]
 
     def scan(self):
         cur = self._node_next(self.head, 0)

@@ -79,10 +79,7 @@ class FieldLayout:
             return ObjectId.unpack(raw)
         if self.kind == "bytes":
             return raw
-        if self.encoding == "float":
-            return struct.unpack(_FLT_FMT[self.size], raw)[0]
-        fmt = _INT_FMT[(self.size, self.encoding == "sint")]
-        return struct.unpack(fmt, raw)[0]
+        return struct.unpack("<" + self.fmt, raw)[0]
 
     def encode(self, value) -> bytes:
         if self.kind == "objectid":
@@ -91,10 +88,7 @@ class FieldLayout:
             if len(value) != self.size:
                 raise NoSuchField(f"{self.name}: expected {self.size} bytes")
             return bytes(value)
-        if self.encoding == "float":
-            return struct.pack(_FLT_FMT[self.size], float(value))
-        fmt = _INT_FMT[(self.size, self.encoding == "sint")]
-        return struct.pack(fmt, value)
+        return struct.pack("<" + self.fmt, float(value) if self.encoding == "float" else value)
 
     @property
     def fmt(self) -> str:
@@ -372,21 +366,25 @@ def ensure_extension(tx, pool, oid, desc, level, *, base_off: int = 0) -> Object
     return cur
 
 
+def extension_record(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, level: int,
+                     *, base_off: int = 0) -> ObjectId:
+    """One object's level-`level` extension record, materialized on first
+    touch. Outside any transaction the upgrade runs in an implicit single-op
+    transaction, so the init value is durable."""
+    if pool._active_tx is None and not _chain_ready(pool, oid, desc, level, base_off):
+        with Transaction(pool):
+            return ensure_extension(None, pool, oid, desc, level, base_off=base_off)
+    return ensure_extension(None, pool, oid, desc, level, base_off=base_off)
+
+
 def read_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str,
                *, base_off: int = 0):
-    """Read a base or extension field, materializing lazily on first touch.
-
-    A read of a not-yet-extended object outside any transaction upgrades it
-    through an implicit single-op transaction so the init value is durable.
-    """
+    """Read a base or extension field, materializing lazily on first touch
+    (see extension_record)."""
     level, f = desc.resolve(name)
     if level == 0:
         return f.decode(pool.load(oid, base_off + f.offset, f.size))
-    if pool._active_tx is None and not _chain_ready(pool, oid, desc, level, base_off):
-        with Transaction(pool):
-            rec = ensure_extension(None, pool, oid, desc, level, base_off=base_off)
-    else:
-        rec = ensure_extension(None, pool, oid, desc, level, base_off=base_off)
+    rec = extension_record(pool, oid, desc, level, base_off=base_off)
     return f.decode(pool.load(rec, f.offset, f.size))
 
 
