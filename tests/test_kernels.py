@@ -193,6 +193,120 @@ def test_lookup_resolves_each_node_once(tmp_path, monkeypatch, kind):
     pool.close()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_update_reads_each_node_once(tmp_path, monkeypatch, kind):
+    """Insert and remove decode every payload they touch once: within one
+    op no payload, the pool root included, is read (`read` or `load`)
+    twice unless a tx.write to it came in between."""
+    from ledstore.pool import PoolHandle
+    from ledstore.txn import Transaction
+
+    pool, k = fresh_kernel(tmp_path, kind, rng=random.Random(3))
+    rng = random.Random(7)
+    keys = rng.sample(range(1, 1 << 20), 320)
+    run_ops(pool, k, [("ins", key, key) for key in keys[:256]])
+    ops = [("ins", key, key) for key in keys[256:]]
+    ops += [("del", key) for key in rng.sample(keys[:256], 64)]
+    rng.shuffle(ops)
+
+    events = []
+    real_read, real_load, real_write = PoolHandle.read, PoolHandle.load, Transaction.write
+
+    def read(self, oid, codec, off=0):
+        events.append(("read", oid.offset))
+        return real_read(self, oid, codec, off)
+
+    def load(self, oid, off, length):
+        events.append(("read", oid.offset))
+        return real_load(self, oid, off, length)
+
+    def write(self, oid, off, data, category="user"):
+        events.append(("write", oid.offset))
+        return real_write(self, oid, off, data, category)
+
+    monkeypatch.setattr(PoolHandle, "read", read)
+    monkeypatch.setattr(PoolHandle, "load", load)
+    monkeypatch.setattr(Transaction, "write", write)
+    for op in ops:
+        events.clear()
+        run_ops(pool, k, [op])
+        fresh: set[int] = set()  # payloads read since their last write
+        for event, off in events:
+            if event == "write":
+                fresh.discard(off)
+            else:
+                assert off not in fresh, (op, events)
+                fresh.add(off)
+    monkeypatch.undo()
+    k.validate()
+    pool.close()
+
+
+def auto_kernel(tmp_path, kind, **kw):
+    """An auto-lane version-2 "change" kernel over a fresh pool."""
+    pool = create_pool(str(tmp_path / "auto.pool"), f"{kind}-v1", 32 * MIB)
+    k = make_kernel(pool, kind, mode="auto", version=2, change="change",
+                    rng=random.Random(3), **kw)
+    k.create()
+    return pool, k
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_auto_lookup_of_materialized_key_resolves_each_payload_once(tmp_path, monkeypatch,
+                                                                     kind):
+    """In the auto "change" lane a lookup of a key whose key64 extension
+    exists reads it straight from the extension record: no payload is
+    resolved twice, one link check is counted and nothing is allocated."""
+    from ledstore.pool import PoolHandle
+
+    pool, k = auto_kernel(tmp_path, kind)
+    keys = random.Random(5).sample(range(1, 1 << 20), 256)
+    run_ops(pool, k, [("ins", key, key * 3) for key in keys])  # materializes key64
+    resolved = []
+    real_resolve = PoolHandle._resolve
+
+    def resolve(self, oid, *range_):
+        resolved.append(oid.offset)
+        return real_resolve(self, oid, *range_)
+
+    monkeypatch.setattr(PoolHandle, "_resolve", resolve)
+    for key in keys[::8]:
+        resolved.clear()
+        before = pool.stats.snapshot()
+        assert k.lookup(key) == key * 3
+        assert len(resolved) == len(set(resolved)), (key, resolved)
+        moved = pool.stats.delta(before)
+        assert (moved["checks"], moved["allocations"], moved["flush_events"]) == (1, 0, 0)
+    pool.close()
+
+
+@pytest.mark.parametrize("shallow", [True, False], ids=["shallow", "deep"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_auto_remove_frees_what_it_materializes(tmp_path, kind, shallow):
+    """Version-2 removes over version-1 auto records materialize key64 on
+    the match, then move and free entries in the same op: every extension
+    is freed with its entry, and the map stays valid."""
+    pool = create_pool(str(tmp_path / "auto.pool"), f"{kind}-v1", 32 * MIB)
+    old = make_kernel(pool, kind, mode="auto", version=1, rng=random.Random(3))
+    old.create()
+    empty = pool.allocated_objects
+    keys = random.Random(9).sample(range(1, 1 << 20), 200)
+    run_ops(pool, old, [("ins", key, key) for key in keys])
+    k = make_kernel(pool, kind, mode="auto", version=2, change="change",
+                    shallow_copy=shallow, rng=random.Random(3))
+    k.attach()
+    order = random.Random(11).sample(keys, len(keys))
+    for i, key in enumerate(order):
+        with pool.tx_begin() as tx:
+            assert k.remove(tx, key)
+        if i % 50 == 0:
+            k.validate()  # peeks at key64 links without materializing
+    k.validate()
+    assert pool.stats.allocations >= len(keys)
+    assert pool.allocated_objects == empty, "an extension record leaked"
+    pool.close()
+
+
 V2_RECORD_SIZES = {  # manual migration, bytes per migrated record
     edit: {kind: sizes[i] for kind, sizes in NODE_SIZES.items()}
     for i, edit in ((1, "change"), (2, "add"))

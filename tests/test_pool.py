@@ -9,6 +9,7 @@ from ledstore import (
     AlreadyExists,
     BadMagic,
     CapacityTooSmall,
+    CrashPlan,
     DoubleFree,
     ForeignPool,
     IoError,
@@ -17,6 +18,8 @@ from ledstore import (
     OutOfBounds,
     OutOfSpace,
     PoolLocked,
+    SimulatedCrash,
+    TxStateError,
     create_pool,
     delete_pool,
     open_pool,
@@ -298,6 +301,47 @@ class TestAlloc:
         s = pool.stats
         assert s.bytes_total == s.bytes_user + s.bytes_log + s.bytes_meta
         assert s.bytes_user == 64
+
+
+class TestCrashPlan:
+    """flush_events is the one store counter; an armed plan trips on an
+    absolute ordinal of it, and a closed handle refuses every store."""
+
+    def test_trips_the_kth_store_after_arming(self, pool, pool_path):
+        oid = pool.raw_alloc(64)
+        for i in range(5):  # earlier stores do not count toward the plan
+            pool.store(oid, 0, bytes([i + 1]) * 8)
+        before = pool.stats.flush_events
+        pool.arm_crash(CrashPlan(trigger=3))
+        pool.store(oid, 8, b"a" * 8)
+        pool.store(oid, 16, b"b" * 8)
+        assert pool._write_ordinal == 2
+        with pytest.raises(SimulatedCrash, match="#3"):
+            pool.store(oid, 24, b"c" * 8)
+        assert pool.closed and pool.stats.flush_events == before + 2
+        with pytest.raises(TxStateError):  # dead, not crashing again
+            pool.store(oid, 32, b"d" * 8)
+        with open(pool_path, "rb") as f:  # oracle: the file holds stores 1-2 only
+            f.seek(oid.offset)
+            assert f.read(32) == b"\x05" * 8 + b"a" * 8 + b"b" * 8 + bytes(8)
+
+    def test_disarm_stops_the_trip(self, pool):
+        oid = pool.raw_alloc(16)
+        pool.arm_crash(CrashPlan(trigger=2))
+        pool.store(oid, 0, b"a" * 8)
+        pool.disarm_crash()
+        for _ in range(4):
+            pool.store(oid, 8, b"b" * 8)
+        assert not pool.closed and pool._write_ordinal == 5
+
+    def test_store_on_closed_handle_changes_no_counter(self, pool):
+        oid = pool.raw_alloc(16)
+        addr = pool.translate(oid)
+        pool.close()
+        before = pool.stats.snapshot(), pool._write_ordinal
+        with pytest.raises(TxStateError):
+            pool._store(addr, b"a" * 8, "user")
+        assert (pool.stats.snapshot(), pool._write_ordinal) == before
 
 
 class TestDelete:
