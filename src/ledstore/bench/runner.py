@@ -39,11 +39,13 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from .. import leds
 from ..errors import ConfigError
 from ..kernels import make_auto_schema, make_kernel, make_manual_migrator
-from ..pool import create_pool
+from ..pool import PoolHandle, create_pool
+from ..stats import WriteStats
 from ..retention import (
     AUTOMATIC,
     MANUAL,
@@ -313,16 +315,40 @@ def sweep_working_set(cfg: WorkloadConfig,
             for ratio in ratios]
 
 
+def _translation_cost(reps: int = 7, n: int = 20_000) -> float:
+    """Seconds one ObjectId translation costs beyond a translation-cache
+    hit: `n` PoolHandle._resolve calls of one id, uncached and cached in
+    alternation, best of `reps` each. It runs on a stand-in holding one
+    live payload, so no pool is created."""
+    handle = SimpleNamespace(pool_uuid=1, _live={16: 16}, _xlat_cache={16: 16},
+                             stats=WriteStats())
+    resolve, oid = PoolHandle._resolve, (1, 16)
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(reps):
+        for cached in best:
+            handle.translation_cache_enabled = cached
+            t0 = time.perf_counter()
+            for _ in range(n):
+                resolve(handle, oid, 0, 8)
+            best[cached] = min(best[cached], time.perf_counter() - t0)
+    return max(best[False] - best[True], 0.0) / n
+
+
 def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
-    """Attribute the automatic model's extra cost by differential runs:
-    pre-materializing removes allocation+init, the translation cache removes
-    translation, the shallow-copy toggle removes deep copies; the remainder
-    is the extra indirection. Fractions are normalized.
+    """Attribute the automatic model's extra cost: pre-materializing removes
+    allocation+init, the translation cache removes translation, the
+    shallow-copy toggle removes deep copies; the remainder is the extra
+    indirection. Fractions are normalized.
 
     The variants run as one experiment with the manual baseline, so the
     report carries the same ledger as `run_experiment`. Their trials are
-    interleaved round-robin and aggregated by median, so ambient machine
-    load drifts hit every variant alike instead of biasing one differential.
+    interleaved round-robin, and the overhead and the allocation and
+    deep-copy differentials are each the median over rounds of the
+    within-round difference, so machine load that drifts between rounds
+    cancels out. A cache hit saves a translation only a few dict lookups,
+    far below the run-to-run spread of a whole update phase, so translation
+    is attributed by count instead: the translations the cache saves times
+    the measured cost of one translation over one hit.
     """
     if cfg.model != AUTOMATIC:
         raise ConfigError("breakdown is defined for the automatic model")
@@ -331,11 +357,16 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     counters = {v: rows[v]["counters"] for v in variants[1:]}
     base_row = counters["base"]
 
-    med = {v: statistics.median(times[v]) for v in variants[1:]}
-    overhead = max(med["base"] - report.t_manual, 0.0)
-    alloc_t = max(med["base"] - med["premat"], 0.0)
-    translate_t = max(med["base"] - med["cached"], 0.0)
-    deep_t = max(med["base"] - med["shallow"], 0.0)
+    def saved(variant: str) -> float:
+        """Median per-round time `variant` saves against `base`, clamped at 0."""
+        diffs = [b - t for b, t in zip(times["base"], times[variant])]
+        return max(statistics.median(diffs), 0.0)
+
+    overhead = saved(MANUAL)
+    alloc_t = saved("premat")
+    saved_translations = base_row["translations"] - counters["cached"]["translations"]
+    translate_t = saved_translations * _translation_cost()
+    deep_t = saved("shallow")
     if base_row["deep_copies"] == 0:
         deep_t = 0.0
     other = max(overhead - alloc_t - translate_t - deep_t, 0.0)

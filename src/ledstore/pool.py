@@ -19,26 +19,15 @@ is returned to the allocator and when a pending allocation is rolled back.
 That invariant is what lets abort and crash recovery restore byte-identical
 heap images without snapshotting payloads.
 
-Header fields:
+Header fields sit at the OFF_* offsets below, little-endian u32/u64 words
+except the magic, the 64-byte layout name and the 16-byte root id; the
+log-state word is status byte << 56 | bytes used.
 
-  0   magic "LEDSPOOL"
-  8   format_version u32
-  16  layout_name, 64 bytes zero-padded
-  80  layout_version u32
-  88  pool_uuid u64
-  96  root_id (pool_uuid u64 + offset u64)
-  112 root_size u64
-  120 heap_offset u64 (default 4096)
-  128 capacity u64
-  136 allocator_state_offset u64 (start of the scannable block region)
-  144 log_state u64 (status byte << 56 | bytes used)
-  152 log_capacity u64
-  160 schema_fingerprint u64
-
-Every access by ObjectId makes one `_resolve` (pool identity, live payload),
-which counts one translation, like `pmemobj_direct`. `read(oid, codec, off)`
-decodes a whole record through that one resolve without copying bytes;
-`load` copies raw bytes out, `store` writes them.
+Every access by ObjectId (`read`, `load`, `store`, `tx.write`) makes one
+`_resolve`: id (pool identity, live payload) and byte range together, one
+counted translation, like `pmemobj_direct`. `read(oid, codec, off)` decodes
+a record without copying bytes. Every store goes through `_store`, whose
+one counter, `stats.flush_events`, a crash plan trips on.
 
 Handles are single-threaded and exclusive: each holds a flock on its pool
 file's descriptor (a second open raises PoolLocked), which the kernel drops
@@ -342,7 +331,9 @@ class PoolHandle:
         would); only misses count toward the translation counter.
         """
         if self.translation_cache_enabled:
-            size = self._cached_size(oid)
+            size = self._xlat_cache.get(oid[1])
+            if size is None:
+                size = self._cache_miss(oid)
         else:
             size = self._live.get(oid[1])
             if size is None or oid[0] != self.pool_uuid:
@@ -352,14 +343,12 @@ class PoolHandle:
             raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
         return oid[1] + off
 
-    def _cached_size(self, oid: ObjectId) -> int:
-        size = self._xlat_cache.get(oid[1])
-        if size is None:
-            size = self._live.get(oid[1])
-            if size is None or oid[0] != self.pool_uuid:
-                self._refuse(oid)
-            self.stats.translations += 1
-            self._xlat_cache[oid[1]] = size
+    def _cache_miss(self, oid: ObjectId) -> int:
+        size = self._live.get(oid[1])
+        if size is None or oid[0] != self.pool_uuid:
+            self._refuse(oid)
+        self.stats.translations += 1
+        self._xlat_cache[oid[1]] = size
         return size
 
     def _refuse(self, oid: ObjectId) -> None:

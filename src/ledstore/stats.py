@@ -7,7 +7,9 @@ Every store into the mapped file lands in exactly one byte bucket:
   bytes_meta  allocator block headers, pool header words, log-state word,
               free-block zeroing, rollback restores
 
-The remaining fields are event counters used by the overhead-breakdown
+`flush_events` counts the stores themselves; it is the pool's one store
+counter, which crash plans trip on. The remaining fields are event
+counters used by the overhead-breakdown
 reports: extension-record allocations (with their materialization bytes),
 ObjectId translations (cache misses only when the translation cache is on),
 deep copies of extended records, and extension-link null checks.

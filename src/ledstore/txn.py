@@ -21,6 +21,10 @@ file is the only undo state. Writes into blocks allocated by the same
 transaction skip snapshotting: rollback reclaims and zeroes the whole block
 anyway.
 
+`write`, called once per changed span of a node, makes one `_resolve`, at
+most one snapshot, then the store, and no state test: ending a transaction
+shadows its `write` with a refusal.
+
 Nesting is rejected; the handle owns at most one active transaction.
 """
 
