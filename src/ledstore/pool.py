@@ -221,7 +221,7 @@ class PoolHandle:
         self.commit_ordinals: list[int] = []
         self.on_commit = None          # optional callable, invoked after truncation
         self.translation_cache_enabled = False
-        self._xlat_cache: dict[int, tuple[int, int]] = {}
+        self._xlat_cache: dict[int, int] = {}  # payload offset -> size
 
         self._alloc = _Allocator()
         self._live = self._alloc.live
