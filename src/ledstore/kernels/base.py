@@ -30,10 +30,11 @@ through a codec the kernel derives in __init__ from `entry` with
 `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 `link_parts`, never from literal record offsets. Insert and remove edit the
 decoded values and write each contiguous changed span of a node with one
-`tx.write` (NodeCodec.put): one store per span, not one per field. A
-matched entry's decoded link words let `_confirm` read a materialized
-key64 straight from its extension record and `_free_entry` free its chain
-without reloading the link slot.
+`tx.write` (NodeCodec.put): one store per span, not one per field. The
+B-tree and red-black tree keep an operation's decoded nodes in one dict
+(`_begin`, `_rec`). A matched entry's decoded link words let `_confirm`
+read a materialized key64 straight from its extension record and
+`_free_entry` free its chain without reloading the link slot.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
 Keys must fit in 32 bits: version-1 records could not hold more, and the
@@ -43,6 +44,7 @@ zero-extension invariant depends on it.
 from __future__ import annotations
 
 import struct
+from contextlib import nullcontext
 
 from .. import leds
 from ..errors import ConfigError
@@ -172,13 +174,9 @@ class MapKernel:
     def create(self) -> None:
         """Allocate the root and empty structure (first run over a fresh pool)."""
         tx = self.pool._active_tx
-        if tx is not None:
+        with nullcontext(tx) if tx is not None else Transaction(self.pool) as tx:
             self.root = self.pool.get_root(self.ROOT_SIZE)
             self._init_structure(tx)
-        else:
-            with Transaction(self.pool) as tx2:
-                self.root = self.pool.get_root(self.ROOT_SIZE)
-                self._init_structure(tx2)
 
     def attach(self) -> None:
         """Bind to an existing structure (reopened or migrated pool)."""
@@ -193,6 +191,23 @@ class MapKernel:
 
     def _load_structure(self) -> None:
         pass
+
+    def _begin(self) -> tuple:
+        """Start an operation on decoded nodes: forget the last operation's
+        nodes; one read of the pool root gives the tree root's id and the
+        rest of ROOT_CODEC's fields (the count last)."""
+        self._recs = {}
+        u, o, *rest = self.pool.read(self.root, self.ROOT_CODEC)
+        return ObjectId(u, o), *rest
+
+    def _rec(self, x: int) -> list:
+        """The values of the node at payload offset `x`, decoded by
+        `self.node`, read at most once per operation; every write of the
+        operation edits this list."""
+        rec = self._recs.get(x)
+        if rec is None:
+            rec = self._recs[x] = list(self.pool.read(ObjectId(self.pool.pool_uuid, x), self.node))
+        return rec
 
     def count(self) -> int:
         return self.pool.read(self.root, _U64, self.COUNT_OFF)[0]
@@ -242,7 +257,7 @@ class MapKernel:
             return leds.read_field(self.pool, holder, self.desc, "key64", base_off=base_off)
         return key
 
-    def _confirm(self, holder: ObjectId, key: int, base_off: int = 0, link=()):
+    def _confirm(self, holder: ObjectId, key: int, base_off: int, link):
         """A positive match in auto "change" mode reads key64 through the
         extension, given the entry's decoded link words: a null link is
         materialized, a non-null one counts the check ensure_extension would
@@ -289,15 +304,10 @@ class MapKernel:
         self.pool.stats.deep_copies += 1
         return raw[:link_off] + clone.pack() + raw[link_off + leds.LINK_SIZE:]
 
-    def _free_entry(self, tx, holder: ObjectId, base_off: int | None = None,
-                    link=None) -> None:
+    def _free_entry(self, tx, holder: ObjectId, link, base_off: int | None = None) -> None:
         """Free an entry's extension chain, found from its decoded `link`
-        words or else its link slot, and a standalone record (no `base_off`)
-        itself."""
+        words, and a standalone record (no `base_off`) itself."""
         if self.desc is not None:
-            if link is None:
-                link_off = (base_off or 0) + self.desc.link_offset
-                link = ObjectId.unpack(self.pool.load(holder, link_off, leds.LINK_SIZE))
             if link[0] or link[1]:
                 leds.free_extension_chain(tx, self.pool, ObjectId(*link), self.desc)
         if base_off is None:

@@ -46,7 +46,6 @@ def node_shape(stride: int) -> tuple[int, int]:
 # 1 + 2i is item i's key, 2 + 2i its remaining bytes raw, and child j's id is
 # the two words at KIDS + 2j
 KIDS = 1 + 2 * SLOTS
-_ROOT = struct.Struct("<QQ16xQ")  # tree root id, count
 
 
 def _kid(rec: list, j: int) -> ObjectId:
@@ -61,8 +60,7 @@ class BTreeKernel(MapKernel):
     kind = "btree"
     ENTRY_NAME = "btree_item"
     ENTRY_FIELDS = (("key", "u32"), ("value", "oid"))
-
-    # root: tree root oid @0, count u64 @32
+    ROOT_CODEC = struct.Struct("<QQ16xQ")  # root: tree root oid @0, count u64 @32
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
@@ -77,7 +75,6 @@ class BTreeKernel(MapKernel):
         self.value_at = self.entry.offsets["value"] - key.size  # in an item's rest
         self.rest_link = None if self.desc is None else self.desc.link_offset - key.size
         self.zero_rec = self.node.unpack_from(bytes(self.node.size))
-        self._recs: dict[int, list] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -90,22 +87,7 @@ class BTreeKernel(MapKernel):
     def _item_off(self, i: int) -> int:
         return ITEMS_OFF + i * self.stride
 
-    # -- decoded nodes -----------------------------------------------------------
-
-    def _begin(self) -> tuple[ObjectId, int]:
-        """Start an operation: forget decoded nodes; one read of the pool
-        root gives the tree root and the count."""
-        self._recs = {}
-        u, o, count = self.pool.read(self.root, _ROOT)
-        return ObjectId(u, o), count
-
-    def _rec(self, node: ObjectId) -> list:
-        """A node's values, read at most once per operation; every write of
-        the operation goes through this list."""
-        rec = self._recs.get(node[1])
-        if rec is None:
-            rec = self._recs[node[1]] = list(self.pool.read(node, self.node))
-        return rec
+    # -- decoded nodes (MapKernel._begin, _rec) ---------------------------------
 
     def _put(self, tx, node: ObjectId, rec: list, lo: int, hi: int) -> None:
         """Store n and items lo..hi-1: one span from n when lo is 0, else two."""
@@ -133,7 +115,7 @@ class BTreeKernel(MapKernel):
         """Key's item, one read per visited node: (node, its values, pos) or None."""
         cur = troot
         while True:
-            rec = self._rec(cur)
+            rec = self._rec(cur[1])
             n = rec[0]
             pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
             if pos < n and rec[1 + 2 * pos] == key:
@@ -160,7 +142,7 @@ class BTreeKernel(MapKernel):
             node, rec, pos = found
             self._confirm(node, key, self._item_off(pos), self._link(rec, pos))
             return False
-        if self._rec(troot)[0] == MAX_KEYS:
+        if self._rec(troot[1])[0] == MAX_KEYS:
             new_root = tx.alloc_zeroed(self.node_size)
             rec = self._recs[new_root[1]] = list(self.zero_rec)
             rec[KIDS], rec[KIDS + 1] = troot
@@ -174,7 +156,7 @@ class BTreeKernel(MapKernel):
 
     def _insert_nonfull(self, tx, cur: ObjectId, key: int, value: int) -> None:
         while True:
-            rec = self._rec(cur)
+            rec = self._rec(cur[1])
             n = rec[0]
             pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
             if not _has_kids(rec):
@@ -185,7 +167,7 @@ class BTreeKernel(MapKernel):
                 self._put(tx, cur, rec, pos, n + 1)
                 self._extend_new(tx, cur, self._item_off(pos))
                 return
-            if self._rec(_kid(rec, pos))[0] == MAX_KEYS:
+            if self._rec(_kid(rec, pos)[1])[0] == MAX_KEYS:
                 self._split_child(tx, cur, rec, pos)
                 if key > rec[1 + 2 * pos]:
                     pos += 1
@@ -193,7 +175,7 @@ class BTreeKernel(MapKernel):
 
     def _split_child(self, tx, parent: ObjectId, prec: list, i: int) -> None:
         child = _kid(prec, i)
-        crec = self._rec(child)
+        crec = self._rec(child[1])
         right = tx.alloc_zeroed(self.node_size)
         rrec = self._recs[right[1]] = list(self.zero_rec)
         for j in range(MIN_KEYS):
@@ -230,7 +212,7 @@ class BTreeKernel(MapKernel):
             rest, at = rec[2 + 2 * pos], self.rest_link
             rec[2 + 2 * pos] = rest[:at] + new_link.pack() + rest[at + 16:]
         self._delete_from(tx, troot, key)
-        rec = self._rec(troot)
+        rec = self._rec(troot[1])
         if rec[0] == 0 and _has_kids(rec):
             tx.write(self.root, 0, _kid(rec, 0).pack())
             tx.free(troot)
@@ -239,31 +221,31 @@ class BTreeKernel(MapKernel):
 
     def _delete_from(self, tx, cur: ObjectId, key: int) -> None:
         while True:
-            rec = self._rec(cur)
+            rec = self._rec(cur[1])
             n = rec[0]
             pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
             if pos < n and rec[1 + 2 * pos] == key:
                 break
             # not in this node
-            if self._rec(_kid(rec, pos))[0] == MIN_KEYS:
+            if self._rec(_kid(rec, pos)[1])[0] == MIN_KEYS:
                 pos = self._fill(tx, cur, rec, pos)
             cur = _kid(rec, pos)
         if not _has_kids(rec):
-            self._free_entry(tx, cur, self._item_off(pos), self._link(rec, pos))
+            self._free_entry(tx, cur, self._link(rec, pos), self._item_off(pos))
             rec[1 + 2 * pos : 2 * n - 1] = rec[3 + 2 * pos : 1 + 2 * n]
             rec[0] = n - 1
             self._put(tx, cur, rec, pos, n - 1)
             return
         left, right = _kid(rec, pos), _kid(rec, pos + 1)
-        if self._rec(left)[0] > MIN_KEYS:
+        if self._rec(left[1])[0] > MIN_KEYS:
             item = self._extract_edge(tx, left, last=True)
-        elif self._rec(right)[0] > MIN_KEYS:
+        elif self._rec(right[1])[0] > MIN_KEYS:
             item = self._extract_edge(tx, right, last=False)
         else:
             self._merge(tx, cur, rec, pos)
             self._delete_from(tx, left, key)
             return
-        self._free_entry(tx, cur, self._item_off(pos), self._link(rec, pos))
+        self._free_entry(tx, cur, self._link(rec, pos), self._item_off(pos))
         rec[1 + 2 * pos], rec[2 + 2 * pos] = item
         self.node.put(tx, cur, rec, 1 + 2 * pos, 3 + 2 * pos)
 
@@ -272,11 +254,11 @@ class BTreeKernel(MapKernel):
         refilling on the way down; the caller takes over the item's
         extension chain."""
         while True:
-            rec = self._rec(cur)
+            rec = self._rec(cur[1])
             if not _has_kids(rec):
                 break
             idx = rec[0] if last else 0
-            if self._rec(_kid(rec, idx))[0] == MIN_KEYS:
+            if self._rec(_kid(rec, idx)[1])[0] == MIN_KEYS:
                 idx = self._fill(tx, cur, rec, idx)
             cur = _kid(rec, idx)
         n = rec[0]
@@ -292,10 +274,10 @@ class BTreeKernel(MapKernel):
 
     def _fill(self, tx, parent: ObjectId, prec: list, i: int) -> int:
         """Give child i more than MIN_KEYS; returns its possibly shifted index."""
-        if i > 0 and self._rec(_kid(prec, i - 1))[0] > MIN_KEYS:
+        if i > 0 and self._rec(_kid(prec, i - 1)[1])[0] > MIN_KEYS:
             self._borrow_prev(tx, parent, prec, i)
             return i
-        if i < prec[0] and self._rec(_kid(prec, i + 1))[0] > MIN_KEYS:
+        if i < prec[0] and self._rec(_kid(prec, i + 1)[1])[0] > MIN_KEYS:
             self._borrow_next(tx, parent, prec, i)
             return i
         if i < prec[0]:
@@ -306,7 +288,7 @@ class BTreeKernel(MapKernel):
 
     def _borrow_prev(self, tx, parent: ObjectId, prec: list, i: int) -> None:
         child, sib = _kid(prec, i), _kid(prec, i - 1)
-        crec, srec = self._rec(child), self._rec(sib)
+        crec, srec = self._rec(child[1]), self._rec(sib[1])
         cn, sn = crec[0], srec[0]
         crec[3 : 3 + 2 * cn] = crec[1 : 1 + 2 * cn]
         internal = _has_kids(crec)
@@ -327,7 +309,7 @@ class BTreeKernel(MapKernel):
 
     def _borrow_next(self, tx, parent: ObjectId, prec: list, i: int) -> None:
         child, sib = _kid(prec, i), _kid(prec, i + 1)
-        crec, srec = self._rec(child), self._rec(sib)
+        crec, srec = self._rec(child[1]), self._rec(sib[1])
         cn, sn = crec[0], srec[0]
         at = 1 + 2 * i
         crec[1 + 2 * cn], crec[2 + 2 * cn] = prec[at], self._moved(tx, prec[at + 1])
@@ -348,7 +330,7 @@ class BTreeKernel(MapKernel):
 
     def _merge(self, tx, parent: ObjectId, prec: list, i: int) -> None:
         left, right = _kid(prec, i), _kid(prec, i + 1)
-        lrec, rrec = self._rec(left), self._rec(right)
+        lrec, rrec = self._rec(left[1]), self._rec(right[1])
         ln, rn = lrec[0], rrec[0]
         at = 1 + 2 * i
         lrec[1 + 2 * ln], lrec[2 + 2 * ln] = prec[at], self._moved(tx, prec[at + 1])
@@ -414,7 +396,6 @@ class BTreeKernel(MapKernel):
 
         _, total = check(troot, -1, 1 << 65, True)
         assert total == count, f"count {count} != walked {total}"
-
 
     # -- manual migration ------------------------------------------------------
 

@@ -164,7 +164,7 @@ class CritBitKernel(MapKernel):
         if leafkey != key:
             return False
         link = self._confirm(holder, key, off, self._link(raw))
-        self._free_entry(tx, holder, off, link)
+        self._free_entry(tx, holder, link, off)
         if len(path) == 1:
             tx.write(self.root, 0, _U64.pack(0))
             self._set_count(tx, count - 1)
@@ -187,51 +187,44 @@ class CritBitKernel(MapKernel):
         self._confirm(holder, key, off, self._link(raw))
         return value
 
-    def _walk(self, visit):
-        """Depth-first over every leaf entry, entry 0 first: calls
-        visit(holder, off, key, value word, bits fixed on the path); returns
-        False on an empty tree. Checks the diff words on the way."""
+    def _leaves(self):
+        """Depth-first over every leaf entry, entry 0 first, one read per
+        node: yields (holder, entry offset, key, value word, the (bit,
+        value) pairs fixed on its path)."""
         root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
-        if count == 0:
-            return False
 
-        def walk(holder, off, is_leaf, raw, fixed_bits, parent_diff):
+        def walk(holder, off, is_leaf, raw, fixed_bits):
             key, s0, s1 = self.head.unpack_from(raw)
             if is_leaf:
-                visit(holder, off, key, s0, fixed_bits)
+                yield holder, off, key, s0, fixed_bits
                 return
             node = ObjectId(s0, s1)
             word, raw0, raw1 = self.pool.read(node, self.node)
             d = word & 0xFF
-            assert d < 64, f"bit index out of range: {d}"
-            assert d > parent_diff, "critical bits not increasing along path"
-            walk(node, 4, bool(word & 0x100), raw0, fixed_bits + [(d, 0)], d)
-            walk(node, 4 + self.stride, bool(word & 0x200), raw1, fixed_bits + [(d, 1)], d)
+            yield from walk(node, 4, bool(word & 0x100), raw0, fixed_bits + [(d, 0)])
+            yield from walk(node, 4 + self.stride, bool(word & 0x200), raw1, fixed_bits + [(d, 1)])
 
-        walk(self.root, ROOT_ENTRY_OFF, root_leaf == 1, raw, [], -1)
-        return True
+        if count:
+            yield from walk(self.root, ROOT_ENTRY_OFF, root_leaf == 1, raw, [])
 
     def scan(self):
-        out = []
-        self._walk(lambda holder, off, key, value, _: out.append((holder, off, key, value)))
-        for holder, off, key, value in out:
+        for holder, off, key, value, _ in self._leaves():
             yield self._observed(holder, key, off), value
 
     def validate(self) -> None:
         keys: list[int] = []
-
-        def leaf(holder, off, key, _, fixed_bits):
+        for holder, off, key, _, fixed_bits in self._leaves():
+            bits = [b for b, _ in fixed_bits]
+            assert all(b < 64 for b in bits), f"bit index out of range: {bits}"
+            assert bits == sorted(set(bits)), "critical bits not increasing along path"
             for b, v in fixed_bits:
                 assert bit_of(key, b) == v, f"key {key} violates bit {b}={v}"
             self._peek_key64(holder, key, off)
             keys.append(key)
-
-        self._walk(leaf)
         count = self.count()
         assert keys == sorted(keys), "in-order walk not ascending"
         assert len(keys) == len(set(keys)), "duplicate keys"
         assert len(keys) == count, f"count {count} != leaves {len(keys)}"
-
 
     # -- manual migration ------------------------------------------------------
 

@@ -106,7 +106,7 @@ class HashMapKernel(MapKernel):
                     tx.write(buckets, idx * 16, nxt.pack())
                 else:
                     tx.write(prev, self.next_off, nxt.pack())
-                self._free_entry(tx, cur, link=link)
+                self._free_entry(tx, cur, link)
                 self._set_count(tx, count - 1)
                 return True
             prev, cur = cur, nxt
@@ -164,7 +164,6 @@ class HashMapKernel(MapKernel):
                 self._peek_key64(cur, key)
                 cur = ObjectId(uuid, off)
         assert len(seen) == expected, f"count {expected} != scanned {len(seen)}"
-
 
     # -- manual migration ------------------------------------------------------
 

@@ -47,7 +47,6 @@ def _spans(mask: int) -> list[tuple[int, int]]:
 
 
 _SPANS = [_spans(mask) for mask in range(16)]
-_ROOT = struct.Struct("<QQQQQ")  # tree root id, nil id, count
 _LINK = struct.Struct("<QQ")
 
 
@@ -56,8 +55,7 @@ class RBTreeKernel(MapKernel):
     ENTRY_NAME = "rbtree_node"
     ENTRY_FIELDS = (("key", "u32"), ("value", "oid"), ("color", "u32"),
                     ("parent", "oid"), ("left", "oid"), ("right", "oid"))
-
-    # root: tree root oid @0, nil oid @16, count u64 @32
+    ROOT_CODEC = struct.Struct("<QQQQQ")  # root: tree root oid @0, nil oid @16, count u64 @32
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
@@ -65,8 +63,7 @@ class RBTreeKernel(MapKernel):
             0, "key", "value", "color", "parent", "left", "right") + self.link_parts(0))
         self.uuid = pool.pool_uuid
         self.nil = None
-        # per operation: decoded nodes, their changed fields, the tree root
-        self._recs: dict[int, list] = {}
+        # per operation: changed fields of decoded nodes, the tree root
         self._dirty: dict[int, int] = {}
         self._troot = self._troot0 = None
 
@@ -81,25 +78,15 @@ class RBTreeKernel(MapKernel):
         self.nil = nil.offset
 
     def _load_structure(self) -> None:
-        self.nil = self.pool.read(self.root, _ROOT)[3]
+        self.nil = self.pool.read(self.root, self.ROOT_CODEC)[3]
 
-    # -- decoded nodes ------------------------------------------------------------
+    # -- decoded nodes (MapKernel._rec) ---------------------------------------------
 
     def _begin(self) -> int:
-        """Start an operation: forget decoded nodes; one read of the pool
-        root gives the tree root and the count."""
-        self._recs = {}
+        troot, _, _, count = super()._begin()
         self._dirty = {}
-        _, troot, _, _, count = self.pool.read(self.root, _ROOT)
-        self._troot = self._troot0 = troot
+        self._troot = self._troot0 = troot[1]
         return count
-
-    def _rec(self, x: int) -> list:
-        """Node `x`'s values, read at most once per operation."""
-        rec = self._recs.get(x)
-        if rec is None:
-            rec = self._recs[x] = list(self.pool.read(ObjectId(self.uuid, x), self.node))
-        return rec
 
     def _set(self, x: int, field: int, v: int) -> None:
         """Change one field of node `x`; _flush stores it."""
@@ -118,14 +105,16 @@ class RBTreeKernel(MapKernel):
         self._set_count(tx, count)
 
     def _search(self, key: int):
-        """Key's node offset and values, one read per visited node, or None."""
-        x, nil = self._troot, self.nil
-        while x != nil:
+        """(key's node, its values, its parent), one read per visited node;
+        for an absent key, (nil, the values of the parent a new node would
+        get, that parent); (nil, None, nil) in an empty tree."""
+        x, y, rec = self._troot, self.nil, None
+        while x != self.nil:
             rec = self._rec(x)
             if key == rec[0]:
-                return x, rec
-            x = rec[LEFT] if key < rec[0] else rec[RIGHT]
-        return None
+                break
+            y, x = x, rec[LEFT] if key < rec[0] else rec[RIGHT]
+        return x, rec, y
 
     # -- rotations -------------------------------------------------------------
 
@@ -153,23 +142,17 @@ class RBTreeKernel(MapKernel):
         check_key(key)
         count = self._begin()
         nil, u = self.nil, self.uuid
-        y, y_key = nil, None
-        x = self._troot
-        while x != nil:
-            rec = self._rec(x)
-            if key == rec[0]:
-                self._confirm(ObjectId(u, x), key, 0, rec[10:])
-                return False
-            y, y_key = x, rec[0]
-            x = rec[LEFT] if key < y_key else rec[RIGHT]
-
+        x, rec, y = self._search(key)
+        if x != nil:
+            self._confirm(ObjectId(u, x), key, 0, rec[10:])
+            return False
         z = tx.alloc_zeroed(self.entry_size)
         zrec = self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil] + [0] * (
             len(self.node.offsets) - 10)
         self.node.put(tx, z, zrec, 0, 10)
         if y == nil:
             self._troot = z.offset
-        elif key < y_key:
+        elif key < rec[0]:
             self._set(y, LEFT, z.offset)
         else:
             self._set(y, RIGHT, z.offset)
@@ -217,10 +200,9 @@ class RBTreeKernel(MapKernel):
 
     def remove(self, tx, key: int) -> bool:
         count = self._begin()
-        found = self._search(key)
-        if found is None:
+        z, zrec, _ = self._search(key)
+        if z == self.nil:
             return False
-        z, zrec = found
         link = self._confirm(ObjectId(self.uuid, z), key, 0, zrec[10:])
         nil, rec, put = self.nil, self._rec, self._set
         z_color, z_left, z_right = zrec[COLOR], zrec[LEFT], zrec[RIGHT]
@@ -250,7 +232,7 @@ class RBTreeKernel(MapKernel):
         if y_color == BLACK:
             self._delete_fixup(x)
         self._dirty.pop(z, None)
-        self._free_entry(tx, ObjectId(self.uuid, z), link=link)
+        self._free_entry(tx, ObjectId(self.uuid, z), link)
         self._flush(tx, count - 1)
         return True
 
@@ -289,10 +271,9 @@ class RBTreeKernel(MapKernel):
 
     def lookup(self, key: int):
         self._begin()
-        found = self._search(key)
-        if found is None:
+        x, rec, _ = self._search(key)
+        if x == self.nil:
             return None
-        x, rec = found
         self._confirm(ObjectId(self.uuid, x), key, 0, rec[10:])
         return rec[1]
 
@@ -336,7 +317,6 @@ class RBTreeKernel(MapKernel):
         _, size, color = check(troot, -1, 1 << 65, None)
         assert color == BLACK, "root must be black"
         assert size == count, f"count {count} != walked {size}"
-
 
     # -- manual migration ------------------------------------------------------
 

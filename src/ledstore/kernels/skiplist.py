@@ -155,7 +155,7 @@ class SkipListKernel(MapKernel):
         for level in range(h):
             keys = self.level_keys[level]
             keys.pop(bisect_left(keys, key))
-        self._free_entry(tx, node, link=link)
+        self._free_entry(tx, node, link)
         del self.by_key[key]
         del self.height[key]
         self._set_count(tx, count - 1)
@@ -193,7 +193,6 @@ class SkipListKernel(MapKernel):
         for level in range(1, LEVELS):
             assert level_sets[level] <= level_sets[level - 1], "level not a subset"
         assert len(level_sets[0]) == self.count(), "count drift"
-
 
     # -- manual migration ------------------------------------------------------
 

@@ -21,9 +21,8 @@ file is the only undo state. Writes into blocks allocated by the same
 transaction skip snapshotting: rollback reclaims and zeroes the whole block
 anyway.
 
-`write`, called once per changed span of a node, makes one `_resolve`, at
-most one snapshot, then the store, and no state test: ending a transaction
-shadows its `write` with a refusal.
+`write`, called once per changed span of a node, makes one state test, one
+`_resolve`, at most one snapshot, then the store.
 
 Nesting is rejected; the handle owns at most one active transaction.
 """
@@ -44,7 +43,6 @@ from .pool import (
     LOG_ACTIVE,
     LOG_COMMITTING,
     LOG_IDLE,
-    OFF_LOG_STATE,
     ObjectId,
     PoolHandle,
     ST_FREE,
@@ -57,8 +55,6 @@ REC_FREE = 3
 REC_HDR_SIZE = 24
 _REC_HDR = struct.Struct("<IIQQ")
 _2U64 = struct.Struct("<QQ")
-_U64 = struct.Struct("<Q")
-_ACTIVE_WORD = LOG_ACTIVE << 56
 
 TX_ACTIVE = "active"
 TX_COMMITTED = "committed"
@@ -95,7 +91,7 @@ class Transaction:
             )
         pool._store(rec_off, _REC_HDR.pack(kind, len(body), target, aux) + body, "log")
         self._log_used += total
-        pool._store(OFF_LOG_STATE, _U64.pack(_ACTIVE_WORD | self._log_used), "meta")
+        pool._set_log_state(LOG_ACTIVE, self._log_used)
 
     def _snap(self, addr: int, length: int) -> None:
         """Log the prior bytes of [addr, addr + length) for rollback."""
@@ -116,16 +112,14 @@ class Transaction:
             self._snap(addr, length)
 
     def write(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
-        """Snapshotted store into a payload. Only a live transaction has this
-        method: `_end` shadows it with `_refuse_write`."""
+        """Snapshotted store into a payload."""
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
         addr = pool._resolve(oid, off, len(data))
         if oid[1] not in self._fresh and (addr, len(data)) not in self._covered:
             self._snap(addr, len(data))
         pool._store(addr, data, category)
-
-    def _refuse_write(self, *args, **kw) -> None:
-        raise TxStateError(f"transaction is {self.state}")
 
     def write_header(self, off: int, data: bytes) -> None:
         """Snapshotted store into the header page (root id, layout version)."""
@@ -195,7 +189,6 @@ class Transaction:
 
     def _end(self, state: str) -> None:
         self.state = state
-        self.write = self._refuse_write
         self.pool._active_tx = None
         self.pool._xlat_cache.clear()
 
