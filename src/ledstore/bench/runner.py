@@ -39,12 +39,11 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 from .. import leds
 from ..errors import ConfigError
 from ..kernels import make_auto_schema, make_kernel, make_manual_migrator
-from ..pool import PoolHandle, create_pool
+from ..pool import create_pool
 from ..stats import WriteStats
 from ..retention import (
     AUTOMATIC,
@@ -85,6 +84,8 @@ class BenchReport:
     migrations: int = 0
     migration_bytes: int = 0
     breakdown: dict | None = None
+    t_translation_unit: float | None = None  # see _translation_cost
+    t_translate_wall: float | None = None    # paired wall time the cache saves
     counters: dict = field(default_factory=dict)
     valid: bool = True
 
@@ -170,20 +171,44 @@ def _build_original(cfg: WorkloadConfig, mode: str, workdir: Path,
     return path, t_original
 
 
+def _translation_cost(pool, oid, reps: int = 7, n: int = 20_000) -> float:
+    """Seconds one ObjectId translation costs beyond a translation-cache
+    hit: `n` `pool.translate(oid)` calls with the cache off and on in
+    alternation, best of `reps` each. The calls count into a scratch
+    WriteStats, so the pool's ledger does not move; the cache is left on
+    and empty."""
+    ledger, pool.stats = pool.stats, WriteStats()
+    best = {False: float("inf"), True: float("inf")}
+    try:
+        for _ in range(reps):
+            for cached in best:
+                leds.translation_cache(pool, cached)
+                t0 = time.perf_counter()
+                for _ in range(n):
+                    pool.translate(oid)
+                best[cached] = min(best[cached], time.perf_counter() - t0)
+    finally:
+        pool.stats = ledger
+        leds.translation_cache(pool, True)
+    return max(best[False] - best[True], 0.0) / n
+
+
 def _trial(cfg: WorkloadConfig, variant: str, original: str,
            policy: RetentionPolicy, ops, expected: dict | None, tag: int):
     """One trial of one variant on a fresh copy of its lane's original pool.
 
-    Returns (retain_s, update_s, row, content_ok). `row` holds the
-    variant's deterministic figures; they must repeat exactly across
-    trials. The content is checked only when `expected` is given.
+    Returns (retain_s, update_s, row, content_ok, unit_s). `row` holds
+    the variant's deterministic figures; they must repeat exactly across
+    trials. The content is checked only when `expected` is given. The
+    `cached` variant measures unit_s = _translation_cost on its pool
+    before the timed phase; it is None for the others.
     """
     ops_orig, ops_upd = ops
     path = str(Path(original).with_name(f"trial-{variant}-{tag}.pool"))
     shutil.copyfile(original, path)
     pool = open_with_policy(path, policy)
     try:
-        retain_s = None
+        retain_s = unit_s = None
         if policy.model == RESET:   # retention step: the timed rebuild
             before = pool.stats.snapshot()
             t0 = time.perf_counter()
@@ -214,6 +239,8 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
             if variant == "premat":
                 for _ in kernel.scan():   # materialize everything, untimed
                     pass
+            if variant == "cached":
+                unit_s = _translation_cost(pool, kernel.root)
         before = pool.stats.snapshot()
         update_s = _exec_ops(pool, kernel, ops_upd)
         if policy.model == AUTOMATIC:
@@ -229,7 +256,7 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
     finally:
         pool.close()
         os.unlink(path)
-    return retain_s, update_s, row, content_ok
+    return retain_s, update_s, row, content_ok, unit_s
 
 
 def _run_variants(cfg: WorkloadConfig, variants: list[str]):
@@ -267,7 +294,7 @@ def _run_variants(cfg: WorkloadConfig, variants: list[str]):
     report.t_original = originals[_lane_of(cfg.model)][1]
     rows, times = {}, {}
     for v, results in runs.items():
-        retains, times[v], vrows, oks = zip(*results)
+        retains, times[v], vrows, oks, units = zip(*results)
         rows[v] = vrows[0]
         if not all(oks) or any(r != vrows[0] for r in vrows):
             report.valid = False
@@ -276,6 +303,8 @@ def _run_variants(cfg: WorkloadConfig, variants: list[str]):
             report.t_manual, report.t_manual_std = _agg(times[v])
         if v in (variants[0], "base"):
             report.counters[_model_of(v)] = vrows[0]["counters"]
+        if v == "cached":
+            report.t_translation_unit = statistics.median(units)
     if "base" in times:
         report.t_auto, report.t_auto_std = _agg(times["base"])
     own = rows["base" if cfg.model == AUTOMATIC else variants[0]]
@@ -315,25 +344,6 @@ def sweep_working_set(cfg: WorkloadConfig,
             for ratio in ratios]
 
 
-def _translation_cost(reps: int = 7, n: int = 20_000) -> float:
-    """Seconds one ObjectId translation costs beyond a translation-cache
-    hit: `n` PoolHandle._resolve calls of one id, uncached and cached in
-    alternation, best of `reps` each. It runs on a stand-in holding one
-    live payload, so no pool is created."""
-    handle = SimpleNamespace(pool_uuid=1, _live={16: 16}, _xlat_cache={16: 16},
-                             stats=WriteStats())
-    resolve, oid = PoolHandle._resolve, (1, 16)
-    best = {False: float("inf"), True: float("inf")}
-    for _ in range(reps):
-        for cached in best:
-            handle.translation_cache_enabled = cached
-            t0 = time.perf_counter()
-            for _ in range(n):
-                resolve(handle, oid, 0, 8)
-            best[cached] = min(best[cached], time.perf_counter() - t0)
-    return max(best[False] - best[True], 0.0) / n
-
-
 def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     """Attribute the automatic model's extra cost: pre-materializing removes
     allocation+init, the translation cache removes translation, the
@@ -348,7 +358,9 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     cancels out. A cache hit saves a translation only a few dict lookups,
     far below the run-to-run spread of a whole update phase, so translation
     is attributed by count instead: the translations the cache saves times
-    the measured cost of one translation over one hit.
+    the cost of one translation over one hit, t_translation_unit. The
+    report keeps the cached variant's paired wall-time differential,
+    t_translate_wall, beside it.
     """
     if cfg.model != AUTOMATIC:
         raise ConfigError("breakdown is defined for the automatic model")
@@ -358,15 +370,15 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     base_row = counters["base"]
 
     def saved(variant: str) -> float:
-        """Median per-round time `variant` saves against `base`, clamped at 0."""
-        diffs = [b - t for b, t in zip(times["base"], times[variant])]
-        return max(statistics.median(diffs), 0.0)
+        """Median per-round time `variant` saves against `base`."""
+        return statistics.median(b - t for b, t in zip(times["base"], times[variant]))
 
-    overhead = saved(MANUAL)
-    alloc_t = saved("premat")
+    overhead = max(saved(MANUAL), 0.0)
+    alloc_t = max(saved("premat"), 0.0)
     saved_translations = base_row["translations"] - counters["cached"]["translations"]
-    translate_t = saved_translations * _translation_cost()
-    deep_t = saved("shallow")
+    translate_t = saved_translations * report.t_translation_unit
+    report.t_translate_wall = saved("cached")
+    deep_t = max(saved("shallow"), 0.0)
     if base_row["deep_copies"] == 0:
         deep_t = 0.0
     other = max(overhead - alloc_t - translate_t - deep_t, 0.0)
