@@ -21,8 +21,11 @@ migration inside `open_with_policy` for manual, the timed rebuild for
 reset, nothing for auto), time the update ops, and take the write-counter
 delta. The variants are the baseline (`manual` or `reset`), the automatic
 `base`, and the breakdown's `premat`/`cached`/`shallow` toggles of `base`.
-Trials run round-robin over the variants, `trials` rounds, and wall-clock
-means/standard deviations are reported. Everything except wall time is
+Each of `trials` rounds runs one trial of every variant, and their update
+phases run interleaved, CHUNK ops of each in turn, so that the machine's
+speed, which drifts by tens of percent within seconds on a shared host,
+is the same for every variant of a round. Wall-clock means/standard
+deviations are reported. Everything except wall time is
 required to be identical across trials: byte ledgers, migration counts,
 and the final map content, which every variant checks on its last trial
 against the in-memory shadow replay before validating the structure; any
@@ -57,6 +60,7 @@ from .workload import WorkloadConfig, gen_workload, shadow_replay
 PHASE_COUNTERS = ("allocations", "translations", "checks", "deep_copies",
                   "ext_bytes", "n_allocs", "n_frees")
 LEDGER = ("bytes_user", "bytes_log", "bytes_meta")
+CHUNK = 500  # update ops a trial runs before the next variant's turn
 
 
 @dataclass
@@ -197,11 +201,12 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
            policy: RetentionPolicy, ops, expected: dict | None, tag: int):
     """One trial of one variant on a fresh copy of its lane's original pool.
 
-    Returns (retain_s, update_s, row, content_ok, unit_s). `row` holds
-    the variant's deterministic figures; they must repeat exactly across
-    trials. The content is checked only when `expected` is given. The
-    `cached` variant measures unit_s = _translation_cost on its pool
-    before the timed phase; it is None for the others.
+    A generator: it yields before each CHUNK of update ops (see
+    _interleave) and returns (retain_s, update_s, row, content_ok, unit_s).
+    `row` holds the variant's deterministic figures; they must repeat
+    exactly across trials. The content is checked only when `expected` is
+    given. The `cached` variant measures unit_s = _translation_cost on its
+    pool before the timed phase; it is None for the others.
     """
     ops_orig, ops_upd = ops
     path = str(Path(original).with_name(f"trial-{variant}-{tag}.pool"))
@@ -242,7 +247,10 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
             if variant == "cached":
                 unit_s = _translation_cost(pool, kernel.root)
         before = pool.stats.snapshot()
-        update_s = _exec_ops(pool, kernel, ops_upd)
+        update_s = 0.0
+        for i in range(0, len(ops_upd), CHUNK):
+            yield
+            update_s += _exec_ops(pool, kernel, ops_upd[i : i + CHUNK])
         if policy.model == AUTOMATIC:
             delta = pool.stats.delta(before)
             counters = _pick(delta, PHASE_COUNTERS)
@@ -259,8 +267,28 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
     return retain_s, update_s, row, content_ok, unit_s
 
 
+def _interleave(trials: dict) -> dict:
+    """Advance the trial generators in turn until each returns; returns
+    their results by variant. On an error the unfinished ones are closed,
+    which closes their pools."""
+    results, live = {}, dict(trials)
+    try:
+        while live:
+            for v, trial in list(live.items()):
+                try:
+                    next(trial)
+                except StopIteration as done:
+                    results[v] = done.value
+                    del live[v]
+    finally:
+        for trial in live.values():
+            trial.close()
+    return results
+
+
 def _run_variants(cfg: WorkloadConfig, variants: list[str]):
-    """Run `cfg.trials` rounds over the variants, one trial of each per round.
+    """Run `cfg.trials` rounds over the variants, one trial of each per
+    round, interleaved.
 
     The first variant is the baseline (manual or reset). The report takes
     its retain/update times as t_retain/t_manual, the `base` variant's
@@ -279,12 +307,15 @@ def _run_variants(cfg: WorkloadConfig, variants: list[str]):
     try:
         for trial in range(cfg.trials):
             last = trial == cfg.trials - 1
+            trials = {}
             for v in variants:
                 lane = _lane_of(v)
                 if lane not in originals:
                     originals[lane] = _build_original(cfg, lane, workdir, ops[0])
-                runs[v].append(_trial(cfg, v, originals[lane][0], policies[_model_of(v)],
-                                      ops, expected if last else None, trial))
+                trials[v] = _trial(cfg, v, originals[lane][0], policies[_model_of(v)],
+                                   ops, expected if last else None, trial)
+            for v, result in _interleave(trials).items():
+                runs[v].append(result)
     finally:
         for path, _ in originals.values():
             os.unlink(path)
@@ -351,11 +382,11 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     indirection. Fractions are normalized.
 
     The variants run as one experiment with the manual baseline, so the
-    report carries the same ledger as `run_experiment`. Their trials are
-    interleaved round-robin, and the overhead and the allocation and
-    deep-copy differentials are each the median over rounds of the
-    within-round difference, so machine load that drifts between rounds
-    cancels out. A cache hit saves a translation only a few dict lookups,
+    report carries the same ledger as `run_experiment`. Within a round
+    their update phases run interleaved, and the overhead and the
+    allocation and deep-copy differentials are each the median over rounds
+    of the within-round difference, so machine load that drifts within or
+    between rounds cancels out. A cache hit saves a translation only a few dict lookups,
     far below the run-to-run spread of a whole update phase, so translation
     is attributed by count instead: the translations the cache saves times
     the cost of one translation over one hit, t_translation_unit. The
