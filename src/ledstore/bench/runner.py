@@ -386,12 +386,11 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     their update phases run interleaved, and the overhead and the
     allocation and deep-copy differentials are each the median over rounds
     of the within-round difference, so machine load that drifts within or
-    between rounds cancels out. A cache hit saves a translation only a few dict lookups,
-    far below the run-to-run spread of a whole update phase, so translation
-    is attributed by count instead: the translations the cache saves times
-    the cost of one translation over one hit, t_translation_unit. The
-    report keeps the cached variant's paired wall-time differential,
-    t_translate_wall, beside it.
+    between rounds cancels out. Translation is attributed by count: the
+    translations the cache saves times the cost of one translation over
+    one hit, t_translation_unit. The cached variant's own paired wall-time
+    differential, kept beside it as t_translate_wall, does not isolate
+    that cost: the cache's misses add work of their own.
     """
     if cfg.model != AUTOMATIC:
         raise ConfigError("breakdown is defined for the automatic model")
