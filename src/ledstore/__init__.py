@@ -2,6 +2,7 @@
 
 The layers, bottom up:
 
+  layout     packed record declarations; each on-file record is declared once
   pool       memory-mapped file heap with stable ObjectIds and a root object
   txn        undo-log transactions, crash injection, recovery
   leds       extendible type descriptors and lazy extension records
@@ -34,10 +35,9 @@ from .errors import (
     TxStateError,
     UnknownLevel,
 )
+from .layout import NULL_OID, ObjectId
 from .pool import (
-    NULL_OID,
     CrashPlan,
-    ObjectId,
     PoolHandle,
     create_pool,
     delete_pool,

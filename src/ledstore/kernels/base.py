@@ -24,13 +24,16 @@ of live keys can be decided from the base field alone and the extension is
 read (materializing it) only to confirm a positive match. That keeps
 lazy-migration counts equal to the number of matched entries.
 
-Every operation reads the pool root once (count, tree root, buckets or nil
-together) and decodes each node it touches once, with one `pool.read`
-through a codec the kernel derives in __init__ from `entry` with
-`entry_parts` (oid fields as two u64 words) and, in the auto lane,
+The pool root is declared the same way, once per kernel, as ROOT_FIELDS:
+MapKernel derives the record ROOT from it (oid fields as two u64 words),
+and every read and write of the root, `migrate`'s included, goes through
+ROOT. Every operation reads the pool root once (count, tree root, buckets
+or nil together) and decodes each node it touches once, with one
+`pool.read` through a codec the kernel derives in __init__ from `entry`
+with `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 `link_parts`, never from literal record offsets. Insert and remove edit the
 decoded values and write each contiguous changed span of a node with one
-`tx.write` (NodeCodec.put): one store per span, not one per field. The
+`tx.write` (RecordLayout.put): one store per span, not one per field. The
 B-tree and red-black tree keep an operation's decoded nodes in one dict
 (`_begin`, `_rec`). A matched entry's decoded link words let `_confirm`
 read a materialized key64 straight from its extension record and
@@ -48,50 +51,24 @@ from contextlib import nullcontext
 
 from .. import leds
 from ..errors import ConfigError
-from ..pool import NULL_OID, ObjectId, PoolHandle
+from ..layout import NULL_OID, ObjectId, RecordLayout, define_record
+from ..pool import PoolHandle
 from ..txn import Transaction
 
-VALUE_SIZE = 16
-_U64 = struct.Struct("<Q")
-_LINK = struct.Struct("<QQ")
+U64 = struct.Struct("<Q")
+OID_WORDS = struct.Struct("<QQ")  # a 16-byte oid slot (link, next, bucket) as two words
 
 KEY_LIMIT = 1 << 32
 
 
-class NodeCodec:
-    """A node record decoded by one struct into a flat tuple of values (an
-    oid part "QQ" gives two), written back by value span: a kernel edits the
-    values as a list, and `put(tx, oid, values, a, b)` stores values a..b-1,
-    contiguous on file, with one tx.write."""
-
-    __slots__ = ("codec", "size", "offsets", "ends", "codes", "_runs")
-
-    def __init__(self, parts):
-        self.codec = leds.packed_struct(parts)
-        self.size = self.codec.size
-        self.offsets, self.ends, self.codes = [], [], []
-        for off, fmt in parts:
-            for code in ("Q", "Q") if fmt == "QQ" else (fmt,):
-                self.offsets.append(off)
-                off += struct.calcsize("<" + code)
-                self.ends.append(off)
-                self.codes.append(code)
-        self._runs: dict[tuple[int, int], struct.Struct] = {}
-
-    def unpack_from(self, buf, off: int = 0) -> tuple:
-        return self.codec.unpack_from(buf, off)
-
-    def put(self, tx, oid, values, a: int, b: int) -> None:
-        run = self._runs.get((a, b))
-        if run is None:
-            run = self._runs[(a, b)] = struct.Struct("<" + "".join(self.codes[a:b]))
-            if self.offsets[a] + run.size != self.ends[b - 1]:
-                raise ValueError(f"values {a}..{b - 1} are not contiguous")
-        tx.write(oid, self.offsets[a], run.pack(*values[a:b]))
+def word_parts(fields, base_off: int = 0) -> list[tuple[int, str]]:
+    """layout.packed_struct parts for `fields`, given in offset order, at
+    `base_off` in their holder; oid fields decode as two u64 words."""
+    return [(base_off + f.offset, "QQ" if f.kind == "objectid" else f.fmt) for f in fields]
 
 
 def encode_value(v: int) -> bytes:
-    return _U64.pack(v) + bytes(8)
+    return U64.pack(v) + bytes(8)
 
 
 def check_key(key: int) -> int:
@@ -105,9 +82,15 @@ class MapKernel:
 
     kind = "?"
     ROOT_SIZE = 48
-    COUNT_OFF = 32  # u64 entry count, shared slot in every kernel's root
+    ROOT_FIELDS: tuple = ()   # the pool root, (name, code[, offset]) in offset order
+    ROOT: RecordLayout        # derived from ROOT_FIELDS for each kernel class
     ENTRY_NAME = "?"
     ENTRY_FIELDS: tuple = ()  # version-1 entry, (name, leds code) pairs
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        fields = define_record(cls.ROOT_FIELDS).fields
+        cls.ROOT = RecordLayout(word_parts(fields), fields)
 
     def __init__(self, pool: PoolHandle, *, mode: str = "manual", version: int = 1,
                  change: str = "change", shallow_copy: bool = False, rng=None):
@@ -136,7 +119,7 @@ class MapKernel:
         self.root = NULL_OID
 
     @classmethod
-    def entry_record(cls, edit: str | None = None) -> leds.RecordLayout:
+    def entry_record(cls, edit: str | None = None) -> RecordLayout:
         """Manual-lane entry: version 1, or version 2 with `edit` applied in place."""
         fields = list(cls.ENTRY_FIELDS)
         if edit == "change":
@@ -163,7 +146,7 @@ class MapKernel:
 
     @classmethod
     def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms,
-                old: leds.RecordLayout, new: leds.RecordLayout) -> None:
+                old: RecordLayout, new: RecordLayout) -> None:
         """Manual version 1 -> 2 pass: rebuild the structure under `old_root`
         into the `temp` root, decoding entries through record `old` and
         encoding them through record `new`."""
@@ -189,15 +172,24 @@ class MapKernel:
     def _init_structure(self, tx) -> None:
         raise NotImplementedError
 
+    @classmethod
+    def _write_root(cls, tx, root: ObjectId, **values) -> None:
+        """Store the named ROOT fields of `root`, one tx.write each, in
+        declaration order."""
+        for f in cls.ROOT.fields:
+            if f.name in values:
+                tx.write(root, f.offset, f.encode(values[f.name]))
+
     def _load_structure(self) -> None:
         pass
 
     def _begin(self) -> tuple:
         """Start an operation on decoded nodes: forget the last operation's
-        nodes; one read of the pool root gives the tree root's id and the
-        rest of ROOT_CODEC's fields (the count last)."""
+        nodes; one read of the pool root gives the id in its first field
+        (tree root or bucket array) and the rest of ROOT's values (the
+        count last)."""
         self._recs = {}
-        u, o, *rest = self.pool.read(self.root, self.ROOT_CODEC)
+        u, o, *rest = self.pool.read(self.root, self.ROOT)
         return ObjectId(u, o), *rest
 
     def _rec(self, x: int) -> list:
@@ -210,10 +202,10 @@ class MapKernel:
         return rec
 
     def count(self) -> int:
-        return self.pool.read(self.root, _U64, self.COUNT_OFF)[0]
+        return self.pool.read(self.root, U64, self.ROOT.offsets["count"])[0]
 
     def _set_count(self, tx, n: int) -> None:
-        tx.write(self.root, self.COUNT_OFF, _U64.pack(n))
+        tx.write(self.root, self.ROOT.offsets["count"], U64.pack(n))
 
     # -- operation surface --------------------------------------------------
 
@@ -239,10 +231,9 @@ class MapKernel:
     # -- entry helpers: `holder` is the record, `base_off` the entry's offset in it
 
     def entry_parts(self, base_off: int, *names: str) -> list[tuple[int, str]]:
-        """leds.packed_struct parts for entry fields at `base_off` in their
-        holder, named in offset order; oid fields decode as two u64 words."""
-        fields = [self.entry.field(name) for name in names]
-        return [(base_off + f.offset, "QQ" if f.kind == "objectid" else f.fmt) for f in fields]
+        """word_parts for entry fields at `base_off` in their holder, named
+        in offset order."""
+        return word_parts([self.entry.field(name) for name in names], base_off)
 
     def link_parts(self, base_off: int) -> list[tuple[int, str]]:
         """The auto-lane link slot of the entry at `base_off`, as two words;
@@ -268,7 +259,7 @@ class MapKernel:
             self.pool.stats.checks += 1
         else:
             link = leds.extension_record(self.pool, holder, self.desc, 1, base_off=base_off)
-        assert self.pool.read(ObjectId(*link), _U64, self.key64_off)[0] == key, \
+        assert self.pool.read(ObjectId(*link), U64, self.key64_off)[0] == key, \
             "key64 invariant violated"
         return link
 
@@ -278,9 +269,9 @@ class MapKernel:
         if not self.key64_ext:
             return
         buf = self.pool.buf
-        uuid, target = _LINK.unpack_from(buf, holder.offset + base_off + self.desc.link_offset)
+        uuid, target = OID_WORDS.unpack_from(buf, holder.offset + base_off + self.desc.link_offset)
         if uuid or target:
-            assert _U64.unpack_from(buf, target)[0] == key, "key64 invariant violated"
+            assert U64.unpack_from(buf, target)[0] == key, "key64 invariant violated"
 
     def _extend_new(self, tx, holder: ObjectId, base_off: int = 0) -> None:
         """A new entry in auto "change" mode gets its key64 at once."""

@@ -23,12 +23,10 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 
-from ..pool import ObjectId
-from .base import MapKernel, NodeCodec, check_key, encode_value
+from ..layout import ObjectId, RecordLayout
+from .base import OID_WORDS, U64, MapKernel, check_key, encode_value
 
-_U64 = struct.Struct("<Q")
 _I32 = struct.Struct("<i")
-_LINK = struct.Struct("<QQ")
 
 SLOTS = 8
 MAX_KEYS = 7
@@ -60,7 +58,7 @@ class BTreeKernel(MapKernel):
     kind = "btree"
     ENTRY_NAME = "btree_item"
     ENTRY_FIELDS = (("key", "u32"), ("value", "oid"))
-    ROOT_CODEC = struct.Struct("<QQ16xQ")  # root: tree root oid @0, count u64 @32
+    ROOT_FIELDS = (("tree", "oid"), ("count", "u64", 32))
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
@@ -68,7 +66,7 @@ class BTreeKernel(MapKernel):
         self.children_off, self.node_size = node_shape(self.stride)
         key = self.entry.field("key")
         rest = f"{self.stride - key.size}s"
-        self.node = NodeCodec(
+        self.node = RecordLayout(
             [(0, "i")] + [part for i in range(SLOTS) for part in (
                 (self._item_off(i), key.fmt), (self._item_off(i) + key.size, rest))]
             + [(self.children_off + j * 16, "QQ") for j in range(SLOTS)])
@@ -81,8 +79,7 @@ class BTreeKernel(MapKernel):
     def _init_structure(self, tx) -> None:
         node = tx.alloc_zeroed(self.node_size)
         tx.write(node, 0, _I32.pack(0))
-        tx.write(self.root, 0, node.pack())
-        tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
+        self._write_root(tx, self.root, tree=node, count=0)
 
     def _item_off(self, i: int) -> int:
         return ITEMS_OFF + i * self.stride
@@ -107,7 +104,7 @@ class BTreeKernel(MapKernel):
         return self._relocated(tx, rest, self.rest_link)
 
     def _link(self, rec: list, i: int):
-        return None if self.desc is None else _LINK.unpack_from(rec[2 + 2 * i], self.rest_link)
+        return None if self.desc is None else OID_WORDS.unpack_from(rec[2 + 2 * i], self.rest_link)
 
     # -- search ------------------------------------------------------------------
 
@@ -130,7 +127,7 @@ class BTreeKernel(MapKernel):
             return None
         node, rec, pos = found
         self._confirm(node, key, self._item_off(pos), self._link(rec, pos))
-        return _U64.unpack_from(rec[2 + 2 * pos], self.value_at)[0]
+        return U64.unpack_from(rec[2 + 2 * pos], self.value_at)[0]
 
     # -- insert --------------------------------------------------------------------
 
@@ -148,7 +145,7 @@ class BTreeKernel(MapKernel):
             rec[KIDS], rec[KIDS + 1] = troot
             self._put_kids(tx, new_root, rec, 0, 1)
             self._split_child(tx, new_root, rec, 0)
-            tx.write(self.root, 0, new_root.pack())
+            self._write_root(tx, self.root, tree=new_root)
             troot = new_root
         self._insert_nonfull(tx, troot, key, value)
         self._set_count(tx, count + 1)
@@ -214,7 +211,7 @@ class BTreeKernel(MapKernel):
         self._delete_from(tx, troot, key)
         rec = self._rec(troot[1])
         if rec[0] == 0 and _has_kids(rec):
-            tx.write(self.root, 0, _kid(rec, 0).pack())
+            self._write_root(tx, self.root, tree=_kid(rec, 0))
             tx.free(troot)
         self._set_count(tx, count - 1)
         return True
@@ -360,7 +357,7 @@ class BTreeKernel(MapKernel):
             for i in range(n):
                 if kids:
                     yield from walk(_kid(rec, i))
-                value = _U64.unpack_from(rec[2 + 2 * i], self.value_at)[0]
+                value = U64.unpack_from(rec[2 + 2 * i], self.value_at)[0]
                 yield self._observed(cur, rec[1 + 2 * i], self._item_off(i)), value
             if kids:
                 yield from walk(_kid(rec, n))
@@ -403,8 +400,7 @@ class BTreeKernel(MapKernel):
     def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
         """Clone the tree node-for-node (same shape, same occupancy); children
         first so every new record is written with a single store."""
-        old_tree = ObjectId.unpack(pool.load(old_root, 0, 16))
-        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
+        u, o, count = pool.read(old_root, cls.ROOT)
         old_children, old_size = node_shape(old.size)
         new_children, new_size = node_shape(new.size)
 
@@ -430,6 +426,4 @@ class BTreeKernel(MapKernel):
             tx.free(old_node)
             return new_node
 
-        new_tree = clone(old_tree)
-        tx.write(temp, 0, new_tree.pack())
-        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))
+        cls._write_root(tx, temp, tree=clone(ObjectId(u, o)), count=count)

@@ -11,25 +11,20 @@ or a link to a deeper node; leafness lives in the parent's diff word
   node v2 manual add     {diff i32, 2 x {key u32, slot, name}}      76 B
   node auto              {diff i32, 2 x extendible entry (48 B)}   100 B
 
-The pool root embeds one entry of the same shape at offset 48 (leaf flag
-at offset 0), so a single-key tree allocates no nodes. Critical bits are
-numbered from the most significant: bit(key, b) = (key >> (63-b)) & 1,
-and diff values strictly increase along every path.
+The pool root embeds one entry of the same shape in a 48-byte slot, as
+wide as the widest entry (ROOT_FIELDS), so a single-key tree allocates no
+nodes. Critical bits are numbered from the most significant: bit(key, b)
+= (key >> (63-b)) & 1, and diff values strictly increase along every path.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ..leds import packed_struct
-from ..pool import ObjectId
-from .base import MapKernel, check_key, encode_value
+from ..layout import ObjectId, packed_struct
+from .base import OID_WORDS, MapKernel, check_key, encode_value
 
-_U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
-_LINK = struct.Struct("<QQ")
-
-ROOT_ENTRY_OFF = 48
 
 
 def bit_of(key: int, b: int) -> int:
@@ -45,26 +40,23 @@ class CritBitKernel(MapKernel):
     ROOT_SIZE = 96
     ENTRY_NAME = "ctree_entry"
     ENTRY_FIELDS = (("key", "u32"), ("slot", "oid"))
-
-    # root: is_leaf u64 @0, count u64 @32, embedded entry @48
+    ROOT_FIELDS = (("is_leaf", "u64"), ("count", "u64", 32), ("entry", "bytes48", 48))
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
         self.stride = self.entry_size
         self.node_size = 4 + 2 * self.stride
         raw = f"{self.stride}s"
-        # one read of the root: (is_leaf, count, entry bytes); of a node:
-        # (diff word, entry 0 bytes, entry 1 bytes); an entry's key and slot
-        # words are decoded from its bytes by `head`
-        self.root_codec = packed_struct([(0, "Q"), (self.COUNT_OFF, "Q"), (ROOT_ENTRY_OFF, raw)])
+        # one read of the root (ROOT): (is_leaf, count, entry slot bytes); of
+        # a node: (diff word, entry 0 bytes, entry 1 bytes); an entry's key
+        # and slot words are decoded from its bytes by `head`
         self.node = packed_struct([(0, "I"), (4, raw), (4 + self.stride, raw)])
         self.head = packed_struct(self.entry_parts(0, "key", "slot"))
 
     # -- structure ----------------------------------------------------------
 
     def _init_structure(self, tx) -> None:
-        tx.write(self.root, 0, _U64.pack(0))
-        tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
+        self._write_root(tx, self.root, is_leaf=0, count=0)
 
     # -- entry plumbing -------------------------------------------------------
 
@@ -72,7 +64,7 @@ class CritBitKernel(MapKernel):
         return self.entry.pack(key, slot).ljust(self.stride, b"\0")
 
     def _link(self, raw: bytes):
-        return () if self.desc is None else _LINK.unpack_from(raw, self.desc.link_offset)
+        return () if self.desc is None else OID_WORDS.unpack_from(raw, self.desc.link_offset)
 
     def _descend(self, key: int, root_leaf: bool, raw: bytes):
         """Walk from the root's entry to the leaf entry key's bits select,
@@ -81,7 +73,7 @@ class CritBitKernel(MapKernel):
         at a leaf (the root's word is its is_leaf flag, its sibling None),
         the leaf's key and its value word."""
         is_leaf = root_leaf
-        path = [(self.root, ROOT_ENTRY_OFF, is_leaf, int(root_leaf), raw, None)]
+        path = [(self.root, self.ROOT.offsets["entry"], is_leaf, int(root_leaf), raw, None)]
         k, s0, s1 = self.head.unpack_from(raw)
         while not is_leaf:
             node = ObjectId(s0, s1)
@@ -104,7 +96,7 @@ class CritBitKernel(MapKernel):
         if holder == self.root:
             tx.write(holder, off, entry)
             if leaf != word:
-                tx.write(holder, 0, _U64.pack(leaf))
+                self._write_root(tx, holder, is_leaf=leaf)
             return
         bit = 1 << (8 + (off - 4) // self.stride)
         new = (word | bit) if leaf else (word & ~bit)
@@ -120,12 +112,12 @@ class CritBitKernel(MapKernel):
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        root_leaf, count, raw = self.pool.read(self.root, self.ROOT)
         if count == 0:
-            tx.write(self.root, ROOT_ENTRY_OFF,
-                     self._make_entry(key, encode_value(value)))
-            tx.write(self.root, 0, _U64.pack(1))
-            self._extend_new(tx, self.root, ROOT_ENTRY_OFF)
+            entry_off = self.ROOT.offsets["entry"]
+            tx.write(self.root, entry_off, self._make_entry(key, encode_value(value)))
+            self._write_root(tx, self.root, is_leaf=1)
+            self._extend_new(tx, self.root, entry_off)
             self._set_count(tx, 1)
             return True
 
@@ -143,7 +135,7 @@ class CritBitKernel(MapKernel):
             j += 1
         holder, off, is_leaf, word, raw, _ = path[j]
 
-        displaced = self._relocated(tx, raw)
+        displaced = self._relocated(tx, raw[:self.stride])  # the root's slot is wider
         i = bit_of(key, b)
         node = tx.alloc_zeroed(self.node_size)
         new_word = b | (1 << (8 + i)) | ((1 << (8 + (1 - i))) if is_leaf else 0)
@@ -156,7 +148,7 @@ class CritBitKernel(MapKernel):
         return True
 
     def remove(self, tx, key: int) -> bool:
-        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        root_leaf, count, raw = self.pool.read(self.root, self.ROOT)
         if count == 0:
             return False
         path, leafkey, _ = self._descend(key, root_leaf == 1, raw)
@@ -166,7 +158,7 @@ class CritBitKernel(MapKernel):
         link = self._confirm(holder, key, off, self._link(raw))
         self._free_entry(tx, holder, link, off)
         if len(path) == 1:
-            tx.write(self.root, 0, _U64.pack(0))
+            self._write_root(tx, self.root, is_leaf=0)
             self._set_count(tx, count - 1)
             return True
         sib_leaf = bool(word >> (8 + (4 + self.stride - off) // self.stride) & 1)
@@ -177,7 +169,7 @@ class CritBitKernel(MapKernel):
         return True
 
     def lookup(self, key: int):
-        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        root_leaf, count, raw = self.pool.read(self.root, self.ROOT)
         if count == 0:
             return None
         path, leafkey, value = self._descend(key, root_leaf == 1, raw)
@@ -191,7 +183,7 @@ class CritBitKernel(MapKernel):
         """Depth-first over every leaf entry, entry 0 first, one read per
         node: yields (holder, entry offset, key, value word, the (bit,
         value) pairs fixed on its path)."""
-        root_leaf, count, raw = self.pool.read(self.root, self.root_codec)
+        root_leaf, count, raw = self.pool.read(self.root, self.ROOT)
 
         def walk(holder, off, is_leaf, raw, fixed_bits):
             key, s0, s1 = self.head.unpack_from(raw)
@@ -205,7 +197,7 @@ class CritBitKernel(MapKernel):
             yield from walk(node, 4 + self.stride, bool(word & 0x200), raw1, fixed_bits + [(d, 1)])
 
         if count:
-            yield from walk(self.root, ROOT_ENTRY_OFF, root_leaf == 1, raw, [])
+            yield from walk(self.root, self.ROOT.offsets["entry"], root_leaf == 1, raw, [])
 
     def scan(self):
         for holder, off, key, value, _ in self._leaves():
@@ -231,18 +223,18 @@ class CritBitKernel(MapKernel):
     @classmethod
     def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
         """Clone node-for-node bottom-up, widening leaf keys; one store per record."""
-        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
-        root_leaf = _U64.unpack_from(pool.load(old_root, 0, 8))[0] == 1
+        leaf_word, count, raw = pool.read(old_root, cls.ROOT)
+        root_leaf = leaf_word == 1
         new_node_size = 4 + 2 * new.size
 
-        def clone_entry(holder, off, is_leaf) -> bytes:
-            key, slot = old.unpack_from(pool.load(holder, off, old.size))
+        def clone_entry(raw, is_leaf) -> bytes:
+            key, slot = old.unpack_from(raw)
             if is_leaf:
                 return new.pack(key, slot)
             old_node = ObjectId.unpack(slot)
             word = _U32.unpack_from(pool.load(old_node, 0, 4))[0]
-            e0 = clone_entry(old_node, 4, bool(word >> 8 & 1))
-            e1 = clone_entry(old_node, 4 + old.size, bool(word >> 9 & 1))
+            e0 = clone_entry(pool.load(old_node, 4, old.size), bool(word >> 8 & 1))
+            e1 = clone_entry(pool.load(old_node, 4 + old.size, old.size), bool(word >> 9 & 1))
             new_node = tx.alloc_zeroed(new_node_size)
             tx.write(new_node, 0, _U32.pack(word) + e0 + e1)
             ms.nodes_migrated += 1
@@ -251,7 +243,5 @@ class CritBitKernel(MapKernel):
             return new.pack(0, new_node.pack())
 
         if count > 0:
-            entry = clone_entry(old_root, ROOT_ENTRY_OFF, root_leaf)
-            tx.write(temp, ROOT_ENTRY_OFF, entry)
-        tx.write(temp, 0, _U64.pack(1 if root_leaf else 0))
-        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))
+            tx.write(temp, cls.ROOT.offsets["entry"], clone_entry(raw, root_leaf))
+        cls._write_root(tx, temp, is_leaf=int(root_leaf), count=count)

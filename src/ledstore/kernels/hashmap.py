@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import struct
 
-from ..leds import packed_struct
-from ..pool import NULL_OID, ObjectId
-from .base import MapKernel, check_key, encode_value
-
-_U64 = struct.Struct("<Q")
-_SLOT = struct.Struct("<QQ")
-_ROOT = struct.Struct("<QQQ8xQ")  # bucket array id, nbuckets, count
+from ..layout import NULL_OID, ObjectId, packed_struct
+from .base import OID_WORDS, MapKernel, check_key, encode_value
 
 INITIAL_BUCKETS = 10
 GROWTH = 8
@@ -41,9 +36,7 @@ class HashMapKernel(MapKernel):
     kind = "hashmap"
     ENTRY_NAME = "hashmap_node"
     ENTRY_FIELDS = (("key", "u32"), ("value", "oid"), ("next", "oid"))
-
-    # root: buckets oid @0, nbuckets u64 @16, count u64 @32
-    NBUCKETS_OFF = 16
+    ROOT_FIELDS = (("buckets", "oid"), ("nbuckets", "u64"), ("count", "u64", 32))
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
@@ -57,23 +50,16 @@ class HashMapKernel(MapKernel):
 
     def _init_structure(self, tx) -> None:
         buckets = tx.alloc_zeroed(INITIAL_BUCKETS * 16)
-        tx.write(self.root, 0, buckets.pack())
-        tx.write(self.root, self.NBUCKETS_OFF, _U64.pack(INITIAL_BUCKETS))
-        tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
-
-    def _buckets(self) -> tuple[ObjectId, int, int]:
-        """One read of the root: the bucket array, its length and the count."""
-        uuid, off, nbuckets, count = self.pool.read(self.root, _ROOT)
-        return ObjectId(uuid, off), nbuckets, count
+        self._write_root(tx, self.root, buckets=buckets, nbuckets=INITIAL_BUCKETS, count=0)
 
     def _head(self, buckets: ObjectId, idx: int) -> ObjectId:
-        return ObjectId(*self.pool.read(buckets, _SLOT, idx * 16))
+        return ObjectId(*self.pool.read(buckets, OID_WORDS, idx * 16))
 
     # -- operations ----------------------------------------------------------
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
-        buckets, nbuckets, count = self._buckets()
+        buckets, nbuckets, count = self._begin()
         idx = bucket_index(key, nbuckets)
         head = cur = self._head(buckets, idx)
         while not cur.is_null():
@@ -93,7 +79,7 @@ class HashMapKernel(MapKernel):
         return True
 
     def remove(self, tx, key: int) -> bool:
-        buckets, nbuckets, count = self._buckets()
+        buckets, nbuckets, count = self._begin()
         idx = bucket_index(key, nbuckets)
         prev = None
         cur = self._head(buckets, idx)
@@ -113,7 +99,7 @@ class HashMapKernel(MapKernel):
         return False
 
     def lookup(self, key: int):
-        buckets, nbuckets, _ = self._buckets()
+        buckets, nbuckets, _ = self._begin()
         cur = self._head(buckets, bucket_index(key, nbuckets))
         while not cur.is_null():
             rec = self.pool.read(cur, self.node)
@@ -124,7 +110,7 @@ class HashMapKernel(MapKernel):
         return None
 
     def scan(self):
-        buckets, nbuckets, _ = self._buckets()
+        buckets, nbuckets, _ = self._begin()
         for idx in range(nbuckets):
             cur = self._head(buckets, idx)
             while not cur.is_null():
@@ -148,10 +134,10 @@ class HashMapKernel(MapKernel):
                 cur = nxt
         tx.write(new_buckets, 0, b"".join(h.pack() for h in heads))
         tx.free(old_buckets)
-        tx.write(self.root, 0, new_buckets.pack() + _U64.pack(new_n))  # nbuckets follows
+        self.ROOT.put(tx, self.root, (*new_buckets, new_n), 0, 3)  # buckets, nbuckets
 
     def validate(self) -> None:
-        buckets, nbuckets, expected = self._buckets()
+        buckets, nbuckets, expected = self._begin()
         seen: set[int] = set()
         for idx in range(nbuckets):
             cur = self._head(buckets, idx)
@@ -171,10 +157,8 @@ class HashMapKernel(MapKernel):
     def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
         """Rebuild every chain in the v2 layout, tail-first so each new node is
         written with exactly one store; old nodes and the old array are freed."""
-        raw = pool.load(old_root, 0, 40)
-        old_buckets = ObjectId.unpack(raw)
-        nbuckets = _U64.unpack_from(raw, cls.NBUCKETS_OFF)[0]
-        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
+        uuid, off, nbuckets, count = pool.read(old_root, cls.ROOT)
+        old_buckets = ObjectId(uuid, off)
 
         new_buckets = tx.alloc_zeroed(nbuckets * 16)
         heads = []
@@ -197,6 +181,4 @@ class HashMapKernel(MapKernel):
         tx.write(new_buckets, 0, b"".join(h.pack() for h in heads))
         tx.free(old_buckets)
 
-        tx.write(temp, 0, new_buckets.pack())
-        tx.write(temp, cls.NBUCKETS_OFF, _U64.pack(nbuckets))
-        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))
+        cls._write_root(tx, temp, buckets=new_buckets, nbuckets=nbuckets, count=count)

@@ -15,12 +15,8 @@ an extension per remove is the matched node.
 
 from __future__ import annotations
 
-import struct
-
-from ..pool import ObjectId
-from .base import MapKernel, NodeCodec, check_key
-
-_U64 = struct.Struct("<Q")
+from ..layout import ObjectId, RecordLayout
+from .base import MapKernel, check_key
 
 RED = 0
 BLACK = 1
@@ -47,7 +43,6 @@ def _spans(mask: int) -> list[tuple[int, int]]:
 
 
 _SPANS = [_spans(mask) for mask in range(16)]
-_LINK = struct.Struct("<QQ")
 
 
 class RBTreeKernel(MapKernel):
@@ -55,12 +50,14 @@ class RBTreeKernel(MapKernel):
     ENTRY_NAME = "rbtree_node"
     ENTRY_FIELDS = (("key", "u32"), ("value", "oid"), ("color", "u32"),
                     ("parent", "oid"), ("left", "oid"), ("right", "oid"))
-    ROOT_CODEC = struct.Struct("<QQQQQ")  # root: tree root oid @0, nil oid @16, count u64 @32
+    ROOT_FIELDS = (("tree", "oid"), ("nil", "oid"), ("count", "u64"))
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
-        self.node = NodeCodec(self.entry_parts(
+        self.node = RecordLayout(self.entry_parts(
             0, "key", "value", "color", "parent", "left", "right") + self.link_parts(0))
+        # a new node's values after `right`: the zeroed link words (auto lane)
+        self.link_zeros = self.node.unpack_from(bytes(self.node.size))[10:]
         self.uuid = pool.pool_uuid
         self.nil = None
         # per operation: changed fields of decoded nodes, the tree root
@@ -72,13 +69,11 @@ class RBTreeKernel(MapKernel):
     def _init_structure(self, tx) -> None:
         nil = tx.alloc_zeroed(self.entry_size)
         tx.write(nil, 0, self.entry.pack(0, b"", BLACK, nil.pack(), nil.pack(), nil.pack()))
-        tx.write(self.root, 0, nil.pack())
-        tx.write(self.root, 16, nil.pack())
-        tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
+        self._write_root(tx, self.root, tree=nil, nil=nil, count=0)
         self.nil = nil.offset
 
     def _load_structure(self) -> None:
-        self.nil = self.pool.read(self.root, self.ROOT_CODEC)[3]
+        self.nil = self.pool.read(self.root, self.ROOT)[3]
 
     # -- decoded nodes (MapKernel._rec) ---------------------------------------------
 
@@ -101,7 +96,7 @@ class RBTreeKernel(MapKernel):
             for a, b in _SPANS[mask]:
                 self.node.put(tx, oid, rec, a, b)
         if self._troot != self._troot0:
-            tx.write(self.root, 0, _LINK.pack(self.uuid, self._troot))
+            self._write_root(tx, self.root, tree=ObjectId(self.uuid, self._troot))
         self._set_count(tx, count)
 
     def _search(self, key: int):
@@ -147,8 +142,8 @@ class RBTreeKernel(MapKernel):
             self._confirm(ObjectId(u, x), key, 0, rec[10:])
             return False
         z = tx.alloc_zeroed(self.entry_size)
-        zrec = self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil] + [0] * (
-            len(self.node.offsets) - 10)
+        zrec = self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil,
+                                       *self.link_zeros]
         self.node.put(tx, z, zrec, 0, 10)
         if y == nil:
             self._troot = z.offset
@@ -323,9 +318,8 @@ class RBTreeKernel(MapKernel):
     @classmethod
     def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
         """Clone the tree node-for-node bottom-up; one store per new record."""
-        old_tree = ObjectId.unpack(pool.load(old_root, 0, 16))
-        old_nil = ObjectId.unpack(pool.load(old_root, 16, 16))
-        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
+        tree_u, tree_o, nil_u, nil_o, count = pool.read(old_root, cls.ROOT)
+        old_nil = ObjectId(nil_u, nil_o)
 
         nil = tx.alloc_zeroed(new.size)
         nil_id = nil.pack()
@@ -346,8 +340,6 @@ class RBTreeKernel(MapKernel):
             tx.free(old_oid)
             return node
 
-        new_tree = clone(old_tree, nil)
+        new_tree = clone(ObjectId(tree_u, tree_o), nil)
         tx.free(old_nil)
-        tx.write(temp, 0, new_tree.pack())
-        tx.write(temp, 16, nil.pack())
-        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))
+        cls._write_root(tx, temp, tree=new_tree, nil=nil, count=count)

@@ -21,15 +21,10 @@ against the persistent records, so the stored structure stands alone.
 from __future__ import annotations
 
 import random
-import struct
 from bisect import bisect_left, insort
 
-from .. import leds
-from ..pool import NULL_OID, ObjectId
-from .base import MapKernel, check_key, encode_value
-
-_U64 = struct.Struct("<Q")
-_LINK = struct.Struct("<QQ")
+from ..layout import NULL_OID, ObjectId, define_record, packed_struct
+from .base import OID_WORDS, MapKernel, check_key, encode_value
 
 LEVELS = 4
 
@@ -39,15 +34,14 @@ class SkipListKernel(MapKernel):
     ENTRY_NAME = "skiplist_node"
     ENTRY_FIELDS = (("key", "u32"), ("value", "oid")) + tuple(
         (f"next{i}", "oid") for i in range(LEVELS))
-
-    # root: head oid @0, count u64 @32
+    ROOT_FIELDS = (("head", "oid"), ("count", "u64", 32))
 
     def __init__(self, pool, **kw):
         super().__init__(pool, **kw)
         self.next0 = self.entry.offsets["next0"]
         # one node visit: (key, value word, _, then two words per next link,
         # then the link words in the auto lane)
-        self.node = leds.packed_struct(self.entry_parts(
+        self.node = packed_struct(self.entry_parts(
             0, "key", "value", *(f"next{i}" for i in range(LEVELS))) + self.link_parts(0))
         if self.rng is None:
             self.rng = random.Random(0x51C1)
@@ -64,12 +58,11 @@ class SkipListKernel(MapKernel):
 
     def _init_structure(self, tx) -> None:
         head = tx.alloc_zeroed(self.entry_size)
-        tx.write(self.root, 0, head.pack())
-        tx.write(self.root, self.COUNT_OFF, _U64.pack(0))
+        self._write_root(tx, self.root, head=head, count=0)
         self.head = head
 
     def _load_structure(self) -> None:
-        self.head = ObjectId(*self.pool.read(self.root, _LINK))
+        self.head = ObjectId(*self.pool.read(self.root, self.ROOT)[:2])
         self.by_key.clear()
         self.height.clear()
         self.level_keys = [[] for _ in range(LEVELS)]
@@ -110,7 +103,7 @@ class SkipListKernel(MapKernel):
 
     def _auto_link(self, node: ObjectId):
         """An indexed node's link words, read only when _confirm needs them."""
-        return self.pool.read(node, _LINK, self.desc.link_offset) if self.key64_ext else ()
+        return self.pool.read(node, OID_WORDS, self.desc.link_offset) if self.key64_ext else ()
 
     # -- operations ----------------------------------------------------------
 
@@ -200,11 +193,11 @@ class SkipListKernel(MapKernel):
     def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
         """Clone node-for-node, heights preserved, built tail-first so each new
         record is written with a single store."""
-        old_head = ObjectId.unpack(pool.load(old_root, 0, 16))
-        count = _U64.unpack_from(pool.load(old_root, cls.COUNT_OFF, 8))[0]
+        uuid, off, count = pool.read(old_root, cls.ROOT)
+        old_head = ObjectId(uuid, off)
         # old nodes are read field by field: {key, value}, the key, one link
-        old_entry = leds.define_record(old.fields[:2])
-        old_key = leds.define_record(old.fields[:1])
+        old_entry = define_record(old.fields[:2])
+        old_key = define_record(old.fields[:1])
 
         def old_next(oid, level):
             return ObjectId.unpack(pool.load(oid, old.offsets[f"next{level}"], 16))
@@ -238,5 +231,4 @@ class SkipListKernel(MapKernel):
 
         head = tx.alloc_zeroed(new.size)
         tx.write(head, new.offsets["next0"], b"".join(t.pack() for t in tails))
-        tx.write(temp, 0, head.pack())
-        tx.write(temp, cls.COUNT_OFF, _U64.pack(count))
+        cls._write_root(tx, temp, head=head, count=count)

@@ -1,0 +1,201 @@
+"""The layout vocabulary: packed little-endian records at fixed offsets.
+
+Every record on file is declared once with `define_record` and read and
+written through its RecordLayout: the pool and block headers (pool.py),
+the undo-record header (txn.py), kernel roots and entries, leds records.
+Field codes: u8/u16/u32/u64, i32/i64, f32/f64, oid (a 16-byte ObjectId
+slot), bytesN (N raw bytes). Offsets follow declaration order unless a
+spec gives one.
+"""
+
+from __future__ import annotations
+
+import re
+import struct
+from dataclasses import dataclass
+from typing import NamedTuple
+
+from .errors import NoSuchField, OverlappingFields
+
+_OID = struct.Struct("<QQ")
+
+
+class ObjectId(NamedTuple):
+    """Persistent reference: pool identity token + absolute payload offset."""
+
+    pool_uuid: int
+    offset: int
+
+    def pack(self) -> bytes:
+        return _OID.pack(self.pool_uuid, self.offset)
+
+    @classmethod
+    def unpack(cls, data: bytes, off: int = 0) -> "ObjectId":
+        return cls(*_OID.unpack_from(data, off))
+
+    def is_null(self) -> bool:
+        return self.pool_uuid == 0 and self.offset == 0
+
+
+NULL_OID = ObjectId(0, 0)
+
+_CODES = {
+    "u8": (1, "scalar", "uint"),
+    "u16": (2, "scalar", "uint"),
+    "u32": (4, "scalar", "uint"),
+    "u64": (8, "scalar", "uint"),
+    "i32": (4, "scalar", "sint"),
+    "i64": (8, "scalar", "sint"),
+    "f32": (4, "scalar", "float"),
+    "f64": (8, "scalar", "float"),
+    "oid": (16, "objectid", "raw"),
+}
+_BYTES_RE = re.compile(r"^bytes(\d+)$")
+_VALUE_RE = re.compile(r"\d*s|[a-zA-Z]")  # one decoded value's struct code
+
+_INT_FMT = {(1, False): "<B", (2, False): "<H", (4, False): "<I", (8, False): "<Q",
+            (4, True): "<i", (8, True): "<q"}
+_FLT_FMT = {4: "<f", 8: "<d"}
+
+
+@dataclass(frozen=True)
+class FieldLayout:
+    name: str
+    offset: int
+    size: int
+    kind: str       # scalar | objectid | bytes
+    encoding: str   # uint | sint | float | raw
+
+    def decode(self, raw: bytes):
+        if self.kind == "objectid":
+            return ObjectId.unpack(raw)
+        if self.kind == "bytes":
+            return raw
+        return struct.unpack("<" + self.fmt, raw)[0]
+
+    def encode(self, value) -> bytes:
+        if self.kind == "objectid":
+            return value.pack()
+        if self.kind == "bytes":
+            if len(value) != self.size:
+                raise NoSuchField(f"{self.name}: expected {self.size} bytes")
+            return bytes(value)
+        return struct.pack("<" + self.fmt, float(value) if self.encoding == "float" else value)
+
+    @property
+    def fmt(self) -> str:
+        """The field's struct format code, without a byte-order prefix."""
+        if self.kind != "scalar":
+            return f"{self.size}s"
+        if self.encoding == "float":
+            return _FLT_FMT[self.size][1:]
+        return _INT_FMT[(self.size, self.encoding == "sint")][1:]
+
+
+def _parse_code(code: str) -> tuple[int, str, str]:
+    if code in _CODES:
+        return _CODES[code]
+    m = _BYTES_RE.match(code)
+    if m:
+        return int(m.group(1)), "bytes", "raw"
+    raise NoSuchField(f"unknown field code {code!r}")
+
+
+def _code_of(f: FieldLayout) -> str:
+    if f.kind == "bytes":
+        return f"bytes{f.size}"
+    for code, spec in _CODES.items():
+        if spec == (f.size, f.kind, f.encoding):
+            return code
+    raise NoSuchField(f"no code for {f}")
+
+
+def packed_struct(parts) -> struct.Struct:
+    """One little-endian struct over (offset, format codes) parts, given in
+    ascending offset order; the bytes between parts are skipped."""
+    fmt, cursor = "<", 0
+    for off, codes in parts:
+        if off > cursor:
+            fmt += f"{off - cursor}x"
+        fmt += codes
+        cursor = off + struct.calcsize("<" + codes)
+    return struct.Struct(fmt)
+
+
+class RecordLayout:
+    """Packed fields at fixed offsets, encoded and decoded by one struct.
+
+    Built from (offset, format codes) parts in ascending offset order, the
+    bytes between them skipped; `fields` names them when the parts come
+    from `define_record` (one part per field) or are derived from its
+    fields (an oid part "QQ" decodes as two u64 words). `size` is the
+    packed extent (the end of the last part). `pack` and `unpack_from` take
+    and give the values in offset order, scalars as numbers and `Ns` parts
+    as raw bytes; values after those given to `pack` are zero-filled.
+    `unpack_from` is the struct's own method. `put(tx, oid, values, a, b)`
+    stores values a..b-1, contiguous on file, with one tx.write.
+    """
+
+    __slots__ = ("fields", "size", "offsets", "codec", "unpack_from", "_starts",
+                 "_codes", "_zeros", "_runs")
+
+    def __init__(self, parts, fields: tuple[FieldLayout, ...] = ()):
+        parts = list(parts)
+        self.fields = fields
+        self.offsets = {f.name: f.offset for f in fields}
+        self.codec = packed_struct(parts)
+        self.size = self.codec.size
+        self.unpack_from = self.codec.unpack_from
+        self._starts, self._codes = [], []
+        for off, fmt in parts:
+            for code in _VALUE_RE.findall(fmt):
+                self._starts.append(off)
+                self._codes.append(code)
+                off += struct.calcsize("<" + code)
+        self._zeros = tuple(b"" if code.endswith("s") else 0 for code in self._codes)
+        self._runs: dict[tuple[int, int], struct.Struct] = {}
+
+    def field(self, name: str) -> FieldLayout:
+        for f in self.fields:
+            if f.name == name:
+                return f
+        raise NoSuchField(f"record has no field {name!r}")
+
+    def pack(self, *values) -> bytes:
+        return self.codec.pack(*values, *self._zeros[len(values):])
+
+    def put(self, tx, oid, values, a: int, b: int) -> None:
+        run = self._runs.get((a, b))
+        if run is None:
+            run = self._runs[(a, b)] = struct.Struct("<" + "".join(self._codes[a:b]))
+            last = struct.calcsize("<" + self._codes[b - 1])
+            if self._starts[a] + run.size != self._starts[b - 1] + last:
+                raise ValueError(f"values {a}..{b - 1} are not contiguous")
+        tx.write(oid, self._starts[a], run.pack(*values[a:b]))
+
+
+def define_record(specs) -> RecordLayout:
+    """Lay out (name, code[, offset]) specs or FieldLayouts as a packed record."""
+    fields: list[FieldLayout] = []
+    names: set[str] = set()
+    cursor = 0
+    for spec in specs:
+        if isinstance(spec, FieldLayout):
+            fields.append(spec)
+            cursor = max(cursor, spec.offset + spec.size)
+            continue
+        name, code = spec[0], spec[1]
+        size, kind, enc = _parse_code(code)
+        off = spec[2] if len(spec) > 2 else cursor
+        fields.append(FieldLayout(name, off, size, kind, enc))
+        cursor = max(cursor, off + size)
+    for f in fields:
+        if f.name in names:
+            raise OverlappingFields(f"duplicate field {f.name!r}")
+        names.add(f.name)
+    spans = sorted((f.offset, f.offset + f.size, f.name) for f in fields)
+    for (a0, a1, an), (b0, b1, bn) in zip(spans, spans[1:]):
+        if b0 < a1:
+            raise OverlappingFields(f"fields {an!r} and {bn!r} overlap")
+    ordered = sorted(fields, key=lambda f: f.offset)
+    return RecordLayout([(f.offset, f.fmt) for f in ordered], tuple(fields))

@@ -11,12 +11,10 @@ into the predecessor's link slot. Extensions are append-only: removing or
 reordering levels would misinterpret data written by older versions, which
 is exactly what the base-layout fingerprint guards against.
 
-Field specs are compact codes: u8/u16/u32/u64, i32/i64, f32/f64, oid
-(a 16-byte ObjectId slot), bytesN (raw byte array of length N). Packed
-offsets are computed in declaration order by define_record, which also
-serves plain (non-extendible) records; base records are padded to a
-16-byte multiple with the link slot occupying the final 16 bytes, while
-extension records are exactly payload + 16.
+Fields are declared in the codes of layout.py and laid out by its
+define_record, which also serves plain (non-extendible) records; base
+records are padded to a 16-byte multiple with the link slot occupying the
+final 16 bytes, while extension records are exactly payload + 16.
 
 Init rules are declarative where possible so schema manifests stay JSON:
 
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import struct
 from dataclasses import dataclass, field
 
@@ -43,150 +40,11 @@ from .errors import (
     TxRequired,
     UnknownLevel,
 )
-from .pool import NULL_OID, ObjectId, PoolHandle, _round16
+from .layout import NULL_OID, FieldLayout, ObjectId, _code_of, define_record
+from .pool import PoolHandle, _round16
 from .txn import Transaction
 
 LINK_SIZE = 16
-
-_CODES = {
-    "u8": (1, "scalar", "uint"),
-    "u16": (2, "scalar", "uint"),
-    "u32": (4, "scalar", "uint"),
-    "u64": (8, "scalar", "uint"),
-    "i32": (4, "scalar", "sint"),
-    "i64": (8, "scalar", "sint"),
-    "f32": (4, "scalar", "float"),
-    "f64": (8, "scalar", "float"),
-    "oid": (16, "objectid", "raw"),
-}
-_BYTES_RE = re.compile(r"^bytes(\d+)$")
-
-_INT_FMT = {(1, False): "<B", (2, False): "<H", (4, False): "<I", (8, False): "<Q",
-            (4, True): "<i", (8, True): "<q"}
-_FLT_FMT = {4: "<f", 8: "<d"}
-
-
-@dataclass(frozen=True)
-class FieldLayout:
-    name: str
-    offset: int
-    size: int
-    kind: str       # scalar | objectid | bytes
-    encoding: str   # uint | sint | float | raw
-
-    def decode(self, raw: bytes):
-        if self.kind == "objectid":
-            return ObjectId.unpack(raw)
-        if self.kind == "bytes":
-            return raw
-        return struct.unpack("<" + self.fmt, raw)[0]
-
-    def encode(self, value) -> bytes:
-        if self.kind == "objectid":
-            return value.pack()
-        if self.kind == "bytes":
-            if len(value) != self.size:
-                raise NoSuchField(f"{self.name}: expected {self.size} bytes")
-            return bytes(value)
-        return struct.pack("<" + self.fmt, float(value) if self.encoding == "float" else value)
-
-    @property
-    def fmt(self) -> str:
-        """The field's struct format code, without a byte-order prefix."""
-        if self.kind != "scalar":
-            return f"{self.size}s"
-        if self.encoding == "float":
-            return _FLT_FMT[self.size][1:]
-        return _INT_FMT[(self.size, self.encoding == "sint")][1:]
-
-
-def _parse_code(code: str) -> tuple[int, str, str]:
-    if code in _CODES:
-        return _CODES[code]
-    m = _BYTES_RE.match(code)
-    if m:
-        return int(m.group(1)), "bytes", "raw"
-    raise NoSuchField(f"unknown field code {code!r}")
-
-
-def _code_of(f: FieldLayout) -> str:
-    if f.kind == "bytes":
-        return f"bytes{f.size}"
-    for code, spec in _CODES.items():
-        if spec == (f.size, f.kind, f.encoding):
-            return code
-    raise NoSuchField(f"no code for {f}")
-
-
-def packed_struct(parts) -> struct.Struct:
-    """One little-endian struct over (offset, format codes) parts, given in
-    ascending offset order; the bytes between parts are skipped."""
-    fmt, cursor = "<", 0
-    for off, codes in parts:
-        if off > cursor:
-            fmt += f"{off - cursor}x"
-        fmt += codes
-        cursor = off + struct.calcsize("<" + codes)
-    return struct.Struct(fmt)
-
-
-class RecordLayout:
-    """Packed fields at fixed offsets, encoded and decoded by one struct.
-
-    `size` is the packed extent (the end of the last field). `pack` and
-    `unpack_from` take and give the field values in offset order, scalars
-    as numbers and oid/bytesN fields as raw bytes; fields after the values
-    given to `pack` are zero-filled.
-    """
-
-    __slots__ = ("fields", "size", "offsets", "codec", "_zeros")
-
-    def __init__(self, fields: tuple[FieldLayout, ...], size: int):
-        ordered = sorted(fields, key=lambda f: f.offset)
-        self.fields = fields
-        self.size = size
-        self.offsets = {f.name: f.offset for f in fields}
-        self.codec = packed_struct((f.offset, f.fmt) for f in ordered)
-        self._zeros = tuple(0 if f.kind == "scalar" else b"" for f in ordered)
-
-    def field(self, name: str) -> FieldLayout:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise NoSuchField(f"record has no field {name!r}")
-
-    def pack(self, *values) -> bytes:
-        return self.codec.pack(*values, *self._zeros[len(values):])
-
-    def unpack_from(self, buf, off: int = 0) -> tuple:
-        return self.codec.unpack_from(buf, off)
-
-
-def define_record(specs) -> RecordLayout:
-    """Lay out (name, code[, offset]) specs or FieldLayouts as a packed record."""
-    fields: list[FieldLayout] = []
-    names: set[str] = set()
-    cursor = 0
-    for spec in specs:
-        if isinstance(spec, FieldLayout):
-            fields.append(spec)
-            cursor = max(cursor, spec.offset + spec.size)
-            continue
-        name, code = spec[0], spec[1]
-        size, kind, enc = _parse_code(code)
-        off = spec[2] if len(spec) > 2 else cursor
-        fields.append(FieldLayout(name, off, size, kind, enc))
-        cursor = max(cursor, off + size)
-    for f in fields:
-        if f.name in names:
-            raise OverlappingFields(f"duplicate field {f.name!r}")
-        names.add(f.name)
-    spans = sorted((f.offset, f.offset + f.size, f.name) for f in fields)
-    for (a0, a1, an), (b0, b1, bn) in zip(spans, spans[1:]):
-        if b0 < a1:
-            raise OverlappingFields(f"fields {an!r} and {bn!r} overlap")
-    record_end = max((f.offset + f.size for f in fields), default=0)
-    return RecordLayout(tuple(fields), record_end)
 
 
 @dataclass(frozen=True)

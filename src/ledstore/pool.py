@@ -2,12 +2,12 @@
 
 File layout (all fields little-endian):
 
-  [0, 4096)                      header page, fixed offsets below
+  [0, 4096)                      header page, fields in HEADER below
   [heap_offset, +log_capacity)   undo-log region (see txn.py)
   [blocks_offset, capacity)      object heap
 
-The object heap is a sequence of blocks: a 16-byte block header
-{payload_size u64, status u64} followed by the payload. Payloads are
+The object heap is a sequence of blocks: a 16-byte block header {size u64
+(the payload's), status u64} followed by the payload. Payloads are
 16-byte aligned and sized in 16-byte multiples, so ObjectId offsets
 (absolute file offset of a payload) are always 16-byte aligned. A zero
 size marks the bump frontier. The allocator keeps exact-size free lists
@@ -19,9 +19,10 @@ is returned to the allocator and when a pending allocation is rolled back.
 That invariant is what lets abort and crash recovery restore byte-identical
 heap images without snapshotting payloads.
 
-Header fields sit at the OFF_* offsets below, little-endian u32/u64 words
-except the magic, the 64-byte layout name and the 16-byte root id; the
-log-state word is status byte << 56 | bytes used.
+The header's fields are declared once, as HEADER below, and the block
+header as BLOCK; every read and write of either goes through its
+declaration (layout.py). The log-state word is status byte << 56 | bytes
+used.
 
 Every access by ObjectId (`read`, `load`, `store`, `tx.write`) makes one
 `_resolve`: id (pool identity, live payload) and byte range together, one
@@ -34,7 +35,8 @@ file's descriptor (a second open raises PoolLocked), which the kernel drops
 when the descriptor closes or the process dies, so no lock outlives a crash.
 
 Open raises BadMagic, before mapping the file, unless the magic and
-format_version match, capacity equals the file size, and the regions tile:
+format_version match, the layout name is utf-8, capacity equals the file
+size, and the regions tile:
 HEADER_SIZE <= heap_offset, heap_offset + log_capacity == blocks_offset < capacity.
 """
 
@@ -45,7 +47,6 @@ import mmap
 import os
 import secrets
 import struct
-from typing import NamedTuple
 
 from .errors import (
     AlreadyExists,
@@ -61,6 +62,7 @@ from .errors import (
     SimulatedCrash,
     TxStateError,
 )
+from .layout import ObjectId, define_record
 from .stats import WriteStats
 
 MAGIC = b"LEDSPOOL"
@@ -69,27 +71,28 @@ HEADER_SIZE = 4096
 DEFAULT_HEAP_OFFSET = 4096
 MIN_CAPACITY = 1 << 20
 ALIGN = 16
-BLOCK_HDR_SIZE = 16
 
 # block status words
 ST_ALLOCATED = 0xA110CA7E
 ST_FREE = 0xF4EEB10C
 
-# header field offsets
-OFF_MAGIC = 0
-OFF_FORMAT = 8
-OFF_NAME = 16
-NAME_SIZE = 64
-OFF_LAYOUT_VER = 80
-OFF_UUID = 88
-OFF_ROOT = 96
-OFF_ROOT_SIZE = 112
-OFF_HEAP = 120
-OFF_CAPACITY = 128
-OFF_BLOCKS = 136
-OFF_LOG_STATE = 144
-OFF_LOG_CAP = 152
-OFF_FPRINT = 160
+# the header page's fields; the rest of the page is zero
+HEADER = define_record([
+    ("magic", "bytes8"),
+    ("format_version", "u32"),
+    ("layout_name", "bytes64", 16),  # utf-8, zero-padded
+    ("layout_version", "u32"),
+    ("pool_uuid", "u64", 88),        # never zero: zero means null
+    ("root", "oid"),
+    ("root_size", "u64"),
+    ("heap_offset", "u64"),          # the log region starts here
+    ("capacity", "u64"),             # the file size
+    ("blocks_offset", "u64"),
+    ("log_state", "u64"),
+    ("log_capacity", "u64"),
+    ("fingerprint", "u64"),          # base-layout fingerprint, 0 if none
+])
+BLOCK = define_record([("size", "u64"), ("status", "u64")])
 
 # log-state status byte
 LOG_IDLE = 0
@@ -97,9 +100,6 @@ LOG_ACTIVE = 1
 LOG_COMMITTING = 2
 
 _U64 = struct.Struct("<Q")
-_2U64 = struct.Struct("<QQ")
-_3U64 = struct.Struct("<QQQ")
-_U32 = struct.Struct("<I")
 
 _ZEROS = bytes(1 << 16)
 _NEVER = 1 << 63  # a trip ordinal no store count reaches
@@ -109,24 +109,20 @@ def _round16(n: int) -> int:
     return (n + 15) & ~15
 
 
-class ObjectId(NamedTuple):
-    """Persistent reference: pool identity token + absolute payload offset."""
-
-    pool_uuid: int
-    offset: int
-
-    def pack(self) -> bytes:
-        return _2U64.pack(self.pool_uuid, self.offset)
-
-    @classmethod
-    def unpack(cls, data: bytes, off: int = 0) -> "ObjectId":
-        return cls(*_2U64.unpack_from(data, off))
-
-    def is_null(self) -> bool:
-        return self.pool_uuid == 0 and self.offset == 0
+def _field(buf, name: str):
+    """One HEADER field of a header image, decoded."""
+    f = HEADER.field(name)
+    return f.decode(buf[f.offset : f.offset + f.size])
 
 
-NULL_OID = ObjectId(0, 0)
+def _encoded(name: str, value) -> tuple[int, bytes]:
+    """A HEADER field's offset and `value` encoded for it."""
+    f = HEADER.field(name)
+    return f.offset, f.encode(value)
+
+
+def _layout_name(buf) -> str:
+    return _field(buf, "layout_name").rstrip(b"\0").decode("utf-8")
 
 
 class CrashPlan:
@@ -157,13 +153,13 @@ class _Allocator:
         self.live.clear()
         self.free_lists.clear()
         self.live_bytes = 0
-        off = blocks_off
-        unpack = _2U64.unpack_from
-        while off + BLOCK_HDR_SIZE <= capacity:
+        off, hdr = blocks_off, BLOCK.size
+        unpack = BLOCK.unpack_from
+        while off + hdr <= capacity:
             size, status = unpack(buf, off)
             if size == 0:
                 break
-            payload = off + BLOCK_HDR_SIZE
+            payload = off + hdr
             self.block_size[payload] = size
             if status == ST_ALLOCATED:
                 self.live[payload] = size
@@ -183,7 +179,7 @@ class _Allocator:
         lst = self.free_lists.get(size)
         if lst:
             return lst[-1], size
-        payload = self.frontier + BLOCK_HDR_SIZE
+        payload = self.frontier + BLOCK.size
         if payload + size > capacity:
             raise OutOfSpace(
                 f"heap exhausted: need {size} bytes at {self.frontier}, capacity {capacity}"
@@ -218,8 +214,6 @@ class PoolHandle:
         self._active_tx = None
         self._trip = _NEVER            # flush_events value whose store is refused
         self._arm_base = 0             # flush_events when the crash plan was armed
-        self.commit_ordinals: list[int] = []
-        self.on_commit = None          # optional callable, invoked after truncation
         self.translation_cache_enabled = False
         self._xlat_cache: dict[int, int] = {}  # payload offset -> size
 
@@ -229,16 +223,14 @@ class PoolHandle:
 
     def _cache_header(self) -> None:
         """Header fields are read on demand, except these hot ones."""
-        self.pool_uuid = self._read_u64(OFF_UUID)
-        self.heap_offset = self._read_u64(OFF_HEAP)
-        self.capacity = self._read_u64(OFF_CAPACITY)
-        self.blocks_offset = self._read_u64(OFF_BLOCKS)
-        self.log_capacity = self._read_u64(OFF_LOG_CAP)
+        buf = self.buf
+        self.pool_uuid = _field(buf, "pool_uuid")
+        self.heap_offset = _field(buf, "heap_offset")
+        self.capacity = _field(buf, "capacity")
+        self.blocks_offset = _field(buf, "blocks_offset")
+        self.log_capacity = _field(buf, "log_capacity")
 
     # ------------------------------------------------------------------ raw io
-
-    def _read_u64(self, off: int) -> int:
-        return _U64.unpack_from(self.buf, off)[0]
 
     def _store(self, off: int, data: bytes, category: str) -> None:
         """Single choke point for every persistent store: counted, crash-checked.
@@ -283,41 +275,41 @@ class PoolHandle:
 
     @property
     def layout_name(self) -> str:
-        raw = bytes(self.buf[OFF_NAME : OFF_NAME + NAME_SIZE])
-        return raw.rstrip(b"\0").decode("utf-8")
+        return _layout_name(self.buf)
 
     @property
     def layout_version(self) -> int:
-        return _U32.unpack_from(self.buf, OFF_LAYOUT_VER)[0]
+        return _field(self.buf, "layout_version")
 
     def set_layout_version(self, version: int) -> None:
+        off, data = _encoded("layout_version", version)
         if self._active_tx is not None:
-            self._active_tx.write_header(OFF_LAYOUT_VER, _U32.pack(version))
+            self._active_tx.write_header(off, data)
         else:
-            self._store(OFF_LAYOUT_VER, _U32.pack(version), "meta")
+            self._store(off, data, "meta")
 
     @property
     def schema_fingerprint(self) -> int:
-        return self._read_u64(OFF_FPRINT)
+        return _field(self.buf, "fingerprint")
 
     def set_schema_fingerprint(self, fp: int) -> None:
-        self._store(OFF_FPRINT, _U64.pack(fp), "meta")
+        self._store(*_encoded("fingerprint", fp), "meta")
 
     @property
     def root_id(self) -> ObjectId:
-        return ObjectId.unpack(self.buf, OFF_ROOT)
+        return _field(self.buf, "root")
 
     @property
     def root_size(self) -> int:
-        return self._read_u64(OFF_ROOT_SIZE)
+        return _field(self.buf, "root_size")
 
     @property
     def log_state(self) -> tuple[int, int]:
-        word = self._read_u64(OFF_LOG_STATE)
+        word = _field(self.buf, "log_state")
         return word >> 56, word & ((1 << 56) - 1)
 
     def _set_log_state(self, status: int, used: int) -> None:
-        self._store(OFF_LOG_STATE, _U64.pack((status << 56) | used), "meta")
+        self._store(HEADER.offsets["log_state"], _U64.pack((status << 56) | used), "meta")
 
     # ------------------------------------------------------------------ oids
 
@@ -369,7 +361,7 @@ class PoolHandle:
     def read(self, oid: ObjectId, codec, off: int = 0) -> tuple:
         """Decode one record at `off` in a payload: one resolve, one counted
         translation, no byte copy. `codec` is a struct.Struct or a
-        leds.RecordLayout; a record running past the payload is OutOfBounds."""
+        layout.RecordLayout; a record running past the payload is OutOfBounds."""
         return codec.unpack_from(self.buf, self._resolve(oid, off, codec.size))
 
     def load(self, oid: ObjectId, off: int, length: int) -> bytes:
@@ -394,7 +386,7 @@ class PoolHandle:
 
     def _claim(self, payload: int, rsize: int) -> ObjectId:
         """Write a taken block's ST_ALLOCATED header and hand out its id."""
-        self._store(payload - BLOCK_HDR_SIZE, _2U64.pack(rsize, ST_ALLOCATED), "meta")
+        self._store(payload - BLOCK.size, BLOCK.codec.pack(rsize, ST_ALLOCATED), "meta")
         self._alloc.commit_take(payload, rsize)
         self.stats.n_allocs += 1
         return ObjectId(self.pool_uuid, payload)
@@ -411,7 +403,7 @@ class PoolHandle:
         """Zero a payload, then write its block's ST_FREE status word. The word
         goes last, so recovery redoes a committed free it finds unfinished."""
         self._store_zeros(payload, size, "meta")
-        self._store(payload - BLOCK_HDR_SIZE + 8, _U64.pack(ST_FREE), "meta")
+        self._store(payload - BLOCK.size + BLOCK.offsets["status"], _U64.pack(ST_FREE), "meta")
 
     def _check_owned_for_free(self, oid: ObjectId) -> None:
         if oid.pool_uuid != self.pool_uuid:
@@ -454,8 +446,8 @@ class PoolHandle:
         if not root.is_null():
             tx.copy_bytes(new_root, 0, root, 0, min(self.root_size, requested_size))
             tx.free(root)
-        tx.write_header(OFF_ROOT, new_root.pack())
-        tx.write_header(OFF_ROOT_SIZE, _U64.pack(requested_size))
+        tx.write_header(*_encoded("root", new_root))
+        tx.write_header(*_encoded("root_size", requested_size))
         if own_tx:
             tx.commit()
         return new_root
@@ -528,8 +520,9 @@ def create_pool(
     log_capacity: int | None = None,
 ) -> PoolHandle:
     name_bytes = layout_name.encode("utf-8")
-    if len(name_bytes) > NAME_SIZE - 1:
-        raise LayoutMismatch(f"layout name longer than {NAME_SIZE - 1} bytes")
+    name_size = HEADER.field("layout_name").size
+    if len(name_bytes) > name_size - 1:
+        raise LayoutMismatch(f"layout name longer than {name_size - 1} bytes")
     if capacity < MIN_CAPACITY:
         raise CapacityTooSmall(f"capacity {capacity} below minimum {MIN_CAPACITY}")
     if os.path.exists(path) and os.path.getsize(path) > 0:
@@ -538,7 +531,7 @@ def create_pool(
         log_capacity = _default_log_capacity(capacity)
     log_capacity = _round16(log_capacity)
     blocks_offset = DEFAULT_HEAP_OFFSET + log_capacity
-    if blocks_offset + BLOCK_HDR_SIZE + ALIGN >= capacity:
+    if blocks_offset + BLOCK.size + ALIGN >= capacity:
         raise CapacityTooSmall("capacity leaves no room for the object heap")
 
     f = _open_locked(path, "w+b")
@@ -553,15 +546,14 @@ def create_pool(
     handle._alloc.frontier = blocks_offset
     uuid = secrets.randbits(64) | 1  # never zero: zero means null
     header = bytearray(HEADER_SIZE)
-    header[OFF_MAGIC : OFF_MAGIC + 8] = MAGIC
-    _U32.pack_into(header, OFF_FORMAT, FORMAT_VERSION)
-    header[OFF_NAME : OFF_NAME + len(name_bytes)] = name_bytes
-    _U32.pack_into(header, OFF_LAYOUT_VER, 1)
-    _U64.pack_into(header, OFF_UUID, uuid)
-    _U64.pack_into(header, OFF_HEAP, DEFAULT_HEAP_OFFSET)
-    _U64.pack_into(header, OFF_CAPACITY, capacity)
-    _U64.pack_into(header, OFF_BLOCKS, blocks_offset)
-    _U64.pack_into(header, OFF_LOG_CAP, log_capacity)
+    for name, value in dict(
+        magic=MAGIC, format_version=FORMAT_VERSION,
+        layout_name=name_bytes.ljust(name_size, b"\0"), layout_version=1,
+        pool_uuid=uuid, heap_offset=DEFAULT_HEAP_OFFSET, capacity=capacity,
+        blocks_offset=blocks_offset, log_capacity=log_capacity,
+    ).items():
+        off, data = _encoded(name, value)
+        header[off : off + len(data)] = data
     handle._store(0, bytes(header), "meta")
     handle._cache_header()
     return handle
@@ -569,13 +561,17 @@ def create_pool(
 
 def _check_header(path: str, head: bytes, size: int) -> None:
     """Raise BadMagic unless `head` is a sane header for a `size`-byte file."""
-    if len(head) < HEADER_SIZE or head[OFF_MAGIC : OFF_MAGIC + 8] != MAGIC:
+    if len(head) < HEADER_SIZE or _field(head, "magic") != MAGIC:
         raise BadMagic(f"{path} is not a pool file")
-    version = _U32.unpack_from(head, OFF_FORMAT)[0]
+    version = _field(head, "format_version")
     if version != FORMAT_VERSION:
         raise BadMagic(f"{path} has format version {version}, not {FORMAT_VERSION}")
-    heap, capacity, blocks = _3U64.unpack_from(head, OFF_HEAP)
-    log_capacity, = _U64.unpack_from(head, OFF_LOG_CAP)
+    try:
+        _layout_name(head)
+    except UnicodeDecodeError:
+        raise BadMagic(f"{path} has a layout name that is not utf-8") from None
+    heap, capacity, blocks, log_capacity = (_field(head, name) for name in (
+        "heap_offset", "capacity", "blocks_offset", "log_capacity"))
     if capacity != size:
         raise BadMagic(f"{path} header says {capacity} bytes, the file holds {size}")
     if heap < HEADER_SIZE or heap + log_capacity != blocks or blocks >= capacity:

@@ -43,7 +43,6 @@ class MigrationStats:
 
     nodes_migrated: int = 0
     bytes_node_records: int = 0
-    objects_created: int = 0
     objects_freed: int = 0
     bytes_user: int = 0
     bytes_log: int = 0
@@ -103,7 +102,6 @@ def run_migration(pool: PoolHandle, mig: MigrationPass) -> MigrationStats:
         pool.set_layout_version(mig.to_version)
     ms.duration_s = time.perf_counter() - t0
     delta = pool.stats.delta(before)
-    ms.objects_created = delta["n_allocs"]
     ms.objects_freed = delta["n_frees"]
     ms.bytes_user = delta["bytes_user"]
     ms.bytes_log = delta["bytes_log"]

@@ -1,6 +1,7 @@
 """Failure-atomic transactions over a pool, with crash injection and recovery.
 
-One flat undo log lives in the pool's log region. Every record is
+One flat undo log lives in the pool's log region. Every record is a
+header, declared once as UNDO_RECORD below, then its body:
 
     {kind u32, body_len u32, target u64, aux u64} + body
 
@@ -29,8 +30,6 @@ Nesting is rejected; the handle owns at most one active transaction.
 
 from __future__ import annotations
 
-import struct
-
 from .errors import (
     DoubleFree,
     NestedTransaction,
@@ -38,8 +37,9 @@ from .errors import (
     OutOfSpace,
     TxStateError,
 )
+from .layout import define_record
 from .pool import (
-    BLOCK_HDR_SIZE,
+    BLOCK,
     LOG_ACTIVE,
     LOG_COMMITTING,
     LOG_IDLE,
@@ -52,9 +52,9 @@ REC_SNAP = 1
 REC_ALLOC = 2
 REC_FREE = 3
 
-REC_HDR_SIZE = 24
-_REC_HDR = struct.Struct("<IIQQ")
-_2U64 = struct.Struct("<QQ")
+UNDO_RECORD = define_record([
+    ("kind", "u32"), ("body_len", "u32"), ("target", "u64"), ("aux", "u64"),
+])
 
 TX_ACTIVE = "active"
 TX_COMMITTED = "committed"
@@ -83,13 +83,13 @@ class Transaction:
     def _append(self, kind: int, target: int, aux: int, body: bytes) -> None:
         pool = self.pool
         rec_off = pool.heap_offset + self._log_used
-        total = REC_HDR_SIZE + len(body)
+        total = UNDO_RECORD.size + len(body)
         if self._log_used + total > pool.log_capacity:
             raise OutOfSpace(
                 f"undo log full ({pool.log_capacity} bytes); "
                 "larger log_capacity needed for this transaction"
             )
-        pool._store(rec_off, _REC_HDR.pack(kind, len(body), target, aux) + body, "log")
+        pool._store(rec_off, UNDO_RECORD.codec.pack(kind, len(body), target, aux) + body, "log")
         self._log_used += total
         pool._set_log_state(LOG_ACTIVE, self._log_used)
 
@@ -142,7 +142,7 @@ class Transaction:
         self._require_active()
         pool = self.pool
         payload, rsize = pool._alloc.take(size, pool.capacity)
-        old_hdr = bytes(pool.buf[payload - BLOCK_HDR_SIZE : payload])
+        old_hdr = bytes(pool.buf[payload - BLOCK.size : payload])
         self._append(REC_ALLOC, payload, rsize, old_hdr)
         self._fresh.add(payload)
         return pool._claim(payload, rsize)
@@ -165,18 +165,12 @@ class Transaction:
         if self._log_used:
             # commit point: one 8-byte state-word store
             pool._set_log_state(LOG_COMMITTING, self._log_used)
-            commit_ordinal = pool._write_ordinal
             for payload, size in self._freed.items():
                 pool._free_block(payload, size)
                 pool._alloc.release(payload)
                 pool.stats.n_frees += 1
             pool._set_log_state(LOG_IDLE, 0)
-        else:
-            commit_ordinal = pool._write_ordinal
         self._end(TX_COMMITTED)
-        pool.commit_ordinals.append(commit_ordinal)
-        if pool.on_commit is not None:
-            pool.on_commit(pool)
 
     def abort(self) -> None:
         """Roll back exactly as crash recovery would, from the log on file."""
@@ -215,7 +209,7 @@ def _in_bounds(pool: PoolHandle, kind: int, target: int, aux: int, body_len: int
     if kind == REC_SNAP:
         end = target + body_len
         return end <= pool.heap_offset or blocks <= target and end <= capacity
-    first = blocks + BLOCK_HDR_SIZE  # the lowest payload offset
+    first = blocks + BLOCK.size  # the lowest payload offset
     if kind == REC_ALLOC:
         return first <= target and target + aux <= capacity
     return kind == REC_FREE and first <= target < capacity
@@ -225,12 +219,12 @@ def _parse_log(pool: PoolHandle, used: int) -> list[tuple[int, int, int, bytes]]
     """Decode and bound every record, raising OutOfBounds on a corrupt one;
     nothing is applied until the whole log has decoded."""
     records = []
-    off, end = pool.heap_offset, pool.heap_offset + used
+    off, end, hdr = pool.heap_offset, pool.heap_offset + used, UNDO_RECORD.size
     while off < end:
-        kind, body_len, target, aux = _REC_HDR.unpack_from(pool.buf, off)
-        body_off, off = off + REC_HDR_SIZE, off + REC_HDR_SIZE + body_len
+        kind, body_len, target, aux = UNDO_RECORD.unpack_from(pool.buf, off)
+        body_off, off = off + hdr, off + hdr + body_len
         if off > end or not _in_bounds(pool, kind, target, aux, body_len):
-            raise OutOfBounds(f"corrupt undo record at {body_off - REC_HDR_SIZE}: "
+            raise OutOfBounds(f"corrupt undo record at {body_off - hdr}: "
                               f"kind {kind}, {body_len}-byte body, target {target}, "
                               f"aux {aux}, log used {used}")
         records.append((kind, target, aux, bytes(pool.buf[body_off:off])))
@@ -248,7 +242,7 @@ def recover_log(pool: PoolHandle) -> None:
     if status == LOG_COMMITTING:
         for kind, target, _, _ in records:
             if kind == REC_FREE:
-                size, st = _2U64.unpack_from(pool.buf, target - BLOCK_HDR_SIZE)
+                size, st = BLOCK.unpack_from(pool.buf, target - BLOCK.size)
                 if st != ST_FREE:  # else the free fully executed before the crash
                     pool._free_block(target, size)
     else:
@@ -257,6 +251,6 @@ def recover_log(pool: PoolHandle) -> None:
                 pool._store(target, body, "meta")
             elif kind == REC_ALLOC:
                 pool._store_zeros(target, aux, "meta")
-                pool._store(target - BLOCK_HDR_SIZE, body, "meta")
+                pool._store(target - BLOCK.size, body, "meta")
             # a FREE record needs no undo: the free was deferred to commit
     pool._set_log_state(LOG_IDLE, 0)

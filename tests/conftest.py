@@ -1,6 +1,8 @@
+from contextlib import contextmanager
+
 import pytest
 
-from ledstore import create_pool
+from ledstore import Transaction, create_pool
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -16,6 +18,32 @@ def pool(pool_path):
     yield handle
     if not handle.closed:
         handle.close()
+
+
+@contextmanager
+def recorded_commits(pool, digest):
+    """Record the transaction boundaries of `pool` while the block runs.
+
+    Yields (boundaries, ordinals): boundaries starts with `digest(pool)` and
+    gains `digest(pool)` after each completed commit; ordinals gains that
+    commit's commit point, the store ordinal (`pool._write_ordinal`) of its
+    COMMITTING log-state store, or of its last store if it logged nothing. A
+    crash at store k therefore recovers to boundary `sum(c < k for c in
+    ordinals)`.
+    """
+    boundaries, ordinals = [digest(pool)], []
+    real_commit = Transaction.commit
+
+    def commit(tx):
+        ordinal = tx.pool._write_ordinal + (1 if tx._log_used else 0)
+        real_commit(tx)
+        if tx.pool is pool:
+            ordinals.append(ordinal)
+            boundaries.append(digest(pool))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Transaction, "commit", commit)
+        yield boundaries, ordinals
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
-"""Check a regenerated golden ledger against the one it replaces.
+"""Check a regenerated golden ledger, or perfbench's exact counters, against
+the ones they replace.
 
     python tests/golden_delta.py OLD.json NEW.json
+    python tests/golden_delta.py OLD.counters.json NEW.counters.json
 
 A write-path change may move only the store, translation and byte counts,
 and only downward. For every case:
@@ -15,6 +17,11 @@ and only downward. For every case:
 
 Prints every moved value per case with its old and new sums, and exits 1 on
 any other difference.
+
+Two perfbench `*.counters.json` files (flat name -> value maps, written by
+`perfbench/run.py` for one seed) follow the same rules: a counter named for
+a byte ledger, the store counter or translations may only fall, every other
+counter is identical. Every moved counter is printed.
 """
 
 from __future__ import annotations
@@ -35,8 +42,23 @@ def _flat(obj, prefix=""):
 
 def _movable(path: str, report: dict) -> bool:
     if path.startswith("migration_bytes"):
-        return report["model"] == "reset"  # the rebuild's inserts write these
+        return report.get("model") == "reset"  # the rebuild's inserts write these
     return path.startswith("bytes.") or path.endswith(MOVABLE) or "translations" in path
+
+
+def check_counters(old: dict, new: dict) -> list[str]:
+    """Print every moved counter; return the violations."""
+    if old.keys() != new.keys():
+        return ["counter names differ: " + ", ".join(sorted(old.keys() ^ new.keys()))]
+    errors = []
+    for name in sorted(old):
+        a, b = old[name], new[name]
+        if a == b:
+            continue
+        print(f"{name}: {a} -> {b} ({(b - a) / a:+.1%})" if a else f"{name}: {a} -> {b}")
+        if not (_movable(name, {}) and b <= a):
+            errors.append(f"counter {name} {a} -> {b}")
+    return errors
 
 
 def _pool_key(pool: dict):
@@ -89,6 +111,12 @@ def summary(name: str, old: dict, new: dict) -> str | None:
 
 def main(old_path: str, new_path: str) -> int:
     old, new = json.load(open(old_path)), json.load(open(new_path))
+    if all(isinstance(v, (int, float)) for v in old.values()):
+        errors = check_counters(old, new)
+        for error in errors:
+            print("VIOLATION", error)
+        print(f"{len(old)} counters, {len(errors)} violations")
+        return 1 if errors else 0
     if old.keys() != new.keys():
         print("case lists differ")
         return 1

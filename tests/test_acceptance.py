@@ -10,6 +10,7 @@ import struct
 import time
 
 import pytest
+from conftest import recorded_commits
 
 from ledstore import CrashPlan, SimulatedCrash, create_pool, open_pool, recover
 from ledstore.bench import (
@@ -120,30 +121,28 @@ def _crash_script(path, crash_at):
     """
     pool = open_pool(path, "hashmap-map")
     pool.arm_crash(CrashPlan(trigger=crash_at if crash_at else 10**9))
-    boundaries = [_crash_state(pool)]
-    pool.on_commit = lambda p: boundaries.append(_crash_state(p))
     kernel = make_kernel(pool, "hashmap", mode="manual", version=1)
-    try:
-        kernel.create()                                   # tx 1
-        for key in range(1, 13):                          # txs 2-13
-            with pool.tx_begin() as tx:
-                kernel.insert(tx, key, key * 7)
-        for key in (2, 5, 11):                            # txs 14-16
-            with pool.tx_begin() as tx:
-                kernel.remove(tx, key)
-        run_migration(pool, make_manual_migrator("hashmap", "change"))  # tx 17
-        k2 = make_kernel(pool, "hashmap", mode="manual", version=2, change="change")
-        k2.attach()
-        for key in (100, 101, 102):                       # txs 18-20
-            with pool.tx_begin() as tx:
-                k2.insert(tx, key, key)
-        for key in (1, 100):                              # txs 21-22
-            with pool.tx_begin() as tx:
-                k2.remove(tx, key)
-    except SimulatedCrash:
-        return boundaries, list(pool.commit_ordinals), pool._write_ordinal, True
+    with recorded_commits(pool, _crash_state) as (boundaries, ordinals):
+        try:
+            kernel.create()                                   # tx 1
+            for key in range(1, 13):                          # txs 2-13
+                with pool.tx_begin() as tx:
+                    kernel.insert(tx, key, key * 7)
+            for key in (2, 5, 11):                            # txs 14-16
+                with pool.tx_begin() as tx:
+                    kernel.remove(tx, key)
+            run_migration(pool, make_manual_migrator("hashmap", "change"))  # tx 17
+            k2 = make_kernel(pool, "hashmap", mode="manual", version=2, change="change")
+            k2.attach()
+            for key in (100, 101, 102):                       # txs 18-20
+                with pool.tx_begin() as tx:
+                    k2.insert(tx, key, key)
+            for key in (1, 100):                              # txs 21-22
+                with pool.tx_begin() as tx:
+                    k2.remove(tx, key)
+        except SimulatedCrash:
+            return boundaries, ordinals, pool._write_ordinal, True
     total = pool._write_ordinal
-    ordinals = list(pool.commit_ordinals)
     pool.close()
     return boundaries, ordinals, total, False
 

@@ -78,6 +78,33 @@ class TestHeaderFormat:
         assert struct.unpack_from("<Q", raw, 112)[0] == 0  # root_size
         assert struct.unpack_from("<Q", raw, 120)[0] == 4096  # heap_offset
         assert struct.unpack_from("<Q", raw, 128)[0] == 8 * MIB  # capacity
+        assert struct.unpack_from("<Q", raw, 88)[0] != 0  # pool uuid
+        assert struct.unpack_from("<Q", raw, 136)[0] == 4096 + MIB  # blocks_offset
+        assert struct.unpack_from("<Q", raw, 144)[0] == 0  # log state: idle, empty
+        assert struct.unpack_from("<Q", raw, 152)[0] == MIB  # log_capacity: 1/8 of 8 MiB
+        assert struct.unpack_from("<Q", raw, 160)[0] == 0  # fingerprint: none
+
+    def test_block_header_before_payload(self, pool, pool_path):
+        oid = pool.raw_alloc(24)
+        pool.close()
+        with open(pool_path, "rb") as f:
+            f.seek(oid.offset - 16)
+            size, status = struct.unpack("<QQ", f.read(16))
+        assert (size, status) == (32, 0xA110CA7E)  # rounded size, allocated
+
+    def test_undo_record_header_at_heap_offset(self, pool, pool_path):
+        oid = pool.raw_alloc(32)
+        tx = pool.tx_begin()
+        pool.arm_crash(CrashPlan(trigger=3))  # record, log state, then the store
+        with pytest.raises(SimulatedCrash):
+            tx.write(oid, 8, b"x" * 16)
+        with open(pool_path, "rb") as f:
+            f.seek(4096)
+            header = struct.unpack("<IIQQ", f.read(24))
+            f.seek(144)
+            log_state = struct.unpack("<Q", f.read(8))[0]
+        assert header == (1, 16, oid.offset + 8, 0)  # SNAP, body length, target, aux
+        assert log_state == 1 << 56 | 24 + 16  # active, one 40-byte record
 
     def test_heap_offset_default(self, pool):
         assert pool.heap_offset == 4096
@@ -125,6 +152,13 @@ class TestOpen:
         with open(pool_path, "r+b") as f:
             f.seek(8)
             f.write(struct.pack("<I", 99))
+        self._refused_twice(pool_path)
+
+    def test_undecodable_layout_name_rejected(self, pool, pool_path):
+        pool.close()
+        with open(pool_path, "r+b") as f:
+            f.seek(16)  # layout name, not utf-8
+            f.write(b"\xff\xfe")
         self._refused_twice(pool_path)
 
     def test_region_bounds_rejected(self, pool, pool_path):

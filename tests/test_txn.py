@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import recorded_commits
 
 import ledstore
 from ledstore import (
@@ -306,27 +307,25 @@ class TestCrashRecovery:
         # arming resets the write ordinal, so arm in every run to keep the
         # dry run's commit ordinals aligned with the crash runs'
         handle.arm_crash(CrashPlan(trigger=crash_at if crash_at else 10**9))
-        boundaries = [heap_digest(handle)]
-        handle.on_commit = lambda p: boundaries.append(heap_digest(p))
         oids = []
-        try:
-            with handle.tx_begin() as tx:
-                for i in range(4):
-                    oid = tx.alloc_zeroed(48)
-                    tx.write(oid, 0, bytes([i + 1]) * 48)
-                    oids.append(oid)
-            with handle.tx_begin() as tx:
-                tx.write(oids[0], 0, b"\xaa" * 48)
-                tx.free(oids[1])
-            with handle.tx_begin() as tx:
-                oid = tx.alloc_zeroed(48)  # reuse of the freed block
-                tx.write(oid, 0, b"\xbb" * 48)
-                tx.free(oids[2])
-                tx.write(oids[3], 8, b"\xcc" * 8)
-        except SimulatedCrash:
-            return boundaries, handle.commit_ordinals, handle._write_ordinal, True
+        with recorded_commits(handle, heap_digest) as (boundaries, ordinals):
+            try:
+                with handle.tx_begin() as tx:
+                    for i in range(4):
+                        oid = tx.alloc_zeroed(48)
+                        tx.write(oid, 0, bytes([i + 1]) * 48)
+                        oids.append(oid)
+                with handle.tx_begin() as tx:
+                    tx.write(oids[0], 0, b"\xaa" * 48)
+                    tx.free(oids[1])
+                with handle.tx_begin() as tx:
+                    oid = tx.alloc_zeroed(48)  # reuse of the freed block
+                    tx.write(oid, 0, b"\xbb" * 48)
+                    tx.free(oids[2])
+                    tx.write(oids[3], 8, b"\xcc" * 8)
+            except SimulatedCrash:
+                return boundaries, ordinals, handle._write_ordinal, True
         total = handle._write_ordinal
-        ordinals = list(handle.commit_ordinals)
         handle.close()
         return boundaries, ordinals, total, False
 
@@ -353,8 +352,6 @@ class TestCrashRecovery:
             base = str(tmp_path / f"s{script_id}.pool")
             handle = create_pool(base, "fuzz", MIB, log_capacity=256 * 1024)
             handle.arm_crash(CrashPlan(trigger=10**9))
-            boundaries = [heap_digest(handle)]
-            handle.on_commit = lambda p: boundaries.append(heap_digest(p))
             live_objects = []
             ops = []
             for _ in range(8):
@@ -380,9 +377,9 @@ class TestCrashRecovery:
                                 oid = objs.pop(int(r * len(objs)) % len(objs))
                                 tx.free(oid)
 
-            run_script(handle, live_objects)
+            with recorded_commits(handle, heap_digest) as (boundaries, ordinals):
+                run_script(handle, live_objects)
             total = handle._write_ordinal
-            ordinals = list(handle.commit_ordinals)
             handle.close()
 
             for k in range(1, total + 1, 7):  # stride keeps the suite quick
