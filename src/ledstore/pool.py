@@ -21,8 +21,10 @@ heap images without snapshotting payloads.
 
 The header's fields are declared once, as HEADER below, and the block
 header as BLOCK; every read and write of either goes through its
-declaration (layout.py). The log-state word is status byte << 56 | bytes
-used.
+declaration (layout.py). The log-state word is status byte << 56 | low
+bits: IDLE | the number of the last transaction that ended, or COMMITTING |
+the bytes of undo records its transaction logged. It is stored only at a
+commit point and at truncation; the protocol is in txn.py.
 
 Every access by ObjectId (`read`, `load`, `store`, `tx.write`) makes one
 `_resolve`: id (pool identity, live payload) and byte range together, one
@@ -66,7 +68,7 @@ from .layout import ObjectId, define_record
 from .stats import WriteStats
 
 MAGIC = b"LEDSPOOL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER_SIZE = 4096
 DEFAULT_HEAP_OFFSET = 4096
 MIN_CAPACITY = 1 << 20
@@ -93,15 +95,14 @@ HEADER = define_record([
     ("fingerprint", "u64"),          # base-layout fingerprint, 0 if none
 ])
 BLOCK = define_record([("size", "u64"), ("status", "u64")])
+_LOG_STATE = HEADER.offsets["log_state"]
 
 # log-state status byte
 LOG_IDLE = 0
-LOG_ACTIVE = 1
 LOG_COMMITTING = 2
 
 _U64 = struct.Struct("<Q")
 
-_ZEROS = bytes(1 << 16)
 _NEVER = 1 << 63  # a trip ordinal no store count reaches
 
 
@@ -173,9 +174,9 @@ class _Allocator:
         """Pick a payload offset for `size` bytes; returns it and the rounded
         size. Changes nothing, on file or here: a caller that fails before
         commit_take loses no block."""
-        if size <= 0:
-            raise OutOfSpace("allocation size must be positive")
         size = _round16(size)
+        if not 0 < size < 1 << 32:  # an undo record holds the size in a u32
+            raise OutOfSpace(f"allocation size rounds to {size}, outside (0, 2^32)")
         lst = self.free_lists.get(size)
         if lst:
             return lst[-1], size
@@ -255,14 +256,6 @@ class PoolHandle:
         self._die()
         raise SimulatedCrash(f"simulated crash at persistent write #{ordinal}")
 
-    def _store_zeros(self, off: int, length: int, category: str) -> None:
-        while length > len(_ZEROS):
-            self._store(off, _ZEROS, category)
-            off += len(_ZEROS)
-            length -= len(_ZEROS)
-        if length:
-            self._store(off, _ZEROS[:length], category)
-
     def _die(self) -> None:
         """Simulated process death: unmap, close the fd (dropping the lock)."""
         self.closed = True
@@ -305,11 +298,16 @@ class PoolHandle:
 
     @property
     def log_state(self) -> tuple[int, int]:
-        word = _field(self.buf, "log_state")
+        """(status, bytes of undo records); (0, 0) when the log is idle."""
+        status, low = self._log_word()
+        return (status, low) if status != LOG_IDLE else (0, 0)
+
+    def _log_word(self) -> tuple[int, int]:
+        word = _U64.unpack_from(self.buf, _LOG_STATE)[0]
         return word >> 56, word & ((1 << 56) - 1)
 
     def _set_log_state(self, status: int, used: int) -> None:
-        self._store(HEADER.offsets["log_state"], _U64.pack((status << 56) | used), "meta")
+        self._store(_LOG_STATE, _U64.pack((status << 56) | used), "meta")
 
     # ------------------------------------------------------------------ oids
 
@@ -400,10 +398,10 @@ class PoolHandle:
         self.stats.n_frees += 1
 
     def _free_block(self, payload: int, size: int) -> None:
-        """Zero a payload, then write its block's ST_FREE status word. The word
-        goes last, so recovery redoes a committed free it finds unfinished."""
-        self._store_zeros(payload, size, "meta")
-        self._store(payload - BLOCK.size + BLOCK.offsets["status"], _U64.pack(ST_FREE), "meta")
+        """Write a block's ST_FREE status word, which sits right before the
+        payload, and the zeroed payload, with one store."""
+        status = payload - BLOCK.size + BLOCK.offsets["status"]  # payload - 8
+        self._store(status, _U64.pack(ST_FREE) + bytes(size), "meta")
 
     def _check_owned_for_free(self, oid: ObjectId) -> None:
         if oid.pool_uuid != self.pool_uuid:

@@ -1,26 +1,40 @@
 """Failure-atomic transactions over a pool, with crash injection and recovery.
 
-One flat undo log lives in the pool's log region. Every record is a
-header, declared once as UNDO_RECORD below, then its body:
+One flat undo log lives in the pool's log region. A record is one store: a
+24-byte header, declared once as UNDO_RECORD below, then its body.
 
-    {kind u32, body_len u32, target u64, aux u64} + body
+    {kind u32, crc u32, len u32, tag u32, target u64} + body
 
-  SNAP  (kind 1): body = prior bytes at `target`; rollback restores them.
-  ALLOC (kind 2): aux = rounded payload size, body = prior 16-byte block
-                  header; rollback restores the header and zeroes the
-                  payload (free blocks are kept zeroed, see pool.py).
-  FREE  (kind 3): deferred free of the payload at `target`; executed only
-                  after the commit point, idempotently re-executed if a
-                  crash lands between commit and truncation.
+  SNAP  (kind 1): body = the `len` prior bytes at `target`; rollback
+                  restores them.
+  ALLOC (kind 2): no body; a `len`-byte payload taken at the heap frontier,
+                  so its prior block header was all zeros.
+  REUSE (kind 4): the same for a block from a free list, prior header
+                  {len, ST_FREE}. Rollback of either stores that header and
+                  a zeroed payload in one store (free blocks stay zeroed).
+  FREE  (kind 3): no body, len 0; deferred free of the payload at `target`.
 
-The commit point is a single 8-byte store of the log-state word
-(status=COMMITTING). Recovery rolls an ACTIVE log back in reverse order,
-finishes a COMMITTING log forward, then truncates; a corrupt log (bad kind,
-length, or a target outside its region) is refused before any record is
-applied. `abort` is that same rollback, run on the live handle: the log on
-file is the only undo state. Writes into blocks allocated by the same
-transaction skip snapshotting: rollback reclaims and zeroes the whole block
-anyway.
+`tag` is (pool uuid + transaction number) mod 2^32; `crc` is zlib.crc32 of
+the record with its crc field zeroed, seeded by the previous record's crc
+or, for a transaction's first record, by the tag.
+
+The log-state word (pool.py) is stored only at the commit point and at
+truncation. Between transactions it is IDLE | n, n the last transaction
+that ended; transaction n + 1 logs from the start of the log. A commit that
+frees nothing stores IDLE | n + 1 once, its commit point. One that frees
+stores COMMITTING | bytes logged (its commit point), then one store per
+free (the status word and the zeroed payload together), then IDLE | n + 1.
+
+Recovery under IDLE | n rolls back, in reverse order, the records from the
+start of the log that carry tag(n + 1), then stores IDLE | n + 1. Under
+COMMITTING | used, the `used` bytes of records must share one tag; every
+FREE among them is redone, which is idempotent (no block is reused before
+truncation). A record with the tag that fails its bounds or its crc chain
+raises OutOfBounds before any record is applied, and so does one that
+passes the chain only with the tag in place of its own (a corrupt tag).
+`abort` is that same rollback, run on the live handle.
+Writes into blocks allocated by the same transaction skip snapshotting:
+rollback reclaims and zeroes the whole block anyway.
 
 `write`, called once per changed span of a node, makes one state test, one
 `_resolve`, at most one snapshot, then the store.
@@ -30,35 +44,33 @@ Nesting is rejected; the handle owns at most one active transaction.
 
 from __future__ import annotations
 
-from .errors import (
-    DoubleFree,
-    NestedTransaction,
-    OutOfBounds,
-    OutOfSpace,
-    TxStateError,
-)
+from zlib import crc32
+
+from .errors import DoubleFree, NestedTransaction, OutOfBounds, OutOfSpace, TxStateError
 from .layout import define_record
-from .pool import (
-    BLOCK,
-    LOG_ACTIVE,
-    LOG_COMMITTING,
-    LOG_IDLE,
-    ObjectId,
-    PoolHandle,
-    ST_FREE,
-)
+from .pool import BLOCK, LOG_COMMITTING, LOG_IDLE, ST_FREE, ObjectId, PoolHandle
 
 REC_SNAP = 1
 REC_ALLOC = 2
 REC_FREE = 3
+REC_REUSE = 4
+_BODILESS = (REC_ALLOC, REC_FREE, REC_REUSE)
 
 UNDO_RECORD = define_record([
-    ("kind", "u32"), ("body_len", "u32"), ("target", "u64"), ("aux", "u64"),
+    ("kind", "u32"), ("crc", "u32"), ("len", "u32"), ("tag", "u32"), ("target", "u64"),
 ])
+_pack_record = UNDO_RECORD.codec.pack
+_U32 = 0xFFFFFFFF  # transaction numbers and tags wrap at 2^32
+_HEADS = [UNDO_RECORD.pack(kind)[:8] for kind in range(5)]  # kind, a zeroed crc field
 
 TX_ACTIVE = "active"
 TX_COMMITTED = "committed"
 TX_ABORTED = "aborted"
+
+
+def _prior_header(kind: int, size: int) -> bytes:
+    """The block header an ALLOC or REUSE record implies stood before it."""
+    return BLOCK.codec.pack(size, ST_FREE) if kind == REC_REUSE else bytes(BLOCK.size)
 
 
 class Transaction:
@@ -71,6 +83,8 @@ class Transaction:
             raise TxStateError("handle is closed")
         self.pool = pool
         self.state = TX_ACTIVE
+        self._seq = (pool._log_word()[1] + 1) & _U32
+        self._tag = self._crc = (pool.pool_uuid + self._seq) & _U32
         self._log_used = 0
         self._fresh: set[int] = set()       # payload offsets allocated here
         self._freed: dict[int, int] = {}    # payload offset -> size, in free order
@@ -80,22 +94,24 @@ class Transaction:
 
     # ------------------------------------------------------------------ log
 
-    def _append(self, kind: int, target: int, aux: int, body: bytes) -> None:
+    def _append(self, kind: int, target: int, length: int, body: bytes = b"") -> None:
         pool = self.pool
-        rec_off = pool.heap_offset + self._log_used
         total = UNDO_RECORD.size + len(body)
         if self._log_used + total > pool.log_capacity:
             raise OutOfSpace(
                 f"undo log full ({pool.log_capacity} bytes); "
                 "larger log_capacity needed for this transaction"
             )
-        pool._store(rec_off, UNDO_RECORD.codec.pack(kind, len(body), target, aux) + body, "log")
+        tag = self._tag
+        crc = crc32(body, crc32(_pack_record(kind, 0, length, tag, target), self._crc))
+        pool._store(pool.heap_offset + self._log_used,
+                    _pack_record(kind, crc, length, tag, target) + body, "log")
+        self._crc = crc
         self._log_used += total
-        pool._set_log_state(LOG_ACTIVE, self._log_used)
 
     def _snap(self, addr: int, length: int) -> None:
         """Log the prior bytes of [addr, addr + length) for rollback."""
-        self._append(REC_SNAP, addr, 0, self.pool.buf[addr : addr + length])
+        self._append(REC_SNAP, addr, length, self.pool.buf[addr : addr + length])
         self._covered.add((addr, length))
 
     def _require_active(self) -> None:
@@ -139,11 +155,17 @@ class Transaction:
         self.write(dst, dst_off, data)
 
     def alloc_zeroed(self, size: int) -> ObjectId:
+        """Zeroed allocation; a block whose header on file is not the one
+        its record implies is refused with OutOfBounds."""
         self._require_active()
         pool = self.pool
         payload, rsize = pool._alloc.take(size, pool.capacity)
-        old_hdr = bytes(pool.buf[payload - BLOCK.size : payload])
-        self._append(REC_ALLOC, payload, rsize, old_hdr)
+        kind = REC_ALLOC if payload > pool._alloc.frontier else REC_REUSE
+        expected, found = _prior_header(kind, rsize), pool.buf[payload - BLOCK.size : payload]
+        if found != expected:
+            raise OutOfBounds(f"block header at {payload - BLOCK.size} is {found.hex()}, "
+                              f"expected {expected.hex()}")
+        self._append(kind, payload, rsize)
         self._fresh.add(payload)
         return pool._claim(payload, rsize)
 
@@ -154,7 +176,7 @@ class Transaction:
         if oid.offset in self._freed:
             raise DoubleFree(f"offset {oid.offset} already freed in this transaction")
         pool._check_owned_for_free(oid)
-        self._append(REC_FREE, oid.offset, 0, b"")
+        self._append(REC_FREE, oid.offset, 0)
         self._freed[oid.offset] = pool._alloc.block_size[oid.offset]
 
     # ------------------------------------------------------------------ outcome
@@ -163,13 +185,13 @@ class Transaction:
         self._require_active()
         pool = self.pool
         if self._log_used:
-            # commit point: one 8-byte state-word store
-            pool._set_log_state(LOG_COMMITTING, self._log_used)
-            for payload, size in self._freed.items():
-                pool._free_block(payload, size)
-                pool._alloc.release(payload)
-                pool.stats.n_frees += 1
-            pool._set_log_state(LOG_IDLE, 0)
+            if self._freed:
+                pool._set_log_state(LOG_COMMITTING, self._log_used)  # commit point
+                for payload, size in self._freed.items():
+                    pool._free_block(payload, size)
+                    pool._alloc.release(payload)
+                    pool.stats.n_frees += 1
+            pool._set_log_state(LOG_IDLE, self._seq)  # commit point if nothing freed
         self._end(TX_COMMITTED)
 
     def abort(self) -> None:
@@ -202,55 +224,68 @@ class Transaction:
             self.abort()
 
 
-def _in_bounds(pool: PoolHandle, kind: int, target: int, aux: int, body_len: int) -> bool:
-    """A SNAP range lies in the header page or the block region; an ALLOC
-    block (header included) or a FREE payload lies in the block region."""
-    blocks, capacity = pool.blocks_offset, pool.capacity
-    if kind == REC_SNAP:
-        end = target + body_len
-        return end <= pool.heap_offset or blocks <= target and end <= capacity
-    first = blocks + BLOCK.size  # the lowest payload offset
-    if kind == REC_ALLOC:
-        return first <= target and target + aux <= capacity
-    return kind == REC_FREE and first <= target < capacity
-
-
-def _parse_log(pool: PoolHandle, used: int) -> list[tuple[int, int, int, bytes]]:
-    """Decode and bound every record, raising OutOfBounds on a corrupt one;
-    nothing is applied until the whole log has decoded."""
+def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, int, int, int]]:
+    """Decode the records from the start of the log while they carry `tag`,
+    as (kind, target, len, body offset); with `used`, exactly `used` bytes
+    of records, all carrying it. A SNAP range must lie in the header page or
+    the block region, an ALLOC or REUSE block (header included) or a FREE
+    payload in the block region. A record that fails its bounds or its crc
+    chain, or passes the chain only with `tag` in place of its own, raises
+    OutOfBounds, so nothing is applied until all have passed."""
     records = []
-    off, end, hdr = pool.heap_offset, pool.heap_offset + used, UNDO_RECORD.size
-    while off < end:
-        kind, body_len, target, aux = UNDO_RECORD.unpack_from(pool.buf, off)
-        body_off, off = off + hdr, off + hdr + body_len
-        if off > end or not _in_bounds(pool, kind, target, aux, body_len):
-            raise OutOfBounds(f"corrupt undo record at {body_off - hdr}: "
-                              f"kind {kind}, {body_len}-byte body, target {target}, "
-                              f"aux {aux}, log used {used}")
-        records.append((kind, target, aux, bytes(pool.buf[body_off:off])))
+    off, hdr = pool.heap_offset, UNDO_RECORD.size
+    end = off + (pool.log_capacity if used is None else used)
+    blocks, capacity = pool.blocks_offset, pool.capacity
+    first = blocks + BLOCK.size  # the lowest payload offset
+    crc, unpack = tag, UNDO_RECORD.unpack_from
+    with memoryview(pool.buf) as log:
+        while off + hdr <= end:
+            kind, rec_crc, length, rec_tag, target = unpack(log, off)
+            body_end = off + hdr + (length if kind == REC_SNAP else 0)
+            if rec_tag != tag and used is None:
+                # another transaction's record ends the log, unless it passes the
+                # chain with `tag` in place of its own: then its tag is corrupt
+                as_ours = _pack_record(kind, 0, length, tag, target)
+                if (body_end > end
+                        or crc32(log[off + hdr : body_end], crc32(as_ours, crc)) != rec_crc):
+                    break
+            reach = target + length
+            if kind == REC_SNAP:
+                ok = reach <= pool.heap_offset or blocks <= target and reach <= capacity
+            else:
+                ok = kind in _BODILESS and first <= target < capacity and reach <= capacity
+            if (not ok or rec_tag != tag or body_end > end
+                    or crc32(log[off + 8 : body_end], crc32(_HEADS[kind], crc)) != rec_crc):
+                raise OutOfBounds(f"corrupt undo record at {off}: kind {kind}, len {length}, "
+                                  f"tag {rec_tag:#x} (want {tag:#x}), target {target}")
+            crc = rec_crc
+            records.append((kind, target, length, off + hdr))
+            off = body_end
+    if used is not None and off != end:
+        raise OutOfBounds(f"undo records end at {off - pool.heap_offset}, log used {used}")
     return records
 
 
 def recover_log(pool: PoolHandle) -> None:
-    """Roll back an ACTIVE log or finish a COMMITTING one, then truncate."""
-    status, used = pool.log_state
-    if status == LOG_IDLE and used == 0:
-        return
-    if status not in (LOG_ACTIVE, LOG_COMMITTING) or used > pool.log_capacity:
-        raise OutOfBounds(f"corrupt log state: status {status}, {used} bytes used")
-    records = _parse_log(pool, used)
-    if status == LOG_COMMITTING:
-        for kind, target, _, _ in records:
-            if kind == REC_FREE:
-                size, st = BLOCK.unpack_from(pool.buf, target - BLOCK.size)
-                if st != ST_FREE:  # else the free fully executed before the crash
-                    pool._free_block(target, size)
-    else:
-        for kind, target, aux, body in reversed(records):
+    """Roll back an unfinished transaction or finish a committing one, then truncate."""
+    status, low = pool._log_word()
+    if status == LOG_IDLE and low <= _U32:
+        seq = (low + 1) & _U32
+        records = _parse_log(pool, (pool.pool_uuid + seq) & _U32, None)
+        if not records:
+            return
+        for kind, target, length, body in reversed(records):
             if kind == REC_SNAP:
-                pool._store(target, body, "meta")
-            elif kind == REC_ALLOC:
-                pool._store_zeros(target, aux, "meta")
-                pool._store(target - BLOCK.size, body, "meta")
-            # a FREE record needs no undo: the free was deferred to commit
-    pool._set_log_state(LOG_IDLE, 0)
+                pool._store(target, pool.buf[body : body + length], "meta")
+            elif kind != REC_FREE:  # a FREE needs no undo: it was deferred to commit
+                pool._store(target - BLOCK.size, _prior_header(kind, length) + bytes(length),
+                            "meta")
+    elif status == LOG_COMMITTING and 0 < low <= pool.log_capacity:
+        tag = UNDO_RECORD.unpack_from(pool.buf, pool.heap_offset)[3]
+        for kind, target, _, _ in _parse_log(pool, tag, low):
+            if kind == REC_FREE:
+                pool._free_block(target, BLOCK.unpack_from(pool.buf, target - BLOCK.size)[0])
+        seq = (tag - pool.pool_uuid) & _U32
+    else:
+        raise OutOfBounds(f"corrupt log state: status {status}, low bits {low}")
+    pool._set_log_state(LOG_IDLE, seq)

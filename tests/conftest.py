@@ -27,9 +27,9 @@ def recorded_commits(pool, digest):
     Yields (boundaries, ordinals): boundaries starts with `digest(pool)` and
     gains `digest(pool)` after each completed commit; ordinals gains that
     commit's commit point, the store ordinal (`pool._write_ordinal`) of its
-    COMMITTING log-state store, or of its last store if it logged nothing. A
-    crash at store k therefore recovers to boundary `sum(c < k for c in
-    ordinals)`.
+    first log-state store: COMMITTING when the transaction frees blocks,
+    else IDLE; or of its last store if it logged nothing. A crash at store
+    k therefore recovers to boundary `sum(c < k for c in ordinals)`.
     """
     boundaries, ordinals = [digest(pool)], []
     real_commit = Transaction.commit

@@ -1,6 +1,7 @@
 """Pool lifecycle, object ids, allocation, and the on-disk header format."""
 
 import struct
+import zlib
 
 import pytest
 
@@ -69,7 +70,7 @@ class TestHeaderFormat:
         with open(pool_path, "rb") as f:
             raw = f.read(4096)
         assert raw[0:8] == b"LEDSPOOL"
-        assert struct.unpack_from("<I", raw, 8)[0] == 1  # format_version
+        assert struct.unpack_from("<I", raw, 8)[0] == 2  # format_version
         name = raw[16:80].rstrip(b"\0")
         assert name == b"test-layout"
         assert struct.unpack_from("<I", raw, 80)[0] == 1  # layout_version
@@ -95,16 +96,23 @@ class TestHeaderFormat:
     def test_undo_record_header_at_heap_offset(self, pool, pool_path):
         oid = pool.raw_alloc(32)
         tx = pool.tx_begin()
-        pool.arm_crash(CrashPlan(trigger=3))  # record, log state, then the store
+        pool.arm_crash(CrashPlan(trigger=2))  # the record, then the store
         with pytest.raises(SimulatedCrash):
             tx.write(oid, 8, b"x" * 16)
         with open(pool_path, "rb") as f:
             f.seek(4096)
-            header = struct.unpack("<IIQQ", f.read(24))
+            record = f.read(24 + 16)
             f.seek(144)
             log_state = struct.unpack("<Q", f.read(8))[0]
-        assert header == (1, 16, oid.offset + 8, 0)  # SNAP, body length, target, aux
-        assert log_state == 1 << 56 | 24 + 16  # active, one 40-byte record
+        tag = (pool.pool_uuid + 1) & 0xFFFFFFFF  # the pool's first transaction
+        assert struct.unpack_from("<I", record, 0)[0] == 1  # kind: SNAP
+        assert struct.unpack_from("<I", record, 8)[0] == 16  # len: the body's
+        assert struct.unpack_from("<I", record, 12)[0] == tag
+        assert struct.unpack_from("<Q", record, 16)[0] == oid.offset + 8  # target
+        assert record[24:] == bytes(16)  # body: the prior bytes
+        zeroed = record[:4] + bytes(4) + record[8:]
+        assert struct.unpack_from("<I", record, 4)[0] == zlib.crc32(zeroed, tag)
+        assert log_state == 0  # stored only at the commit point
 
     def test_heap_offset_default(self, pool):
         assert pool.heap_offset == 4096
@@ -149,10 +157,11 @@ class TestOpen:
 
     def test_foreign_format_version_rejected(self, pool, pool_path):
         pool.close()
-        with open(pool_path, "r+b") as f:
-            f.seek(8)
-            f.write(struct.pack("<I", 99))
-        self._refused_twice(pool_path)
+        for version in (1, 99):  # version 1's undo log had no tags or checksums
+            with open(pool_path, "r+b") as f:
+                f.seek(8)
+                f.write(struct.pack("<I", version))
+            self._refused_twice(pool_path)
 
     def test_undecodable_layout_name_rejected(self, pool, pool_path):
         pool.close()

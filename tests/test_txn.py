@@ -7,6 +7,7 @@ import signal
 import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 from conftest import recorded_commits
@@ -26,6 +27,11 @@ from ledstore import (
 )
 
 MIB = 1024 * 1024
+
+
+def record_crc(record, seed):
+    """crc32 of an undo record with its crc field (bytes 4-7) zeroed."""
+    return zlib.crc32(bytes(record[:4]) + bytes(4) + bytes(record[8:]), seed)
 
 
 def heap_digest(handle):
@@ -116,11 +122,10 @@ class TestSnapshot:
         oid = pool.raw_alloc(32)
         tx = pool.tx_begin()
         before_log = pool.stats.bytes_log
-        _, used_before = pool.log_state
+        used_before = tx._log_used
         tx.snapshot_range(oid, 0, 24)
-        _, used_after = pool.log_state
         delta = pool.stats.bytes_log - before_log
-        assert delta == used_after - used_before  # oracle: log-size delta
+        assert delta == tx._log_used - used_before  # oracle: bytes logged
         assert delta == 24 + 24  # payload + record header
         tx.abort()
 
@@ -286,13 +291,17 @@ class TestCrashRecovery:
     def test_record_target_past_file_end_refused(self, pool, pool_path):
         a = pool.raw_alloc(16)
         tx = pool.tx_begin()
-        pool.arm_crash(CrashPlan(trigger=3))  # record, log state, then the store
+        pool.arm_crash(CrashPlan(trigger=2))  # the record, then the store
         with pytest.raises(SimulatedCrash):
             tx.write(a, 0, b"A" * 16)
         capacity = pool.capacity
         with open(pool_path, "r+b") as f:
-            f.seek(pool.heap_offset + 8)  # target of the one SNAP record
-            f.write(struct.pack("<Q", capacity - 4))
+            f.seek(pool.heap_offset)
+            record = bytearray(f.read(24 + 16))
+            record[16:24] = struct.pack("<Q", capacity - 4)  # target of the SNAP
+            struct.pack_into("<I", record, 4, record_crc(record, tx._tag))
+            f.seek(pool.heap_offset)  # a consistent record: the bound refuses it
+            f.write(record)
             f.seek(0)
             before = f.read()
         for _ in range(2):  # the refusal left no lock and applied nothing
@@ -394,3 +403,111 @@ class TestCrashRecovery:
                 with recover(path) as re:
                     expected = sum(1 for c in ordinals if c < k)
                     assert heap_digest(re) == boundaries[expected]
+
+
+class TestSelfValidatingLog:
+    """Records carry a tag and a crc chain; the state word moves at commit only."""
+
+    @pytest.mark.parametrize("where", [24 + 5, 12], ids=["body", "tag"])
+    def test_flipped_byte_refused_before_undo(self, pool, pool_path, where):
+        """A flipped bit in the middle record of three, in its body or in its
+        tag (which would otherwise end the scan there), is refused."""
+        a, b, c = (pool.raw_alloc(16) for _ in range(3))
+        tx = pool.tx_begin()
+        for oid, fill in ((a, b"A"), (b, b"B"), (c, b"C")):
+            tx.write(oid, 0, fill * 16)  # one 40-byte SNAP record each
+        pool.arm_crash(CrashPlan(trigger=1))
+        with pytest.raises(SimulatedCrash):
+            tx.write(a, 0, b"D" * 16)
+        with open(pool_path, "r+b") as f:
+            f.seek(pool.heap_offset + 40 + where)
+            flipped = f.read(1)[0] ^ 0x01
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([flipped]))
+            f.seek(0)
+            before = f.read()
+        for _ in range(2):  # the refusal applied nothing and left no lock
+            with pytest.raises(OutOfBounds):
+                recover(pool_path)
+            with open(pool_path, "rb") as f:
+                assert f.read() == before
+
+    def test_stale_records_of_a_committed_transaction_never_applied(self, pool, pool_path):
+        oids = [pool.raw_alloc(16) for _ in range(6)]
+        with pool.tx_begin() as tx:  # six 40-byte SNAP records
+            for i, oid in enumerate(oids):
+                tx.write(oid, 0, bytes([i + 1]) * 16)
+        committed = [pool.load(oid, 0, 16) for oid in oids]
+        tx = pool.tx_begin()
+        tx.write(oids[0], 0, b"x" * 16)
+        pool.arm_crash(CrashPlan(trigger=2))  # the second record, then its store
+        with pytest.raises(SimulatedCrash):
+            tx.write(oids[1], 0, b"y" * 16)
+        with open(pool_path, "rb") as f:  # the third record is the committed one's
+            f.seek(pool.heap_offset + 2 * 40)
+            stale = struct.unpack("<IIIIQ", f.read(24))
+        assert stale[3] == (pool.pool_uuid + tx._seq - 1) & 0xFFFFFFFF
+        assert stale[4] == oids[2].offset
+        with recover(pool_path) as re:
+            assert [re.load(oid, 0, 16) for oid in oids] == committed
+
+    @staticmethod
+    def _two_frees(path, crash_at=None):
+        """One transaction that writes a block and frees two others."""
+        handle = create_pool(path, "free-test", MIB)
+        a, b, keep = (handle.raw_alloc(32) for _ in range(3))
+        for oid in (a, b, keep):
+            handle.store(oid, 0, b"\x5a" * 32)
+        handle.arm_crash(CrashPlan(trigger=crash_at or 10**9))
+        with recorded_commits(handle, heap_digest) as (boundaries, ordinals):
+            try:
+                with handle.tx_begin() as tx:
+                    tx.write(keep, 0, b"k" * 8)
+                    tx.free(a)
+                    tx.free(b)
+            except SimulatedCrash:
+                return boundaries, ordinals, None, (a, b)
+        total = handle._write_ordinal
+        handle.close()
+        return boundaries, ordinals, total, (a, b)
+
+    def test_crash_between_commit_point_and_truncation_finishes_frees(self, tmp_path):
+        boundaries, ordinals, total, _ = self._two_frees(str(tmp_path / "dry.pool"))
+        (commit_point,) = ordinals
+        assert total - commit_point == 3  # one store per free, then truncation
+        for k in range(commit_point + 1, total + 1):
+            path = str(tmp_path / f"k{k}.pool")
+            _, _, finished, (a, b) = self._two_frees(path, crash_at=k)
+            assert finished is None, f"store {k} should crash"
+            with recover(path) as re:
+                assert heap_digest(re) == boundaries[1], f"crash at {k}"
+                assert re.log_state == (0, 0)
+                for oid in (a, b):
+                    header = struct.unpack_from("<QQ", re.buf, oid.offset - 16)
+                    assert header == (32, 0xF4EEB10C)  # free
+                    assert re.buf[oid.offset : oid.offset + 32] == bytes(32)
+
+    def test_commit_without_frees_stores_the_state_word_once(self, pool):
+        oid = pool.raw_alloc(16)
+
+        def state_word():
+            return struct.unpack_from("<Q", pool.buf, 144)[0]
+
+        before = state_word()
+        tx = pool.tx_begin()
+        tx.write(oid, 0, b"w" * 16)
+        tx.alloc_zeroed(32)
+        assert state_word() == before  # nothing stored at begin or append
+        stores = pool.stats.flush_events
+        tx.commit()
+        assert pool.stats.flush_events - stores == 1
+        assert state_word() == tx._seq == before + 1  # idle | this transaction
+
+    def test_alloc_refuses_a_block_header_it_does_not_expect(self, pool):
+        frontier = pool._alloc.frontier  # the next block's header, all zeros
+        pool.buf[frontier + 8 : frontier + 16] = struct.pack("<Q", 0xF4EEB10C)
+        before = pool.stats.snapshot()
+        with pool.tx_begin() as tx:
+            with pytest.raises(OutOfBounds):
+                tx.alloc_zeroed(32)
+        assert pool.stats.delta(before) == {k: 0 for k in before}  # nothing stored
