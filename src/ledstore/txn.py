@@ -14,27 +14,24 @@ One flat undo log lives in the pool's log region. A record is one store: a
                   a zeroed payload in one store (free blocks stay zeroed).
   FREE  (kind 3): no body, len 0; deferred free of the payload at `target`.
 
-`tag` is (pool uuid + transaction number) mod 2^32; `crc` is zlib.crc32 of
-the record with its crc field zeroed, seeded by the previous record's crc
-or, for a transaction's first record, by the tag.
+`tag` is (pool uuid + transaction number) mod 2^32; a number whose tag is 0
+is skipped, as zeroed log bytes carry that tag. `crc` is zlib.crc32 of the
+record with its crc field zeroed, seeded by the previous record's crc or,
+for a transaction's first record, by the tag.
 
 The log-state word (pool.py) is stored only at the commit point and at
 truncation. Between transactions it is IDLE | n, n the last transaction
-that ended; transaction n + 1 logs from the start of the log. A commit that
-frees nothing stores IDLE | n + 1 once, its commit point. One that frees
-stores COMMITTING | bytes logged (its commit point), then one store per
-free (the status word and the zeroed payload together), then IDLE | n + 1.
+that ended; the next one, number m, logs from the start of the log. A
+commit that frees nothing stores IDLE | m once, its commit point. One that
+frees stores COMMITTING | bytes logged (its commit point), then one store
+per free (the status word and the zeroed payload together), then IDLE | m.
 
-Recovery under IDLE | n rolls back, in reverse order, the records from the
-start of the log that carry tag(n + 1), then stores IDLE | n + 1. Under
-COMMITTING | used, the `used` bytes of records must share one tag; every
-FREE among them is redone, which is idempotent (no block is reused before
-truncation). A record with the tag that fails its bounds or its crc chain
-raises OutOfBounds before any record is applied, and so does one that
-passes the chain only with the tag in place of its own (a corrupt tag).
-`abort` is that same rollback, run on the live handle.
-Writes into blocks allocated by the same transaction skip snapshotting:
-rollback reclaims and zeroes the whole block anyway.
+Recovery under IDLE | n rolls back, in reverse order, m's records from the
+start of the log (_parse_log says where they end), then stores IDLE | m;
+under COMMITTING | used it redoes every FREE in those bytes, idempotently
+(no block is reused before truncation). `abort` is that rollback, run on
+the live handle. Writes into blocks allocated by the same transaction skip
+snapshotting: rollback reclaims and zeroes the whole block anyway.
 
 `write`, called once per changed span of a node, makes one state test, one
 `_resolve`, at most one snapshot, then the store.
@@ -83,7 +80,7 @@ class Transaction:
             raise TxStateError("handle is closed")
         self.pool = pool
         self.state = TX_ACTIVE
-        self._seq = (pool._log_word()[1] + 1) & _U32
+        self._seq = _next_seq(pool, pool._log_word()[1])
         self._tag = self._crc = (pool.pool_uuid + self._seq) & _U32
         self._log_used = 0
         self._fresh: set[int] = set()       # payload offsets allocated here
@@ -224,14 +221,44 @@ class Transaction:
             self.abort()
 
 
+def _next_seq(pool: PoolHandle, n: int) -> int:
+    """The transaction after n, skipping any whose tag is 0: a zeroed header carries it."""
+    seq = (n + 1) & _U32
+    return seq if (pool.pool_uuid + seq) & _U32 else (seq + 1) & _U32
+
+
+def _crc_as(buf, off: int, end: int, tag: int, seed: int) -> int | None:
+    """The crc the record at `off` has with `tag`, chained from `seed`; None past `end`."""
+    kind, _, length, _, target = UNDO_RECORD.unpack_from(buf, off)
+    body_end = (start := off + UNDO_RECORD.size) + (length if kind == REC_SNAP else 0)
+    return None if body_end > end else crc32(
+        buf[start:body_end], crc32(_pack_record(kind, 0, length, tag, target), seed))
+
+
+def _ends_log(buf, off: int, end: int, tag: int, seed: int) -> bool:
+    """Whether a record that failed its checks ends the log: it fails the chain
+    from `seed` even with `tag` for its own (else a bound or its tag is bad) and
+    has another tag or no record with `tag` chained after it, by either crc."""
+    _, rec_crc, _, rec_tag, _ = UNDO_RECORD.unpack_from(buf, off)
+    expect = _crc_as(buf, off, end, tag, seed)
+    if expect == rec_crc or rec_tag != tag:
+        return expect != rec_crc
+    at, needle = UNDO_RECORD.offsets["tag"], tag.to_bytes(4, "little")
+    q = off + UNDO_RECORD.size + at - 1
+    while (q := buf.find(needle, q + 1, end)) != -1:  # the next record, wherever it starts
+        if UNDO_RECORD.unpack_from(buf, q - at)[1] in {
+                _crc_as(buf, q - at, end, tag, s) for s in {rec_crc, expect} - {None}}:
+            return False
+    return True
+
+
 def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, int, int, int]]:
-    """Decode the records from the start of the log while they carry `tag`,
-    as (kind, target, len, body offset); with `used`, exactly `used` bytes
-    of records, all carrying it. A SNAP range must lie in the header page or
-    the block region, an ALLOC or REUSE block (header included) or a FREE
-    payload in the block region. A record that fails its bounds or its crc
-    chain, or passes the chain only with `tag` in place of its own, raises
-    OutOfBounds, so nothing is applied until all have passed."""
+    """The records from the start of the log that carry `tag`, as (kind, target,
+    len, body offset); with `used`, exactly `used` bytes of them. A SNAP range
+    lies in the header page or the block region, other records' in the block
+    region. A record failing a check raises OutOfBounds before any applies,
+    unless, without `used`, it _ends_log: it is another transaction's, or this
+    one's torn last record (its copy cut short), whose in-place store never ran."""
     records = []
     off, hdr = pool.heap_offset, UNDO_RECORD.size
     end = off + (pool.log_capacity if used is None else used)
@@ -242,13 +269,6 @@ def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, 
         while off + hdr <= end:
             kind, rec_crc, length, rec_tag, target = unpack(log, off)
             body_end = off + hdr + (length if kind == REC_SNAP else 0)
-            if rec_tag != tag and used is None:
-                # another transaction's record ends the log, unless it passes the
-                # chain with `tag` in place of its own: then its tag is corrupt
-                as_ours = _pack_record(kind, 0, length, tag, target)
-                if (body_end > end
-                        or crc32(log[off + hdr : body_end], crc32(as_ours, crc)) != rec_crc):
-                    break
             reach = target + length
             if kind == REC_SNAP:
                 ok = reach <= pool.heap_offset or blocks <= target and reach <= capacity
@@ -256,6 +276,8 @@ def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, 
                 ok = kind in _BODILESS and first <= target < capacity and reach <= capacity
             if (not ok or rec_tag != tag or body_end > end
                     or crc32(log[off + 8 : body_end], crc32(_HEADS[kind], crc)) != rec_crc):
+                if used is None and _ends_log(pool.buf, off, end, tag, crc):
+                    break
                 raise OutOfBounds(f"corrupt undo record at {off}: kind {kind}, len {length}, "
                                   f"tag {rec_tag:#x} (want {tag:#x}), target {target}")
             crc = rec_crc
@@ -270,7 +292,7 @@ def recover_log(pool: PoolHandle) -> None:
     """Roll back an unfinished transaction or finish a committing one, then truncate."""
     status, low = pool._log_word()
     if status == LOG_IDLE and low <= _U32:
-        seq = (low + 1) & _U32
+        seq = _next_seq(pool, low)
         records = _parse_log(pool, (pool.pool_uuid + seq) & _U32, None)
         if not records:
             return

@@ -452,6 +452,79 @@ class TestSelfValidatingLog:
             assert [re.load(oid, 0, 16) for oid in oids] == committed
 
     @staticmethod
+    def _three_snaps_then_crash(pool):
+        """Three whole 40-byte SNAP records over prefilled blocks, then a crash
+        before the fourth; returns the blocks, their contents and the tx."""
+        oids = [pool.raw_alloc(16) for _ in range(4)]
+        for i, oid in enumerate(oids):
+            pool.store(oid, 0, bytes([0x61 + i]) * 16)
+        prior = [pool.load(oid, 0, 16) for oid in oids]
+        tx = pool.tx_begin()
+        for oid in oids[:3]:
+            tx.write(oid, 0, b"w" * 16)
+        pool.arm_crash(CrashPlan(trigger=1))  # the fourth record
+        with pytest.raises(SimulatedCrash):
+            tx.write(oids[3], 0, b"w" * 16)
+        return oids, prior, tx
+
+    def test_torn_last_record_ends_the_log(self, pool, pool_path):
+        """A process killed while copying a record can leave its header with
+        only half of its body; that record ends the log and the whole ones
+        before it roll back."""
+        oids, prior, tx = self._three_snaps_then_crash(pool)
+        with open(pool_path, "r+b") as f:
+            f.seek(pool.heap_offset + 2 * 40 + 4)
+            seed = struct.unpack("<I", f.read(4))[0]  # the third record's crc
+            record = bytearray(struct.pack("<IIIIQ", 1, 0, 16, tx._tag, oids[3].offset)
+                               + prior[3])
+            struct.pack_into("<I", record, 4, record_crc(record, seed))
+            f.seek(pool.heap_offset + 3 * 40)
+            f.write(record[: 24 + 8])  # the header and half of the body
+        with recover(pool_path) as re:
+            assert [re.load(oid, 0, 16) for oid in oids] == prior
+            assert re.log_state == (0, 0)
+
+    @pytest.mark.parametrize("where", [4, 8], ids=["crc", "len"])
+    def test_corrupt_crc_or_len_of_a_middle_record_refused(self, pool, pool_path, where):
+        """A record that fails its crc is refused, not taken for a torn last
+        one, when a later record chains from it: from the crc it carries
+        (a corrupt len puts its end in the wrong place) or from the crc it
+        should carry (its crc field is the corrupt one)."""
+        self._three_snaps_then_crash(pool)
+        with open(pool_path, "r+b") as f:
+            f.seek(pool.heap_offset + 40 + where)
+            flipped = f.read(1)[0] ^ 0x01
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([flipped]))
+            f.seek(0)
+            before = f.read()
+        with pytest.raises(OutOfBounds):
+            recover(pool_path)
+        with open(pool_path, "rb") as f:
+            assert f.read() == before
+
+    def test_transaction_whose_tag_would_be_zero_is_skipped(self, pool, pool_path):
+        """Zeroed log bytes carry tag 0, so no transaction may: a pool whose
+        first transaction would have it opens, aborts and recovers."""
+        pool.close()
+        with open(pool_path, "r+b") as f:
+            f.seek(88)
+            uuid = struct.unpack("<Q", f.read(8))[0] | 0xFFFFFFFF  # tag(1) == 0
+            f.seek(88)
+            f.write(struct.pack("<Q", uuid))
+        handle = open_pool(pool_path, "test-layout")
+        oid = handle.raw_alloc(16)
+        handle.store(oid, 0, b"o" * 16)
+        tx = handle.tx_begin()
+        assert tx._tag != 0 and tx._seq == 2
+        tx.write(oid, 0, b"x" * 16)
+        tx.abort()
+        assert handle.load(oid, 0, 16) == b"o" * 16
+        handle.close()
+        with recover(pool_path) as re:
+            assert re.load(oid, 0, 16) == b"o" * 16
+
+    @staticmethod
     def _two_frees(path, crash_at=None):
         """One transaction that writes a block and frees two others."""
         handle = create_pool(path, "free-test", MIB)
