@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -180,25 +179,14 @@ def _walk_chain(pool, oid, desc, level, base_off=0):
     return cur
 
 
-def _chain_ready(pool, oid, desc, level, base_off=0) -> bool:
-    """Uncounted probe used to decide whether an implicit transaction is needed."""
-    buf = pool.buf
-    off = oid.offset + base_off + desc.link_offset
-    for ext in desc.extensions[:level]:
-        uuid, target = struct.unpack_from("<QQ", buf, off)
-        if uuid == 0 and target == 0:
-            return False
-        off = target + ext.link_offset
-    return True
-
-
 def ensure_extension(tx, pool, oid, desc, level, *, base_off: int = 0) -> ObjectId:
     """Materialize extensions up to `level` for one object; idempotent.
 
     Walks the link chain from the base record; every null link up to the
     requested level is replaced by a freshly allocated, init-rule-filled
     record. Each link inspection counts one check; each materialization
-    counts one allocation and its bytes.
+    counts one allocation and its bytes. A null link with no transaction
+    (`tx` or the active one) raises TxRequired, before anything is stored.
     """
     if level < 1 or level > len(desc.extensions):
         raise UnknownLevel(f"{desc.type_name} has {len(desc.extensions)} levels, asked {level}")
@@ -227,9 +215,10 @@ def ensure_extension(tx, pool, oid, desc, level, *, base_off: int = 0) -> Object
 def extension_record(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, level: int,
                      *, base_off: int = 0) -> ObjectId:
     """One object's level-`level` extension record, materialized on first
-    touch. Outside any transaction the upgrade runs in an implicit single-op
-    transaction, so the init value is durable."""
-    if pool._active_tx is None and not _chain_ready(pool, oid, desc, level, base_off):
+    touch. Outside any transaction the walk runs in an implicit single-op
+    transaction, so an upgrade's init value is durable; over a chain that is
+    already there it logs nothing, so its commit stores nothing."""
+    if pool._active_tx is None:
         with Transaction(pool):
             return ensure_extension(None, pool, oid, desc, level, base_off=base_off)
     return ensure_extension(None, pool, oid, desc, level, base_off=base_off)
@@ -251,7 +240,8 @@ def write_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str
     """Store a base or extension field through the active transaction if any.
 
     Writing an extension field of a not-yet-extended object requires an
-    active transaction (the materialization must be atomic with the store).
+    active transaction (the materialization must be atomic with the store):
+    ensure_extension raises TxRequired without one.
     """
     level, f = desc.resolve(name)
     tx = pool._active_tx
@@ -262,8 +252,6 @@ def write_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str
         else:
             pool.store(oid, base_off + f.offset, data)
         return
-    if tx is None and not _chain_ready(pool, oid, desc, level, base_off):
-        raise TxRequired("write to an unextended object outside a transaction")
     rec = ensure_extension(tx, pool, oid, desc, level, base_off=base_off)
     data = f.encode(value)
     if tx is not None:
@@ -274,15 +262,14 @@ def write_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str
 
 # --------------------------------------------------------------------- copies
 
-def clone_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor,
-                          from_level: int = 1) -> ObjectId:
+def clone_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> ObjectId:
     """Clone every record reachable from `first`; returns the clone chain head."""
     if first.is_null():
         return NULL_OID
     head = NULL_OID
     prev_rec, prev_link = None, 0
     cur = first
-    for ext in desc.extensions[from_level - 1 :]:
+    for ext in desc.extensions:
         if cur.is_null():
             break
         clone = tx.alloc_zeroed(ext.record_size)
@@ -316,12 +303,11 @@ def deep_copy(tx, pool, oid: ObjectId, desc: TypeDescriptor, *,
     return new
 
 
-def free_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor,
-                         from_level: int = 1) -> int:
+def free_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> int:
     """Free every record reachable from `first`; returns the count freed."""
     freed = 0
     cur = first
-    for ext in desc.extensions[from_level - 1 :]:
+    for ext in desc.extensions:
         if cur.is_null():
             break
         nxt = ObjectId.unpack(pool.load(cur, ext.link_offset, LINK_SIZE))
@@ -340,9 +326,12 @@ def free_extendible(tx, pool, oid: ObjectId, desc: TypeDescriptor) -> None:
 
 
 def translation_cache(pool: PoolHandle, enabled: bool) -> None:
-    """Toggle per-transaction caching of ObjectId translations."""
-    pool.translation_cache_enabled = enabled
-    pool._xlat_cache.clear()
+    """Install on this one handle a resolver that caches ObjectId translations
+    per transaction (PoolHandle.caching_resolve), fresh and empty, or remove it.
+    Only the overhead breakdown's `cached` variant turns it on."""
+    pool.__dict__.pop("_resolve", None)
+    if enabled:
+        pool._resolve = pool.caching_resolve()
 
 
 # ------------------------------------------------------------------- manifest

@@ -10,9 +10,10 @@ The object heap is a sequence of blocks: a 16-byte block header {size u64
 (the payload's), status u64} followed by the payload. Payloads are
 16-byte aligned and sized in 16-byte multiples, so ObjectId offsets
 (absolute file offset of a payload) are always 16-byte aligned. A zero
-size marks the bump frontier. The allocator keeps exact-size free lists
-over the frontier and is rebuilt by scanning block headers on open, so
-no separate allocator state needs to be persisted or kept crash-safe.
+size marks the bump frontier. The allocator keeps one map of live blocks
+(payload offset -> size), exact-size free lists and the frontier, and is
+rebuilt by scanning block headers on open, so no separate allocator state
+needs to be persisted or kept crash-safe.
 
 Free blocks always hold zeroed payloads: payloads are zeroed when a block
 is returned to the allocator and when a pending allocation is rolled back.
@@ -28,9 +29,10 @@ commit point and at truncation; the protocol is in txn.py.
 
 Every access by ObjectId (`read`, `load`, `store`, `tx.write`) makes one
 `_resolve`: id (pool identity, live payload) and byte range together, one
-counted translation, like `pmemobj_direct`. `read(oid, codec, off)` decodes
-a record without copying bytes. Every store goes through `_store`, whose
-one counter, `stats.flush_events`, a crash plan trips on.
+counted translation, like `pmemobj_direct` (the breakdown's translation
+cache, `caching_resolve`, replaces it on one handle). `read(oid, codec,
+off)` decodes a record without copying bytes. Every store goes through
+`_store`, whose one counter, `stats.flush_events`, a crash plan trips on.
 
 Handles are single-threaded and exclusive: each holds a flock on its pool
 file's descriptor (a second open raises PoolLocked), which the kernel drops
@@ -138,22 +140,19 @@ class CrashPlan:
 
 
 class _Allocator:
-    """Volatile view of the block heap: exact-size free lists + bump frontier."""
+    """Volatile view of the block heap: live blocks, exact-size free lists,
+    bump frontier."""
 
-    __slots__ = ("block_size", "live", "free_lists", "frontier", "live_bytes")
+    __slots__ = ("live", "free_lists", "frontier")
 
     def __init__(self) -> None:
-        self.block_size: dict[int, int] = {}   # payload offset -> rounded size, every block
-        self.live: dict[int, int] = {}         # the same, allocated blocks only
+        self.live: dict[int, int] = {}   # payload offset -> rounded size, allocated blocks
         self.free_lists: dict[int, list[int]] = {}
         self.frontier = 0
-        self.live_bytes = 0
 
     def scan(self, buf, blocks_off: int, capacity: int) -> None:
-        self.block_size.clear()
         self.live.clear()
         self.free_lists.clear()
-        self.live_bytes = 0
         off, hdr = blocks_off, BLOCK.size
         unpack = BLOCK.unpack_from
         while off + hdr <= capacity:
@@ -161,10 +160,8 @@ class _Allocator:
             if size == 0:
                 break
             payload = off + hdr
-            self.block_size[payload] = size
             if status == ST_ALLOCATED:
                 self.live[payload] = size
-                self.live_bytes += size
             else:
                 self.free_lists.setdefault(size, []).append(payload)
             off = payload + size
@@ -191,15 +188,12 @@ class _Allocator:
         lst = self.free_lists.get(size)
         if lst and lst[-1] == payload:
             lst.pop()
-        self.block_size[payload] = size
         self.live[payload] = size
-        self.live_bytes += size
         if payload + size > self.frontier:
             self.frontier = payload + size
 
     def release(self, payload: int) -> None:
         size = self.live.pop(payload)
-        self.live_bytes -= size
         self.free_lists.setdefault(size, []).append(payload)
 
 
@@ -215,8 +209,6 @@ class PoolHandle:
         self._active_tx = None
         self._trip = _NEVER            # flush_events value whose store is refused
         self._arm_base = 0             # flush_events when the crash plan was armed
-        self.translation_cache_enabled = False
-        self._xlat_cache: dict[int, int] = {}  # payload offset -> size
 
         self._alloc = _Allocator()
         self._live = self._alloc.live
@@ -313,33 +305,39 @@ class PoolHandle:
 
     def _resolve(self, oid: ObjectId, off: int, length: int) -> int:
         """Validate an id and the range [off, off + length) of its payload;
-        return the range's address. Counts one translation.
-
-        With the translation cache enabled, repeated resolutions of one id
-        within a transaction skip the id validation (hits are keyed by
-        offset and trust the earlier validation, like a direct pointer
-        would); only misses count toward the translation counter.
-        """
-        if self.translation_cache_enabled:
-            size = self._xlat_cache.get(oid[1])
-            if size is None:
-                size = self._cache_miss(oid)
-        else:
-            size = self._live.get(oid[1])
-            if size is None or oid[0] != self.pool_uuid:
-                self._refuse(oid)
-            self.stats.translations += 1
-        if off < 0 or length < 0 or off + length > size:
-            raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
-        return oid[1] + off
-
-    def _cache_miss(self, oid: ObjectId) -> int:
+        return the range's address. Counts one translation."""
         size = self._live.get(oid[1])
         if size is None or oid[0] != self.pool_uuid:
             self._refuse(oid)
         self.stats.translations += 1
-        self._xlat_cache[oid[1]] = size
-        return size
+        if off < 0 or length < 0 or off + length > size:
+            raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
+        return oid[1] + off
+
+    def caching_resolve(self):
+        """A `_resolve` for this handle (leds.translation_cache installs it)
+        that caches each id's payload size until `_active_tx` changes, which
+        every call checks: a hit trusts the earlier validation, like a direct
+        pointer, and counts nothing; a miss counts one translation. So a
+        transaction that resolves no id leaves a cache filled outside any
+        transaction as it was."""
+        cache: dict[int, int] = {}  # payload offset -> size
+        owner = self._active_tx
+
+        def resolve(oid: ObjectId, off: int, length: int) -> int:
+            nonlocal owner
+            if self._active_tx is not owner:
+                owner = self._active_tx
+                cache.clear()
+            size = cache.get(oid[1])
+            if size is None:
+                PoolHandle._resolve(self, oid, 0, 0)  # validates the id, counts the miss
+                size = cache[oid[1]] = self._live[oid[1]]
+            if off < 0 or length < 0 or off + length > size:
+                raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
+            return oid[1] + off
+
+        return resolve
 
     def _refuse(self, oid: ObjectId) -> None:
         """Raise the typed error for an id that does not name a live payload."""
@@ -393,7 +391,7 @@ class PoolHandle:
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's free()")
         self._check_owned_for_free(oid)
-        self._free_block(oid.offset, self._alloc.block_size[oid.offset])
+        self._free_block(oid.offset, self._live[oid.offset])
         self._alloc.release(oid.offset)
         self.stats.n_frees += 1
 
@@ -406,14 +404,14 @@ class PoolHandle:
     def _check_owned_for_free(self, oid: ObjectId) -> None:
         if oid.pool_uuid != self.pool_uuid:
             raise ForeignPool("id belongs to a different pool")
-        if oid.offset not in self._alloc.block_size:
+        if oid.offset not in self._live:  # a free-list scan, on the error path only
+            if any(oid.offset in lst for lst in self._alloc.free_lists.values()):
+                raise DoubleFree(f"offset {oid.offset} is already free")
             raise OutOfBounds(f"offset {oid.offset} was never a payload")
-        if oid.offset not in self._alloc.live:
-            raise DoubleFree(f"offset {oid.offset} is already free")
 
     @property
     def live_bytes(self) -> int:
-        return self._alloc.live_bytes
+        return sum(self._live.values())
 
     @property
     def allocated_objects(self) -> int:

@@ -87,7 +87,6 @@ class Transaction:
         self._freed: dict[int, int] = {}    # payload offset -> size, in free order
         self._covered: set[tuple[int, int]] = set()
         pool._active_tx = self
-        pool._xlat_cache.clear()
 
     # ------------------------------------------------------------------ log
 
@@ -174,7 +173,7 @@ class Transaction:
             raise DoubleFree(f"offset {oid.offset} already freed in this transaction")
         pool._check_owned_for_free(oid)
         self._append(REC_FREE, oid.offset, 0)
-        self._freed[oid.offset] = pool._alloc.block_size[oid.offset]
+        self._freed[oid.offset] = pool._live[oid.offset]
 
     # ------------------------------------------------------------------ outcome
 
@@ -203,7 +202,6 @@ class Transaction:
     def _end(self, state: str) -> None:
         self.state = state
         self.pool._active_tx = None
-        self.pool._xlat_cache.clear()
 
     def __enter__(self) -> "Transaction":
         return self

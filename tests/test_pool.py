@@ -292,6 +292,28 @@ class TestRead:
             pool.read(oid, self.WORDS)
             assert pool.stats.translations == before + 1
 
+    def test_cached_id_refused_once_its_block_is_freed(self, pool):
+        oid = pool.raw_alloc(16)
+        translation_cache(pool, True)
+        with pool.tx_begin() as tx:
+            pool.read(oid, self.WORDS)  # cached by the transaction that frees it
+            tx.free(oid)
+        with pytest.raises(OutOfBounds):
+            pool.read(oid, self.WORDS)
+        with pool.tx_begin():
+            with pytest.raises(OutOfBounds):
+                pool.read(oid, self.WORDS)
+
+    def test_cache_removed_validates_every_call(self, pool):
+        oid = pool.raw_alloc(16)
+        translation_cache(pool, True)
+        translation_cache(pool, False)
+        before = pool.stats.translations
+        with pool.tx_begin():
+            pool.read(oid, self.WORDS)
+            pool.read(oid, self.WORDS)
+        assert pool.stats.translations == before + 2
+
 
 class TestAlloc:
     def test_zeroed(self, pool):
@@ -322,6 +344,25 @@ class TestAlloc:
         pool.raw_free(oid)
         with pytest.raises(DoubleFree):
             pool.raw_free(oid)
+        with pool.tx_begin() as tx:
+            with pytest.raises(DoubleFree):
+                tx.free(oid)
+
+    def test_free_of_offset_that_was_never_a_payload(self, pool):
+        oid = pool.raw_alloc(64)
+        pool.raw_free(pool.raw_alloc(64))  # a free list is not empty
+        inside = ObjectId(pool.pool_uuid, oid.offset + 16)
+        past = ObjectId(pool.pool_uuid, pool._alloc.frontier + 16)
+        for bad in (inside, past):
+            before = pool.stats.snapshot()
+            with pytest.raises(OutOfBounds):
+                pool.raw_free(bad)
+            with pool.tx_begin() as tx:
+                with pytest.raises(OutOfBounds):
+                    tx.free(bad)
+                assert tx._log_used == 0  # no log record appended
+            assert pool.stats.snapshot() == before  # nothing stored
+        assert pool.allocated_objects == 1
 
     def test_freed_payload_zeroed(self, pool):
         oid = pool.raw_alloc(32)
