@@ -202,8 +202,7 @@ def ensure_extension(tx, pool, oid, desc, level, *, base_off: int = 0) -> Object
             before = stats.bytes_user
             payload = _init_payload(pool, oid, desc, ext, base_off)
             rec = etx.alloc_zeroed(ext.record_size)
-            etx.write(rec, 0, payload)
-            etx.write(rec, ext.link_offset, NULL_OID.pack())
+            etx.write(rec, 0, payload + NULL_OID.pack())  # the link follows the payload
             etx.write(cur, link_off, rec.pack())
             stats.allocations += 1
             stats.ext_bytes += stats.bytes_user - before
