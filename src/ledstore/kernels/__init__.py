@@ -41,11 +41,10 @@ def make_manual_migrator(kind: str, change: str = "change") -> MigrationPass:
     cls = _kernel_class(kind)
     old, new = cls.entry_record(), cls.entry_record(change)
 
-    def transform(pool, tx, old_root, temp, ms):
-        cls.migrate(pool, tx, old_root, temp, ms, old, new)
+    def transform(pool, tx, root, ms):
+        cls.migrate(pool, tx, root, ms, old, new)
 
-    return MigrationPass(from_version=1, to_version=2,
-                         root_size=cls.ROOT_SIZE, transform=transform)
+    return MigrationPass(from_version=1, to_version=2, transform=transform)
 
 
 def make_auto_schema(kind: str, change: str | None):

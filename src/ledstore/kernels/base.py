@@ -145,11 +145,12 @@ class MapKernel:
         return desc
 
     @classmethod
-    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms,
+    def migrate(cls, pool, tx, root: ObjectId, ms,
                 old: RecordLayout, new: RecordLayout) -> None:
-        """Manual version 1 -> 2 pass: rebuild the structure under `old_root`
-        into the `temp` root, decoding entries through record `old` and
-        encoding them through record `new`."""
+        """Manual version 1 -> 2 pass: rebuild the structure under the pool
+        `root`, decoding entries through record `old` and encoding them
+        through record `new`. It reads every old root field before it
+        rewrites the root in place."""
         raise NotImplementedError
 
     # -- root helpers ------------------------------------------------------

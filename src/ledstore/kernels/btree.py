@@ -397,10 +397,10 @@ class BTreeKernel(MapKernel):
     # -- manual migration ------------------------------------------------------
 
     @classmethod
-    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+    def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Clone the tree node-for-node (same shape, same occupancy); children
         first so every new record is written with a single store."""
-        u, o, count = pool.read(old_root, cls.ROOT)
+        u, o, count = pool.read(root, cls.ROOT)
         old_children, old_size = node_shape(old.size)
         new_children, new_size = node_shape(new.size)
 
@@ -426,4 +426,4 @@ class BTreeKernel(MapKernel):
             tx.free(old_node)
             return new_node
 
-        cls._write_root(tx, temp, tree=clone(ObjectId(u, o)), count=count)
+        cls._write_root(tx, root, tree=clone(ObjectId(u, o)), count=count)

@@ -221,9 +221,9 @@ class CritBitKernel(MapKernel):
     # -- manual migration ------------------------------------------------------
 
     @classmethod
-    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+    def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Clone node-for-node bottom-up, widening leaf keys; one store per record."""
-        leaf_word, count, raw = pool.read(old_root, cls.ROOT)
+        leaf_word, count, raw = pool.read(root, cls.ROOT)
         root_leaf = leaf_word == 1
         new_node_size = 4 + 2 * new.size
 
@@ -242,6 +242,7 @@ class CritBitKernel(MapKernel):
             tx.free(old_node)
             return new.pack(0, new_node.pack())
 
-        if count > 0:
-            tx.write(temp, cls.ROOT.offsets["entry"], clone_entry(raw, root_leaf))
-        cls._write_root(tx, temp, is_leaf=int(root_leaf), count=count)
+        if count > 0:  # an emptied tree's dead entry bytes stay, as after a remove;
+            # nothing reads them at count 0, and an insert overwrites the wider entry
+            tx.write(root, cls.ROOT.offsets["entry"], clone_entry(raw, root_leaf))
+        cls._write_root(tx, root, is_leaf=int(root_leaf), count=count)

@@ -154,10 +154,10 @@ class HashMapKernel(MapKernel):
     # -- manual migration ------------------------------------------------------
 
     @classmethod
-    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+    def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Rebuild every chain in the v2 layout, tail-first so each new node is
         written with exactly one store; old nodes and the old array are freed."""
-        uuid, off, nbuckets, count = pool.read(old_root, cls.ROOT)
+        uuid, off, nbuckets, count = pool.read(root, cls.ROOT)
         old_buckets = ObjectId(uuid, off)
 
         new_buckets = tx.alloc_zeroed(nbuckets * 16)
@@ -181,4 +181,4 @@ class HashMapKernel(MapKernel):
         tx.write(new_buckets, 0, b"".join(h.pack() for h in heads))
         tx.free(old_buckets)
 
-        cls._write_root(tx, temp, buckets=new_buckets, nbuckets=nbuckets, count=count)
+        cls._write_root(tx, root, buckets=new_buckets, nbuckets=nbuckets, count=count)

@@ -316,9 +316,9 @@ class RBTreeKernel(MapKernel):
     # -- manual migration ------------------------------------------------------
 
     @classmethod
-    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+    def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Clone the tree node-for-node bottom-up; one store per new record."""
-        tree_u, tree_o, nil_u, nil_o, count = pool.read(old_root, cls.ROOT)
+        tree_u, tree_o, nil_u, nil_o, count = pool.read(root, cls.ROOT)
         old_nil = ObjectId(nil_u, nil_o)
 
         nil = tx.alloc_zeroed(new.size)
@@ -342,4 +342,4 @@ class RBTreeKernel(MapKernel):
 
         new_tree = clone(ObjectId(tree_u, tree_o), nil)
         tx.free(old_nil)
-        cls._write_root(tx, temp, tree=new_tree, nil=nil, count=count)
+        cls._write_root(tx, root, tree=new_tree, nil=nil, count=count)

@@ -190,10 +190,10 @@ class SkipListKernel(MapKernel):
     # -- manual migration ------------------------------------------------------
 
     @classmethod
-    def migrate(cls, pool, tx, old_root: ObjectId, temp: ObjectId, ms, old, new) -> None:
+    def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Clone node-for-node, heights preserved, built tail-first so each new
         record is written with a single store."""
-        uuid, off, count = pool.read(old_root, cls.ROOT)
+        uuid, off, count = pool.read(root, cls.ROOT)
         old_head = ObjectId(uuid, off)
         # old nodes are read field by field: {key, value}, the key, one link
         old_entry = define_record(old.fields[:2])
@@ -231,4 +231,4 @@ class SkipListKernel(MapKernel):
 
         head = tx.alloc_zeroed(new.size)
         tx.write(head, new.offsets["next0"], b"".join(t.pack() for t in tails))
-        cls._write_root(tx, temp, head=head, count=count)
+        cls._write_root(tx, root, head=head, count=count)

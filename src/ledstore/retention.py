@@ -11,10 +11,6 @@ what the running program expects:
              recovers to the untouched old state and the pass restarts
   automatic  the pool opens as-is after a base-layout fingerprint check;
              records upgrade lazily through their extension links on access
-
-The whole manual pass follows the temp-holder root swap: build the new
-structure, fill a temporary root image, free the old root content, then
-copy the temporary over the real root object inside the same transaction.
 """
 
 from __future__ import annotations
@@ -58,14 +54,13 @@ class MigrationStats:
 class MigrationPass:
     """Transactional transform from one layout version to the next.
 
-    `transform(pool, tx, old_root, temp_root, stats)` walks the old
-    structure, builds the new one, frees old records, and fills the
-    temporary root image; the runner swaps it into the real root.
+    `transform(pool, tx, root, stats)` walks the old structure under the
+    pool root, builds the new one, frees old records, and rewrites the root
+    in place, inside the runner's one transaction.
     """
 
     from_version: int
     to_version: int
-    root_size: int
     transform: object
 
 
@@ -93,12 +88,7 @@ def run_migration(pool: PoolHandle, mig: MigrationPass) -> MigrationStats:
     before = pool.stats.snapshot()
     t0 = time.perf_counter()
     with pool.tx_begin() as tx:
-        old_root = pool.root_id
-        temp = tx.alloc_zeroed(mig.root_size)
-        mig.transform(pool, tx, old_root, temp, ms)
-        root = pool.get_root(mig.root_size)
-        tx.copy_bytes(root, 0, temp, 0, mig.root_size)
-        tx.free(temp)
+        mig.transform(pool, tx, pool.root_id, ms)
         pool.set_layout_version(mig.to_version)
     ms.duration_s = time.perf_counter() - t0
     delta = pool.stats.delta(before)
