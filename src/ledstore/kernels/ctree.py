@@ -242,7 +242,6 @@ class CritBitKernel(MapKernel):
             tx.free(old_node)
             return new.pack(0, new_node.pack())
 
-        if count > 0:  # an emptied tree's dead entry bytes stay, as after a remove;
-            # nothing reads them at count 0, and an insert overwrites the wider entry
+        if count > 0:  # else dead entry bytes stay, as after a remove: unread at count 0
             tx.write(root, cls.ROOT.offsets["entry"], clone_entry(raw, root_leaf))
         cls._write_root(tx, root, is_leaf=int(root_leaf), count=count)

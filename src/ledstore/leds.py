@@ -263,8 +263,6 @@ def write_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str
 
 def clone_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> ObjectId:
     """Clone every record reachable from `first`; returns the clone chain head."""
-    if first.is_null():
-        return NULL_OID
     head = NULL_OID
     prev_rec, prev_link = None, 0
     cur = first
@@ -302,18 +300,15 @@ def deep_copy(tx, pool, oid: ObjectId, desc: TypeDescriptor, *,
     return new
 
 
-def free_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> int:
-    """Free every record reachable from `first`; returns the count freed."""
-    freed = 0
+def free_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> None:
+    """Free every record reachable from `first`."""
     cur = first
     for ext in desc.extensions:
         if cur.is_null():
             break
         nxt = ObjectId.unpack(pool.load(cur, ext.link_offset, LINK_SIZE))
         tx.free(cur)
-        freed += 1
         cur = nxt
-    return freed
 
 
 def free_extendible(tx, pool, oid: ObjectId, desc: TypeDescriptor) -> None:

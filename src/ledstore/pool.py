@@ -140,8 +140,7 @@ class CrashPlan:
 
 
 class _Allocator:
-    """Volatile view of the block heap: live blocks, exact-size free lists,
-    bump frontier."""
+    """Volatile view of the block heap: live blocks, free lists, bump frontier."""
 
     __slots__ = ("live", "free_lists", "frontier")
 
