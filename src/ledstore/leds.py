@@ -6,10 +6,12 @@ versions without rewriting stored objects. The base record ends with a
 record {payload fields + trailing link}, chained off that slot. A null
 link means "not yet upgraded". On first access of an extension field the
 runtime allocates the record in the same pool, runs the extension's init
-rule against the object's existing fields, and stores the new record's id
-into the predecessor's link slot. Extensions are append-only: removing or
-reordering levels would misinterpret data written by older versions, which
-is exactly what the base-layout fingerprint guards against.
+rule against the object's existing fields, stores the record and its null
+link with one store, then its id in the predecessor's link slot. Outside a
+transaction, reads walk the chain in an implicit one, which stores nothing
+if the chain is there. Extensions are append-only: removing or reordering
+levels would misinterpret data written by older versions, which is exactly
+what the base-layout fingerprint guards against.
 
 Fields are declared in the codes of layout.py and laid out by its
 define_record, which also serves plain (non-extendible) records; base
@@ -320,9 +322,8 @@ def free_extendible(tx, pool, oid: ObjectId, desc: TypeDescriptor) -> None:
 
 
 def translation_cache(pool: PoolHandle, enabled: bool) -> None:
-    """Install on this one handle a resolver that caches ObjectId translations
-    per transaction (PoolHandle.caching_resolve), fresh and empty, or remove it.
-    Only the overhead breakdown's `cached` variant turns it on."""
+    """Install a fresh caching resolver (PoolHandle.caching_resolve) on this one
+    handle, or remove it; only the breakdown's `cached` variant turns it on."""
     pool.__dict__.pop("_resolve", None)
     if enabled:
         pool._resolve = pool.caching_resolve()
