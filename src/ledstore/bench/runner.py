@@ -186,14 +186,14 @@ def _translation_cost(pool, oid, reps: int = 7, n: int = 20_000) -> float:
     try:
         for _ in range(reps):
             for cached in best:
-                leds.translation_cache(pool, cached)
+                pool.set_translation_cache(cached)
                 t0 = time.perf_counter()
                 for _ in range(n):
                     pool.translate(oid)
                 best[cached] = min(best[cached], time.perf_counter() - t0)
     finally:
         pool.stats = ledger
-        leds.translation_cache(pool, True)
+        pool.set_translation_cache(True)
     return max(best[False] - best[True], 0.0) / n
 
 
@@ -236,7 +236,7 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
                            migrations=ms.nodes_migrated,
                            migration_bytes=ms.bytes_node_records)
             else:
-                leds.translation_cache(pool, variant == "cached")
+                pool.set_translation_cache(variant == "cached")
             kernel = make_kernel(pool, cfg.kernel, mode=policy.model, version=2,
                                  change=cfg.layout, shallow_copy=variant == "shallow",
                                  rng=_rng_for(cfg, 0x0A11))

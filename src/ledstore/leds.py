@@ -321,14 +321,6 @@ def free_extendible(tx, pool, oid: ObjectId, desc: TypeDescriptor) -> None:
     tx.free(oid)
 
 
-def translation_cache(pool: PoolHandle, enabled: bool) -> None:
-    """Install a fresh caching resolver (PoolHandle.caching_resolve) on this one
-    handle, or remove it; only the breakdown's `cached` variant turns it on."""
-    pool.__dict__.pop("_resolve", None)
-    if enabled:
-        pool._resolve = pool.caching_resolve()
-
-
 # ------------------------------------------------------------------- manifest
 
 def dump_manifest(descs, path: str) -> None:

@@ -30,7 +30,7 @@ commit point and at truncation; the protocol is in txn.py.
 Every access by ObjectId (`read`, `load`, `store`, `tx.write`) makes one
 `_resolve`: id (pool identity, live payload) and byte range together, one
 counted translation, like `pmemobj_direct` (the breakdown's translation
-cache, `caching_resolve`, replaces it on one handle). `read(oid, codec,
+cache, `set_translation_cache`, replaces it on one handle). `read(oid, codec,
 off)` decodes a record without copying bytes. Every store goes through
 `_store`, whose one counter, `stats.flush_events`, a crash plan trips on.
 
@@ -313,13 +313,16 @@ class PoolHandle:
             raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
         return oid[1] + off
 
-    def caching_resolve(self):
-        """A `_resolve` for this handle (leds.translation_cache installs it)
-        that caches each id's payload size until `_active_tx` changes, which
-        every call checks: a hit trusts the earlier validation, like a direct
-        pointer, and counts nothing; a miss counts one translation. So a
-        transaction that resolves no id leaves a cache filled outside any
-        transaction as it was."""
+    def set_translation_cache(self, enabled: bool) -> None:
+        """Install on this one handle a `_resolve` that caches each id's
+        payload size, or remove it (the breakdown's `cached` variant). A hit
+        trusts the earlier validation, like a direct pointer, and counts
+        nothing; a miss counts one translation. The cache empties when
+        `_active_tx` changes, which every resolve checks, and at every free."""
+        self.__dict__.pop("_resolve", None)
+        self.__dict__.pop("_free_block", None)
+        if not enabled:
+            return
         cache: dict[int, int] = {}  # payload offset -> size
         owner = self._active_tx
 
@@ -336,7 +339,11 @@ class PoolHandle:
                 raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
             return oid[1] + off
 
-        return resolve
+        def free_block(payload: int, size: int) -> None:
+            cache.clear()
+            PoolHandle._free_block(self, payload, size)
+
+        self._resolve, self._free_block = resolve, free_block
 
     def _refuse(self, oid: ObjectId) -> None:
         """Raise the typed error for an id that does not name a live payload."""

@@ -11,7 +11,7 @@ Every store into the mapped file lands in exactly one byte bucket:
 counter, which crash plans trip on. The remaining fields are event
 counters used by the overhead-breakdown
 reports: extension-record allocations (with their materialization bytes),
-ObjectId translations (only misses while leds.translation_cache is on),
+ObjectId translations (only misses while a handle's translation cache is on),
 deep copies of extended records, and extension-link null checks.
 """
 

@@ -22,7 +22,6 @@ from ledstore.leds import (
     load_manifest,
     manifest_fingerprint,
     read_field,
-    translation_cache,
     write_field,
 )
 
@@ -296,7 +295,7 @@ class TestTranslationCache:
         desc = ll_extended()
         oid = make_obj(pool, desc, 5)
         read_field(pool, oid, desc, "val_fl")  # materialize first
-        translation_cache(pool, True)
+        pool.set_translation_cache(True)
         with pool.tx_begin():
             before = pool.stats.translations
             for _ in range(1000):
@@ -309,7 +308,7 @@ class TestTranslationCache:
         desc = ll_extended()
         oid = make_obj(pool, desc, 5)
         read_field(pool, oid, desc, "val_fl")
-        translation_cache(pool, True)
+        pool.set_translation_cache(True)
         with pool.tx_begin():
             read_field(pool, oid, desc, "val_fl")
         before = pool.stats.translations
@@ -329,9 +328,9 @@ class TestTranslationCache:
                     read_field(pool, oid, desc, "val_fl")
             return pool.stats.translations - before
 
-        translation_cache(pool, False)
+        pool.set_translation_cache(False)
         off = workload()
-        translation_cache(pool, True)
+        pool.set_translation_cache(True)
         on = workload()
         assert off >= on  # oracle: paired run
 

@@ -25,7 +25,6 @@ from ledstore import (
     delete_pool,
     open_pool,
 )
-from ledstore.leds import translation_cache
 
 MIB = 1024 * 1024
 
@@ -284,7 +283,7 @@ class TestRead:
 
     def test_cached_repeat_counts_nothing(self, pool):
         oid = pool.raw_alloc(16)
-        translation_cache(pool, True)
+        pool.set_translation_cache(True)
         with pool.tx_begin():
             before = pool.stats.translations
             pool.read(oid, self.WORDS)
@@ -294,7 +293,7 @@ class TestRead:
 
     def test_cached_id_refused_once_its_block_is_freed(self, pool):
         oid = pool.raw_alloc(16)
-        translation_cache(pool, True)
+        pool.set_translation_cache(True)
         with pool.tx_begin() as tx:
             pool.read(oid, self.WORDS)  # cached by the transaction that frees it
             tx.free(oid)
@@ -304,10 +303,29 @@ class TestRead:
             with pytest.raises(OutOfBounds):
                 pool.read(oid, self.WORDS)
 
+    def test_id_cached_outside_refused_after_a_transaction_frees_it(self, pool):
+        oid = pool.raw_alloc(16)
+        pool.set_translation_cache(True)
+        pool.translate(oid)  # cached outside any transaction
+        with pool.tx_begin() as tx:
+            tx.free(oid)  # resolves nothing
+        with pytest.raises(OutOfBounds):
+            pool.translate(oid)
+        with pytest.raises(OutOfBounds):
+            pool.store(oid, 0, b"x")
+
+    def test_id_cached_outside_refused_after_raw_free(self, pool):
+        oid = pool.raw_alloc(16)
+        pool.set_translation_cache(True)
+        pool.translate(oid)
+        pool.raw_free(oid)
+        with pytest.raises(OutOfBounds):
+            pool.translate(oid)
+
     def test_cache_removed_validates_every_call(self, pool):
         oid = pool.raw_alloc(16)
-        translation_cache(pool, True)
-        translation_cache(pool, False)
+        pool.set_translation_cache(True)
+        pool.set_translation_cache(False)
         before = pool.stats.translations
         with pool.tx_begin():
             pool.read(oid, self.WORDS)
