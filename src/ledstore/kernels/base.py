@@ -241,12 +241,12 @@ class MapKernel:
         no part in the manual lane."""
         return [] if self.desc is None else [(base_off + self.desc.link_offset, "QQ")]
 
-    def _observed(self, holder: ObjectId, key: int, base_off: int = 0) -> int:
-        """The key as the program reads it, given the stored `key` field: key64
-        through the extension in auto "change" mode, materializing it on first
-        touch."""
-        if self.key64_ext:
-            return leds.read_field(self.pool, holder, self.desc, "key64", base_off=base_off)
+    def _observed(self, holder: ObjectId, key: int, base_off: int, link) -> int:
+        """The key as the program reads it, given the entry's stored `key` and
+        decoded link words: in auto "change" mode _confirm reads key64 through
+        the extension, materializing it on first touch, and checks that it
+        equals `key`."""
+        self._confirm(holder, key, base_off, link)
         return key
 
     def _confirm(self, holder: ObjectId, key: int, base_off: int, link):

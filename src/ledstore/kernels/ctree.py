@@ -182,13 +182,13 @@ class CritBitKernel(MapKernel):
     def _leaves(self):
         """Depth-first over every leaf entry, entry 0 first, one read per
         node: yields (holder, entry offset, key, value word, the (bit,
-        value) pairs fixed on its path)."""
+        value) pairs fixed on its path, the entry's bytes)."""
         root_leaf, count, raw = self.pool.read(self.root, self.ROOT)
 
         def walk(holder, off, is_leaf, raw, fixed_bits):
             key, s0, s1 = self.head.unpack_from(raw)
             if is_leaf:
-                yield holder, off, key, s0, fixed_bits
+                yield holder, off, key, s0, fixed_bits, raw
                 return
             node = ObjectId(s0, s1)
             word, raw0, raw1 = self.pool.read(node, self.node)
@@ -200,12 +200,12 @@ class CritBitKernel(MapKernel):
             yield from walk(self.root, self.ROOT.offsets["entry"], root_leaf == 1, raw, [])
 
     def scan(self):
-        for holder, off, key, value, _ in self._leaves():
-            yield self._observed(holder, key, off), value
+        for holder, off, key, value, _, raw in self._leaves():
+            yield self._observed(holder, key, off, self._link(raw)), value
 
     def validate(self) -> None:
         keys: list[int] = []
-        for holder, off, key, _, fixed_bits in self._leaves():
+        for holder, off, key, _, fixed_bits, _ in self._leaves():
             bits = [b for b, _ in fixed_bits]
             assert all(b < 64 for b in bits), f"bit index out of range: {bits}"
             assert bits == sorted(set(bits)), "critical bits not increasing along path"

@@ -114,9 +114,9 @@ class HashMapKernel(MapKernel):
         for idx in range(nbuckets):
             cur = self._head(buckets, idx)
             while not cur.is_null():
-                k, value, _, uuid, off = self.pool.read(cur, self.node)[:5]
-                yield self._observed(cur, k), value
-                cur = ObjectId(uuid, off)
+                rec = self.pool.read(cur, self.node)
+                yield self._observed(cur, rec[0], 0, rec[5:]), rec[1]
+                cur = ObjectId(rec[3], rec[4])
 
     def _rehash(self, tx, old_buckets: ObjectId, old_n: int) -> None:
         new_n = old_n * GROWTH

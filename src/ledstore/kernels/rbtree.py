@@ -280,10 +280,10 @@ class RBTreeKernel(MapKernel):
         while stack or cur != nil:
             while cur != nil:
                 rec = self.pool.read(ObjectId(u, cur), self.node)
-                stack.append((cur, rec[0], rec[1], rec[RIGHT]))
+                stack.append((cur, rec[0], rec[1], rec[RIGHT], rec[10:]))
                 cur = rec[LEFT]
-            node, k, value, cur = stack.pop()
-            yield self._observed(ObjectId(u, node), k), value
+            node, k, value, cur, link = stack.pop()
+            yield self._observed(ObjectId(u, node), k, 0, link), value
 
     def validate(self) -> None:
         count = self._begin()
