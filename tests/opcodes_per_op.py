@@ -2,22 +2,21 @@
 {insert, remove}: a cost figure that does not depend on the machine, for
 changes whose wall-time effect is smaller than a shared host's noise.
 
-    python tests/opcodes_per_op.py [SRC_DIR] [--keys N] [--ops M] [--seed S]
+    python tests/opcodes_per_op.py [SRC_DIR]
 
 SRC_DIR (default: `src/` of this checkout) is the tree whose `ledstore` is
 imported, so a parent checkout and a change compare with one run each. For
-each kernel and lane, a version-1 pool gets N (2,000) random keys, one
+each kernel and lane, a version-1 pool gets KEYS (2,000) random keys, one
 transaction each, untraced. The version-2 program ("change": the key widened
 to 64 bits) then takes it over: the manual lane runs its migration pass
-first, the automatic lane upgrades lazily. Then M (400) inserts of new keys
-and M removes of original keys run, one transaction each, under a
+first, the automatic lane upgrades lazily. Then OPS (400) inserts of new keys
+and OPS removes of original keys run, one transaction each, under a
 `sys.settrace` opcode tracer. Prints the mean bytecodes per op for each
 kernel, lane and op, then the same figures as one JSON object.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -26,6 +25,7 @@ from pathlib import Path
 
 KINDS = ("skiplist", "ctree", "btree", "rbtree", "hashmap")
 LANES = ("manual", "auto")
+KEYS, OPS, SEED = 2000, 400, 1
 
 
 def _opcodes(fn, *args) -> int:
@@ -48,18 +48,18 @@ def _opcodes(fn, *args) -> int:
     return n
 
 
-def probe(kind: str, lane: str, keys: int, ops: int, seed: int, workdir: str) -> dict:
+def probe(kind: str, lane: str, workdir: str) -> dict:
     """Mean bytecodes per insert and per remove for one kernel and lane."""
     from ledstore import create_pool
     from ledstore.kernels import make_kernel, make_manual_migrator
     from ledstore.retention import run_migration
 
-    rng = random.Random(seed)
-    drawn = rng.sample(range(1, 1 << 31), keys + ops)
-    original, fresh = drawn[:keys], drawn[keys:]
+    rng = random.Random(SEED)
+    drawn = rng.sample(range(1, 1 << 31), KEYS + OPS)
+    original, fresh = drawn[:KEYS], drawn[KEYS:]
     pool = create_pool(f"{workdir}/{kind}-{lane}.pool", f"{kind}-map", 64 << 20)
     try:
-        v1 = make_kernel(pool, kind, mode=lane, version=1, rng=random.Random(seed))
+        v1 = make_kernel(pool, kind, mode=lane, version=1, rng=random.Random(SEED))
         v1.create()
         for key in original:
             with pool.tx_begin() as tx:
@@ -67,7 +67,7 @@ def probe(kind: str, lane: str, keys: int, ops: int, seed: int, workdir: str) ->
         if lane == "manual":
             run_migration(pool, make_manual_migrator(kind, "change"))
         kernel = make_kernel(pool, kind, mode=lane, version=2, change="change",
-                             rng=random.Random(seed + 1))
+                             rng=random.Random(SEED + 1))
         kernel.attach()
 
         def insert(key):
@@ -78,26 +78,21 @@ def probe(kind: str, lane: str, keys: int, ops: int, seed: int, workdir: str) ->
             with pool.tx_begin() as tx:
                 assert kernel.remove(tx, key)
 
-        removed = rng.sample(original, ops)
-        return {"insert": sum(_opcodes(insert, key) for key in fresh) / ops,
-                "remove": sum(_opcodes(remove, key) for key in removed) / ops}
+        removed = rng.sample(original, OPS)
+        return {"insert": sum(_opcodes(insert, key) for key in fresh) / OPS,
+                "remove": sum(_opcodes(remove, key) for key in removed) / OPS}
     finally:
         pool.close()
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parents[1] / "src"))
-    ap.add_argument("--keys", type=int, default=2000)
-    ap.add_argument("--ops", type=int, default=400)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, args.src)
+def main() -> None:
+    sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else
+                    str(Path(__file__).resolve().parents[1] / "src"))
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         for kind in KINDS:
             for lane in LANES:
-                for op, n in probe(kind, lane, args.keys, args.ops, args.seed, workdir).items():
+                for op, n in probe(kind, lane, workdir).items():
                     out[f"{kind}/{lane}/{op}"] = n
                     print(f"{kind:9} {lane:7} {op:7} {n:10,.1f}", flush=True)
     print(json.dumps(out, sort_keys=True))
