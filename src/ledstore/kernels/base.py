@@ -35,8 +35,8 @@ with `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 decoded values and write each contiguous changed span of a node with one
 `tx.write` (RecordLayout.put): one store per span, not one per field. The
 B-tree and red-black tree keep an operation's decoded nodes in one dict
-(`_begin`, `_rec`). A matched entry's decoded link words let `_confirm`
-read a materialized key64 straight from its extension record and
+(`_begin`, `_rec`). A matched or scanned entry's decoded link words let
+`_confirm` read a materialized key64 straight from its extension record and
 `_free_entry` free its chain without reloading the link slot.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
