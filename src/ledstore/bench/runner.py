@@ -24,7 +24,10 @@ delta. The variants are the baseline (`manual` or `reset`), the automatic
 Each of `trials` rounds runs one trial of every variant, and their update
 phases run interleaved, CHUNK ops of each in turn, so that the machine's
 speed, which drifts by tens of percent within seconds on a shared host,
-is the same for every variant of a round. Wall-clock means/standard
+is the same for every variant of a round. A full `gc.collect()` runs
+before each timed phase (original build, retention step, update phase),
+as in perfbench; the cyclic GC stays on. One per chunk would cost far
+more than the collector pauses it could keep out. Wall-clock means/standard
 deviations are reported. Everything except wall time is
 required to be identical across trials: byte ledgers, migration counts,
 and the final map content, which every variant checks on its last trial
@@ -34,6 +37,7 @@ drift marks the report invalid.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -89,7 +93,6 @@ class BenchReport:
     migration_bytes: int = 0
     breakdown: dict | None = None
     t_translation_unit: float | None = None  # see _translation_cost
-    t_translate_wall: float | None = None    # paired wall time the cache saves
     counters: dict = field(default_factory=dict)
     valid: bool = True
 
@@ -170,6 +173,7 @@ def _build_original(cfg: WorkloadConfig, mode: str, workdir: Path,
     kernel = make_kernel(pool, cfg.kernel, mode=mode, version=1,
                          rng=_rng_for(cfg, 0x0516))
     kernel.create()
+    gc.collect()
     t_original = _exec_ops(pool, kernel, ops_orig)
     pool.close()
     return path, t_original
@@ -211,6 +215,7 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
     ops_orig, ops_upd = ops
     path = str(Path(original).with_name(f"trial-{variant}-{tag}.pool"))
     shutil.copyfile(original, path)
+    gc.collect()  # before the retention step: the migration or the rebuild
     pool = open_with_policy(path, policy)
     try:
         retain_s = unit_s = None
@@ -247,6 +252,7 @@ def _trial(cfg: WorkloadConfig, variant: str, original: str,
             if variant == "cached":
                 unit_s = _translation_cost(pool, kernel.root)
         before = pool.stats.snapshot()
+        gc.collect()
         update_s = 0.0
         for i in range(0, len(ops_upd), CHUNK):
             yield
@@ -389,8 +395,8 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     between rounds cancels out. Translation is attributed by count: the
     translations the cache saves times the cost of one translation over
     one hit, t_translation_unit. The cached variant's own paired wall-time
-    differential, kept beside it as t_translate_wall, does not isolate
-    that cost: the cache's misses add work of their own.
+    differential does not isolate that cost: the cache's misses add work
+    of their own.
     """
     if cfg.model != AUTOMATIC:
         raise ConfigError("breakdown is defined for the automatic model")
@@ -407,7 +413,6 @@ def breakdown_report(cfg: WorkloadConfig) -> BenchReport:
     alloc_t = max(saved("premat"), 0.0)
     saved_translations = base_row["translations"] - counters["cached"]["translations"]
     translate_t = saved_translations * report.t_translation_unit
-    report.t_translate_wall = saved("cached")
     deep_t = max(saved("shallow"), 0.0)
     if base_row["deep_copies"] == 0:
         deep_t = 0.0

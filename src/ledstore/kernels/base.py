@@ -241,14 +241,6 @@ class MapKernel:
         no part in the manual lane."""
         return [] if self.desc is None else [(base_off + self.desc.link_offset, "QQ")]
 
-    def _observed(self, holder: ObjectId, key: int, base_off: int, link) -> int:
-        """The key as the program reads it, given the entry's stored `key` and
-        decoded link words: in auto "change" mode _confirm reads key64 through
-        the extension, materializing it on first touch, and checks that it
-        equals `key`."""
-        self._confirm(holder, key, base_off, link)
-        return key
-
     def _confirm(self, holder: ObjectId, key: int, base_off: int, link):
         """A positive match in auto "change" mode reads key64 through the
         extension, given the entry's decoded link words: a null link is
@@ -293,7 +285,6 @@ class MapKernel:
             return raw
         clone = leds.clone_extension_chain(tx, self.pool, link, self.desc)
         leds.free_extension_chain(tx, self.pool, link, self.desc)
-        self.pool.stats.deep_copies += 1
         return raw[:link_off] + clone.pack() + raw[link_off + leds.LINK_SIZE:]
 
     def _free_entry(self, tx, holder: ObjectId, link, base_off: int | None = None) -> None:

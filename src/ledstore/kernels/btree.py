@@ -358,7 +358,8 @@ class BTreeKernel(MapKernel):
                 if kids:
                     yield from walk(_kid(rec, i))
                 value = U64.unpack_from(rec[2 + 2 * i], self.value_at)[0]
-                yield self._observed(cur, rec[1 + 2 * i], self._item_off(i), self._link(rec, i)), value
+                self._confirm(cur, rec[1 + 2 * i], self._item_off(i), self._link(rec, i))
+                yield rec[1 + 2 * i], value
             if kids:
                 yield from walk(_kid(rec, n))
 

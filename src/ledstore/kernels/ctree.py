@@ -201,7 +201,8 @@ class CritBitKernel(MapKernel):
 
     def scan(self):
         for holder, off, key, value, _, raw in self._leaves():
-            yield self._observed(holder, key, off, self._link(raw)), value
+            self._confirm(holder, key, off, self._link(raw))
+            yield key, value
 
     def validate(self) -> None:
         keys: list[int] = []

@@ -115,7 +115,8 @@ class HashMapKernel(MapKernel):
             cur = self._head(buckets, idx)
             while not cur.is_null():
                 rec = self.pool.read(cur, self.node)
-                yield self._observed(cur, rec[0], 0, rec[5:]), rec[1]
+                self._confirm(cur, rec[0], 0, rec[5:])
+                yield rec[0], rec[1]
                 cur = ObjectId(rec[3], rec[4])
 
     def _rehash(self, tx, old_buckets: ObjectId, old_n: int) -> None:

@@ -283,7 +283,8 @@ class RBTreeKernel(MapKernel):
                 stack.append((cur, rec[0], rec[1], rec[RIGHT], rec[10:]))
                 cur = rec[LEFT]
             node, k, value, cur, link = stack.pop()
-            yield self._observed(ObjectId(u, node), k, 0, link), value
+            self._confirm(ObjectId(u, node), k, 0, link)
+            yield k, value
 
     def validate(self) -> None:
         count = self._begin()

@@ -166,7 +166,8 @@ class SkipListKernel(MapKernel):
         cur = self._node_next(self.head, 0)
         while not cur.is_null():
             key, value, _, *links = self.pool.read(cur, self.node)
-            yield self._observed(cur, key, 0, links[2 * LEVELS:]), value
+            self._confirm(cur, key, 0, links[2 * LEVELS:])
+            yield key, value
             cur = self._link(links, 0)
 
     def validate(self) -> None:

@@ -264,7 +264,9 @@ def write_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str
 # --------------------------------------------------------------------- copies
 
 def clone_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> ObjectId:
-    """Clone every record reachable from `first`; returns the clone chain head."""
+    """Clone every record reachable from `first`, a non-null link, and count
+    one deep copy; returns the clone chain head."""
+    pool.stats.deep_copies += 1
     head = NULL_OID
     prev_rec, prev_link = None, 0
     cur = first
@@ -296,7 +298,6 @@ def deep_copy(tx, pool, oid: ObjectId, desc: TypeDescriptor, *,
         return new
     first = ObjectId.unpack(pool.load(oid, desc.link_offset, LINK_SIZE))
     if not first.is_null():
-        pool.stats.deep_copies += 1
         head = clone_extension_chain(tx, pool, first, desc)
         tx.write(new, desc.link_offset, head.pack())
     return new

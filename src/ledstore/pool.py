@@ -10,10 +10,11 @@ The object heap is a sequence of blocks: a 16-byte block header {size u64
 (the payload's), status u64} followed by the payload. Payloads are
 16-byte aligned and sized in 16-byte multiples, so ObjectId offsets
 (absolute file offset of a payload) are always 16-byte aligned. A zero
-size marks the bump frontier. The allocator keeps one map of live blocks
-(payload offset -> size), exact-size free lists and the frontier, and is
-rebuilt by scanning block headers on open, so no separate allocator state
-needs to be persisted or kept crash-safe.
+size marks the bump frontier. The handle's view of the heap, one map of
+live blocks (payload offset -> size), exact-size free lists and the
+frontier, is rebuilt by scanning block headers on open, so no allocator
+state needs to be persisted or kept crash-safe. Only PoolHandle's
+block-heap methods read or write a block header or that view.
 
 Free blocks always hold zeroed payloads: payloads are zeroed when a block
 is returned to the allocator and when a pending allocation is rolled back.
@@ -104,6 +105,8 @@ LOG_IDLE = 0
 LOG_COMMITTING = 2
 
 _U64 = struct.Struct("<Q")
+_FREE_STATUS = _U64.pack(ST_FREE)
+_STATUS_BACK = BLOCK.size - BLOCK.offsets["status"]  # the status word's distance before a payload
 
 _NEVER = 1 << 63  # a trip ordinal no store count reaches
 
@@ -124,6 +127,12 @@ def _encoded(name: str, value) -> tuple[int, bytes]:
     return f.offset, f.encode(value)
 
 
+def _vacant_header(size: int, reused: bool) -> bytes:
+    """The header before a block _take picks: {size, ST_FREE} on a free list,
+    all zeros at the frontier."""
+    return BLOCK.codec.pack(size, ST_FREE) if reused else bytes(BLOCK.size)
+
+
 def _layout_name(buf) -> str:
     return _field(buf, "layout_name").rstrip(b"\0").decode("utf-8")
 
@@ -139,63 +148,6 @@ class CrashPlan:
         self.trigger = trigger
 
 
-class _Allocator:
-    """Volatile view of the block heap: live blocks, free lists, bump frontier."""
-
-    __slots__ = ("live", "free_lists", "frontier")
-
-    def __init__(self) -> None:
-        self.live: dict[int, int] = {}   # payload offset -> rounded size, allocated blocks
-        self.free_lists: dict[int, list[int]] = {}
-        self.frontier = 0
-
-    def scan(self, buf, blocks_off: int, capacity: int) -> None:
-        self.live.clear()
-        self.free_lists.clear()
-        off, hdr = blocks_off, BLOCK.size
-        unpack = BLOCK.unpack_from
-        while off + hdr <= capacity:
-            size, status = unpack(buf, off)
-            if size == 0:
-                break
-            payload = off + hdr
-            if status == ST_ALLOCATED:
-                self.live[payload] = size
-            else:
-                self.free_lists.setdefault(size, []).append(payload)
-            off = payload + size
-        self.frontier = off
-
-    def take(self, size: int, capacity: int) -> tuple[int, int]:
-        """Pick a payload offset for `size` bytes; returns it and the rounded
-        size. Changes nothing, on file or here: a caller that fails before
-        commit_take loses no block."""
-        size = _round16(size)
-        if not 0 < size < 1 << 32:  # an undo record holds the size in a u32
-            raise OutOfSpace(f"allocation size rounds to {size}, outside (0, 2^32)")
-        lst = self.free_lists.get(size)
-        if lst:
-            return lst[-1], size
-        payload = self.frontier + BLOCK.size
-        if payload + size > capacity:
-            raise OutOfSpace(
-                f"heap exhausted: need {size} bytes at {self.frontier}, capacity {capacity}"
-            )
-        return payload, size
-
-    def commit_take(self, payload: int, size: int) -> None:
-        lst = self.free_lists.get(size)
-        if lst and lst[-1] == payload:
-            lst.pop()
-        self.live[payload] = size
-        if payload + size > self.frontier:
-            self.frontier = payload + size
-
-    def release(self, payload: int) -> None:
-        size = self.live.pop(payload)
-        self.free_lists.setdefault(size, []).append(payload)
-
-
 class PoolHandle:
     """An open, memory-mapped pool. Confine to one thread; one per file."""
 
@@ -209,8 +161,9 @@ class PoolHandle:
         self._trip = _NEVER            # flush_events value whose store is refused
         self._arm_base = 0             # flush_events when the crash plan was armed
 
-        self._alloc = _Allocator()
-        self._live = self._alloc.live
+        self._live: dict[int, int] = {}   # payload offset -> rounded size, allocated blocks
+        self._free_lists: dict[int, list[int]] = {}
+        self._frontier = 0
         self._cache_header()
 
     def _cache_header(self) -> None:
@@ -320,7 +273,7 @@ class PoolHandle:
         nothing; a miss counts one translation. The cache empties when
         `_active_tx` changes, which every resolve checks, and at every free."""
         self.__dict__.pop("_resolve", None)
-        self.__dict__.pop("_free_block", None)
+        self.__dict__.pop("_release", None)
         if not enabled:
             return
         cache: dict[int, int] = {}  # payload offset -> size
@@ -339,11 +292,11 @@ class PoolHandle:
                 raise OutOfBounds(f"range [{off}, {off + length}) outside {size}-byte payload")
             return oid[1] + off
 
-        def free_block(payload: int, size: int) -> None:
+        def release(payload: int) -> None:
             cache.clear()
-            PoolHandle._free_block(self, payload, size)
+            PoolHandle._release(self, payload)
 
-        self._resolve, self._free_block = resolve, free_block
+        self._resolve, self._release = resolve, release
 
     def _refuse(self, oid: ObjectId) -> None:
         """Raise the typed error for an id that does not name a live payload."""
@@ -371,49 +324,106 @@ class PoolHandle:
         addr = self._resolve(oid, off, length)
         return self.buf[addr : addr + length]
 
-    def store(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
+    def store(self, oid: ObjectId, off: int, data: bytes) -> None:
         """Direct (non-transactional) store. Refused while a transaction is open."""
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's write()")
-        self._store(self._resolve(oid, off, len(data)), data, category)
+        self._store(self._resolve(oid, off, len(data)), data, "user")
 
-    # ------------------------------------------------------------------ allocation
+    # ------------------------------------------------------------------ block heap
 
     def raw_alloc(self, size: int) -> ObjectId:
         """Immediate zeroed allocation, not crash-protected (transactions use
         tx.alloc_zeroed). Free blocks are kept zeroed, so only the header is stored."""
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's alloc_zeroed()")
-        return self._claim(*self._alloc.take(size, self.capacity))
+        return self._claim(*self._take(size))
 
-    def _claim(self, payload: int, rsize: int) -> ObjectId:
-        """Write a taken block's ST_ALLOCATED header and hand out its id."""
-        self._store(payload - BLOCK.size, BLOCK.codec.pack(rsize, ST_ALLOCATED), "meta")
-        self._alloc.commit_take(payload, rsize)
+    def _take(self, size: int) -> tuple[int, int, bool]:
+        """Pick a block for `size` bytes: its payload offset, its rounded size,
+        and whether it comes off a free list (else from the frontier). Changes
+        nothing, on file or in the view, so a caller that fails before _claim
+        loses no block. A header on file other than _vacant_header's is
+        refused with OutOfBounds."""
+        size = _round16(size)
+        if not 0 < size < 1 << 32:  # an undo record holds the size in a u32
+            raise OutOfSpace(f"allocation size rounds to {size}, outside (0, 2^32)")
+        lst = self._free_lists.get(size)
+        reused = bool(lst)
+        payload = lst[-1] if reused else self._frontier + BLOCK.size
+        if payload + size > self.capacity:
+            raise OutOfSpace(f"heap exhausted: need {size} bytes at {self._frontier}, "
+                             f"capacity {self.capacity}")
+        found, expected = self.buf[payload - BLOCK.size : payload], _vacant_header(size, reused)
+        if found != expected:
+            raise OutOfBounds(f"block header at {payload - BLOCK.size} is {found.hex()}, "
+                              f"expected {expected.hex()}")
+        return payload, size, reused
+
+    def _claim(self, payload: int, size: int, reused: bool) -> ObjectId:
+        """Publish a block from _take: write its ST_ALLOCATED header, pop it
+        off its free list or advance the frontier past it, hand out its id."""
+        self._store(payload - BLOCK.size, BLOCK.codec.pack(size, ST_ALLOCATED), "meta")
+        if reused:
+            self._free_lists[size].pop()
+        else:
+            self._frontier = payload + size
+        self._live[payload] = size
         self.stats.n_allocs += 1
         return ObjectId(self.pool_uuid, payload)
+
+    def _unclaim(self, payload: int, size: int, reused: bool) -> None:
+        """Roll a claimed block back on file, in one store: the header _take
+        found and a zeroed payload. _scan_heap rebuilds the view afterwards."""
+        self._store(payload - BLOCK.size, _vacant_header(size, reused) + bytes(size), "meta")
 
     def raw_free(self, oid: ObjectId) -> None:
         if self._active_tx is not None:
             raise TxStateError("use the active transaction's free()")
         self._check_owned_for_free(oid)
-        self._free_block(oid.offset, self._live[oid.offset])
-        self._alloc.release(oid.offset)
+        self._release(oid.offset)
+
+    def _release(self, payload: int) -> None:
+        """Free a live block: one store of its ST_FREE status word, which sits
+        right before the payload, and the zeroed payload; then the view."""
+        size = self._live.pop(payload)
+        self._store(payload - _STATUS_BACK, _FREE_STATUS + bytes(size), "meta")
+        self._free_lists.setdefault(size, []).append(payload)
         self.stats.n_frees += 1
 
-    def _free_block(self, payload: int, size: int) -> None:
-        """Write a block's ST_FREE status word, which sits right before the
-        payload, and the zeroed payload, with one store."""
-        status = payload - BLOCK.size + BLOCK.offsets["status"]  # payload - 8
-        self._store(status, _U64.pack(ST_FREE) + bytes(size), "meta")
+    def _redo_free(self, payload: int) -> None:
+        """Recovery's redo of a committed free: _release's store, sized from the
+        block header (the view is not built yet; the block may be free already)."""
+        size = BLOCK.unpack_from(self.buf, payload - BLOCK.size)[0]
+        self._store(payload - _STATUS_BACK, _FREE_STATUS + bytes(size), "meta")
 
     def _check_owned_for_free(self, oid: ObjectId) -> None:
         if oid.pool_uuid != self.pool_uuid:
             raise ForeignPool("id belongs to a different pool")
         if oid.offset not in self._live:  # a free-list scan, on the error path only
-            if any(oid.offset in lst for lst in self._alloc.free_lists.values()):
+            if any(oid.offset in lst for lst in self._free_lists.values()):
                 raise DoubleFree(f"offset {oid.offset} is already free")
             raise OutOfBounds(f"offset {oid.offset} was never a payload")
+
+    def _scan_heap(self) -> None:
+        """Rebuild the heap view from the block headers on file (open,
+        recovery, abort): no allocator state is persisted."""
+        live, free_lists = self._live, self._free_lists
+        live.clear()
+        free_lists.clear()
+        buf, capacity, unpack = self.buf, self.capacity, BLOCK.unpack_from
+        off, hdr = self.blocks_offset, BLOCK.size
+        while off + hdr <= capacity:
+            size, status = unpack(buf, off)
+            if size == 0:
+                break
+            payload = off + hdr
+            if status == ST_ALLOCATED:
+                live[payload] = size
+            else:
+                free_lists.setdefault(size, []).append(payload)
+            off = payload + size
+        self._frontier = off
 
     @property
     def live_bytes(self) -> int:
@@ -421,7 +431,7 @@ class PoolHandle:
 
     @property
     def allocated_objects(self) -> int:
-        return len(self._alloc.live)
+        return len(self._live)
 
     # ------------------------------------------------------------------ root object
 
@@ -545,7 +555,7 @@ def create_pool(
         raise IoError(str(e)) from e
 
     handle = PoolHandle(path, f, buf)
-    handle._alloc.frontier = blocks_offset
+    handle._frontier = blocks_offset
     uuid = secrets.randbits(64) | 1  # never zero: zero means null
     header = bytearray(HEADER_SIZE)
     for name, value in dict(
@@ -611,7 +621,7 @@ def recover(path: str) -> PoolHandle:
     except BaseException:
         handle._die()
         raise
-    handle._alloc.scan(handle.buf, handle.blocks_offset, handle.capacity)
+    handle._scan_heap()
     return handle
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import (
     BadMagic,
     FingerprintMismatch,
-    IoError,
     LayoutMismatch,
     MigrationMissing,
 )
@@ -145,8 +144,6 @@ def _open_reset(path: str, policy: RetentionPolicy) -> PoolHandle:
             handle = open_pool(path, policy.layout_name)
         except (LayoutMismatch, BadMagic):
             delete_pool(path)
-        except IoError:
-            raise
         else:
             if handle.layout_version == policy.layout_version:
                 return handle

@@ -7,11 +7,10 @@ One flat undo log lives in the pool's log region. A record is one store: a
 
   SNAP  (kind 1): body = the `len` prior bytes at `target`; rollback
                   restores them.
-  ALLOC (kind 2): no body; a `len`-byte payload taken at the heap frontier,
-                  so its prior block header was all zeros.
-  REUSE (kind 4): the same for a block from a free list, prior header
-                  {len, ST_FREE}. Rollback of either stores that header and
-                  a zeroed payload in one store (free blocks stay zeroed).
+  ALLOC (kind 2): no body; a `len`-byte payload taken at the heap frontier.
+  REUSE (kind 4): the same for a block from a free list. Rollback of either
+                  restores, in one store, the block header the allocation
+                  found and a zeroed payload (pool._unclaim).
   FREE  (kind 3): no body, len 0; deferred free of the payload at `target`.
 
 `tag` is (pool uuid + transaction number) mod 2^32; a number whose tag is 0
@@ -33,6 +32,9 @@ under COMMITTING | used it redoes every FREE in those bytes, idempotently
 the live handle. Writes into blocks allocated by the same transaction skip
 snapshotting: rollback reclaims and zeroes the whole block anyway.
 
+Block headers and the heap view belong to pool.py; this module logs around
+its `_take`/`_claim`, `_release`, `_unclaim`, `_redo_free` and `_scan_heap`.
+
 `write`, called once per changed span of a node, makes one state test, one
 `_resolve`, at most one snapshot, then the store.
 
@@ -45,7 +47,7 @@ from zlib import crc32
 
 from .errors import DoubleFree, NestedTransaction, OutOfBounds, OutOfSpace, TxStateError
 from .layout import define_record
-from .pool import BLOCK, LOG_COMMITTING, LOG_IDLE, ST_FREE, ObjectId, PoolHandle
+from .pool import BLOCK, LOG_COMMITTING, LOG_IDLE, ObjectId, PoolHandle
 
 REC_SNAP = 1
 REC_ALLOC = 2
@@ -65,11 +67,6 @@ TX_COMMITTED = "committed"
 TX_ABORTED = "aborted"
 
 
-def _prior_header(kind: int, size: int) -> bytes:
-    """The block header an ALLOC or REUSE record implies stood before it."""
-    return BLOCK.codec.pack(size, ST_FREE) if kind == REC_REUSE else bytes(BLOCK.size)
-
-
 class Transaction:
     """Undo-log scope: all-or-nothing stores, allocations, and frees."""
 
@@ -84,7 +81,7 @@ class Transaction:
         self._tag = self._crc = (pool.pool_uuid + self._seq) & _U32
         self._log_used = 0
         self._fresh: set[int] = set()       # payload offsets allocated here
-        self._freed: dict[int, int] = {}    # payload offset -> size, in free order
+        self._freed: dict[int, None] = {}   # payload offsets, in free order
         self._covered: set[tuple[int, int]] = set()
         pool._active_tx = self
 
@@ -123,7 +120,7 @@ class Transaction:
         if oid[1] not in self._fresh:
             self._snap(addr, length)
 
-    def write(self, oid: ObjectId, off: int, data: bytes, category: str = "user") -> None:
+    def write(self, oid: ObjectId, off: int, data: bytes) -> None:
         """Snapshotted store into a payload."""
         if self.state is not TX_ACTIVE:
             raise TxStateError(f"transaction is {self.state}")
@@ -131,7 +128,7 @@ class Transaction:
         addr = pool._resolve(oid, off, len(data))
         if oid[1] not in self._fresh and (addr, len(data)) not in self._covered:
             self._snap(addr, len(data))
-        pool._store(addr, data, category)
+        pool._store(addr, data, "user")
 
     def write_header(self, off: int, data: bytes) -> None:
         """Snapshotted store into the header page (root id, layout version)."""
@@ -152,28 +149,22 @@ class Transaction:
 
     def alloc_zeroed(self, size: int) -> ObjectId:
         """Zeroed allocation; a block whose header on file is not the one
-        its record implies is refused with OutOfBounds."""
+        its record implies is refused with OutOfBounds (pool._take)."""
         self._require_active()
         pool = self.pool
-        payload, rsize = pool._alloc.take(size, pool.capacity)
-        kind = REC_ALLOC if payload > pool._alloc.frontier else REC_REUSE
-        expected, found = _prior_header(kind, rsize), pool.buf[payload - BLOCK.size : payload]
-        if found != expected:
-            raise OutOfBounds(f"block header at {payload - BLOCK.size} is {found.hex()}, "
-                              f"expected {expected.hex()}")
-        self._append(kind, payload, rsize)
+        payload, rsize, reused = pool._take(size)
+        self._append(REC_REUSE if reused else REC_ALLOC, payload, rsize)
         self._fresh.add(payload)
-        return pool._claim(payload, rsize)
+        return pool._claim(payload, rsize, reused)
 
     def free(self, oid: ObjectId) -> None:
         """Deferred free: the block is reclaimed at commit, kept on abort/crash."""
         self._require_active()
-        pool = self.pool
         if oid.offset in self._freed:
             raise DoubleFree(f"offset {oid.offset} already freed in this transaction")
-        pool._check_owned_for_free(oid)
+        self.pool._check_owned_for_free(oid)
         self._append(REC_FREE, oid.offset, 0)
-        self._freed[oid.offset] = pool._live[oid.offset]
+        self._freed[oid.offset] = None
 
     # ------------------------------------------------------------------ outcome
 
@@ -183,10 +174,8 @@ class Transaction:
         if self._log_used:
             if self._freed:
                 pool._set_log_state(LOG_COMMITTING, self._log_used)  # commit point
-                for payload, size in self._freed.items():
-                    pool._free_block(payload, size)
-                    pool._alloc.release(payload)
-                    pool.stats.n_frees += 1
+                for payload in self._freed:
+                    pool._release(payload)
             pool._set_log_state(LOG_IDLE, self._seq)  # commit point if nothing freed
         self._end(TX_COMMITTED)
 
@@ -195,8 +184,7 @@ class Transaction:
         self._require_active()
         pool = self.pool
         recover_log(pool)
-        # volatile allocator state is rebuilt rather than journaled
-        pool._alloc.scan(pool.buf, pool.blocks_offset, pool.capacity)
+        pool._scan_heap()  # the heap view is rebuilt rather than journaled
         self._end(TX_ABORTED)
 
     def _end(self, state: str) -> None:
@@ -298,13 +286,12 @@ def recover_log(pool: PoolHandle) -> None:
             if kind == REC_SNAP:
                 pool._store(target, pool.buf[body : body + length], "meta")
             elif kind != REC_FREE:  # a FREE needs no undo: it was deferred to commit
-                pool._store(target - BLOCK.size, _prior_header(kind, length) + bytes(length),
-                            "meta")
+                pool._unclaim(target, length, kind == REC_REUSE)
     elif status == LOG_COMMITTING and 0 < low <= pool.log_capacity:
         tag = UNDO_RECORD.unpack_from(pool.buf, pool.heap_offset)[3]
         for kind, target, _, _ in _parse_log(pool, tag, low):
             if kind == REC_FREE:
-                pool._free_block(target, BLOCK.unpack_from(pool.buf, target - BLOCK.size)[0])
+                pool._redo_free(target)
         seq = (tag - pool.pool_uuid) & _U32
     else:
         raise OutOfBounds(f"corrupt log state: status {status}, low bits {low}")

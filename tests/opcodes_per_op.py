@@ -1,6 +1,7 @@
 """Executed Python bytecodes per map operation, for every kernel x lane x
-{insert, remove}: a cost figure that does not depend on the machine, for
-changes whose wall-time effect is smaller than a shared host's noise.
+{insert, remove, lookup}: a cost figure that does not depend on the
+machine, for changes whose wall-time effect is smaller than a shared host's
+noise.
 
     python tests/opcodes_per_op.py [SRC_DIR]
 
@@ -10,9 +11,13 @@ each kernel and lane, a version-1 pool gets KEYS (2,000) random keys, one
 transaction each, untraced. The version-2 program ("change": the key widened
 to 64 bits) then takes it over: the manual lane runs its migration pass
 first, the automatic lane upgrades lazily. Then OPS (400) inserts of new keys
-and OPS removes of original keys run, one transaction each, under a
-`sys.settrace` opcode tracer. Prints the mean bytecodes per op for each
-kernel, lane and op, then the same figures as one JSON object.
+and OPS removes of original keys run, one transaction each, then OPS lookups
+of original keys that stay, outside any transaction, all under a
+`sys.settrace` opcode tracer. Like perfbench's read-skewed lookups, each is a
+hit, drawn from a hot set (OPS / 5 keys), so in the automatic lane at most a
+fifth of them materialize an extension and the rest find it. Prints the mean
+bytecodes per op for each kernel, lane and op, then the same figures as one
+JSON object.
 """
 
 from __future__ import annotations
@@ -78,9 +83,16 @@ def probe(kind: str, lane: str, workdir: str) -> dict:
             with pool.tx_begin() as tx:
                 assert kernel.remove(tx, key)
 
+        def lookup(key):
+            assert kernel.lookup(key) == key
+
         removed = rng.sample(original, OPS)
+        gone = set(removed)
+        hot = rng.sample([key for key in original if key not in gone], OPS // 5)
+        looked = [rng.choice(hot) for _ in range(OPS)]
         return {"insert": sum(_opcodes(insert, key) for key in fresh) / OPS,
-                "remove": sum(_opcodes(remove, key) for key in removed) / OPS}
+                "remove": sum(_opcodes(remove, key) for key in removed) / OPS,
+                "lookup": sum(_opcodes(lookup, key) for key in looked) / OPS}
     finally:
         pool.close()
 

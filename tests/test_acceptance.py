@@ -107,7 +107,7 @@ def test_criterion_3_model_equivalence(tmp_path, acceptance_log):
 
 def _crash_state(pool):
     """Digest of the live heap image: frontier-bounded bytes, root, liveness."""
-    frontier = pool._alloc.frontier
+    frontier = pool._frontier
     image = hashlib.sha256(pool.buf[pool.blocks_offset:frontier]).hexdigest()
     return (image, frontier, pool.live_bytes, bytes(pool.buf[96:120]))
 

@@ -220,9 +220,9 @@ def test_update_reads_each_node_once(tmp_path, monkeypatch, kind):
         events.append(("read", oid.offset))
         return real_load(self, oid, off, length)
 
-    def write(self, oid, off, data, category="user"):
+    def write(self, oid, off, data):
         events.append(("write", oid.offset))
-        return real_write(self, oid, off, data, category)
+        return real_write(self, oid, off, data)
 
     monkeypatch.setattr(PoolHandle, "read", read)
     monkeypatch.setattr(PoolHandle, "load", load)

@@ -90,7 +90,7 @@ class TestLayouts:
 def make_obj(pool, desc, val):
     with pool.tx_begin() as tx:
         oid = tx.alloc_zeroed(desc.base_size)
-        tx.write(oid, 0, desc.base_fields[0].encode(val), "user")
+        tx.write(oid, 0, desc.base_fields[0].encode(val))
     return oid
 
 

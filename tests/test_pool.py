@@ -370,7 +370,7 @@ class TestAlloc:
         oid = pool.raw_alloc(64)
         pool.raw_free(pool.raw_alloc(64))  # a free list is not empty
         inside = ObjectId(pool.pool_uuid, oid.offset + 16)
-        past = ObjectId(pool.pool_uuid, pool._alloc.frontier + 16)
+        past = ObjectId(pool.pool_uuid, pool._frontier + 16)
         for bad in (inside, past):
             before = pool.stats.snapshot()
             with pytest.raises(OutOfBounds):

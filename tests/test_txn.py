@@ -576,11 +576,24 @@ class TestSelfValidatingLog:
         assert pool.stats.flush_events - stores == 1
         assert state_word() == tx._seq == before + 1  # idle | this transaction
 
-    def test_alloc_refuses_a_block_header_it_does_not_expect(self, pool):
-        frontier = pool._alloc.frontier  # the next block's header, all zeros
+    @staticmethod
+    def _mark_next_block_free(pool) -> dict:
+        """Give the block at the frontier a status word that only a free-list
+        block may have; returns the stats before the allocation."""
+        frontier = pool._frontier  # the next block's header, all zeros
         pool.buf[frontier + 8 : frontier + 16] = struct.pack("<Q", 0xF4EEB10C)
-        before = pool.stats.snapshot()
+        return pool.stats.snapshot()
+
+    def test_alloc_refuses_a_block_header_it_does_not_expect(self, pool):
+        before = self._mark_next_block_free(pool)
         with pool.tx_begin() as tx:
             with pytest.raises(OutOfBounds):
                 tx.alloc_zeroed(32)
         assert pool.stats.delta(before) == {k: 0 for k in before}  # nothing stored
+
+    def test_raw_alloc_refuses_a_block_header_it_does_not_expect(self, pool):
+        before = self._mark_next_block_free(pool)
+        with pytest.raises(OutOfBounds):
+            pool.raw_alloc(32)
+        assert pool.stats.delta(before) == {k: 0 for k in before}  # nothing stored
+        assert pool.allocated_objects == 0
