@@ -37,7 +37,9 @@ decoded values and write each contiguous changed span of a node with one
 B-tree and red-black tree keep an operation's decoded nodes in one dict
 (`_begin`, `_rec`). A matched or scanned entry's decoded link words let
 `_confirm` read a materialized key64 straight from its extension record and
-`_free_entry` free its chain without reloading the link slot.
+`_free_entry` free its chain without reloading the link slot. An entry's
+chain moves and frees go through leds: `_relocated` hands a non-null link
+to leds.deep_copy, and `_free_entry` hands the link to leds.free_extendible.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
 Keys must fit in 32 bits: version-1 records could not hold more, and the
@@ -266,16 +268,17 @@ class MapKernel:
         if uuid or target:
             assert U64.unpack_from(buf, target)[0] == key, "key64 invariant violated"
 
-    def _extend_new(self, tx, holder: ObjectId, base_off: int = 0) -> None:
+    def _extend_new(self, holder: ObjectId, base_off: int = 0) -> None:
         """A new entry in auto "change" mode gets its key64 at once."""
         if self.key64_ext:
-            leds.ensure_extension(tx, self.pool, holder, self.desc, 1, base_off=base_off)
+            leds.ensure_extension(self.pool, holder, self.desc, 1, base_off=base_off)
 
     def _relocated(self, tx, raw: bytes, link_off: int | None = None) -> bytes:
         """An embedded entry's bytes for a new slot; the link slot sits at
         `link_off` in `raw` (default: the entry's own link offset). In the
         auto lane the extension link moves along (shallow copy) or, with
-        shallow_copy off, the chain is cloned and the original freed."""
+        shallow_copy off, a non-null one is replaced by the head of the
+        chain's clone (leds.deep_copy)."""
         if self.desc is None or self.shallow_copy:
             return raw
         if link_off is None:
@@ -283,15 +286,14 @@ class MapKernel:
         link = ObjectId.unpack(raw, link_off)
         if link.is_null():
             return raw
-        clone = leds.clone_extension_chain(tx, self.pool, link, self.desc)
-        leds.free_extension_chain(tx, self.pool, link, self.desc)
+        clone = leds.deep_copy(tx, self.pool, link, self.desc)
         return raw[:link_off] + clone.pack() + raw[link_off + leds.LINK_SIZE:]
 
     def _free_entry(self, tx, holder: ObjectId, link, base_off: int | None = None) -> None:
         """Free an entry's extension chain, found from its decoded `link`
-        words, and a standalone record (no `base_off`) itself."""
+        words (leds.free_extendible), and a standalone record (no
+        `base_off`) itself."""
         if self.desc is not None:
-            if link[0] or link[1]:
-                leds.free_extension_chain(tx, self.pool, ObjectId(*link), self.desc)
+            leds.free_extendible(tx, self.pool, ObjectId(*link), self.desc)
         if base_off is None:
             tx.free(holder)

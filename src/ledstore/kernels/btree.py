@@ -13,9 +13,9 @@ slot carries its own trailing extension link, so one migration is one
 24-byte {key64} record plus a 16-byte link store regardless of how many
 items share the node. Items that move between nodes during splits, borrows
 and merges either transfer their extension link verbatim (the shallow-copy
-optimization) or clone-and-free the chain (the unoptimized deep copy),
-selected by the kernel's shallow_copy flag. In-node shifts always transfer:
-the source slot dies.
+optimization) or move the chain to a clone with leds.deep_copy, which frees
+the originals (the unoptimized deep copy), selected by the kernel's
+shallow_copy flag. In-node shifts always transfer: the source slot dies.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class BTreeKernel(MapKernel):
                 rec[2 + 2 * pos] = encode_value(value).ljust(len(rec[2]), b"\0")
                 rec[0] = n + 1
                 self._put(tx, cur, rec, pos, n + 1)
-                self._extend_new(tx, cur, self._item_off(pos))
+                self._extend_new(cur, self._item_off(pos))
                 return
             if self._rec(_kid(rec, pos)[1])[0] == MAX_KEYS:
                 self._split_child(tx, cur, rec, pos)

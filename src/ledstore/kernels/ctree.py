@@ -117,7 +117,7 @@ class CritBitKernel(MapKernel):
             entry_off = self.ROOT.offsets["entry"]
             tx.write(self.root, entry_off, self._make_entry(key, encode_value(value)))
             self._write_root(tx, self.root, is_leaf=1)
-            self._extend_new(tx, self.root, entry_off)
+            self._extend_new(self.root, entry_off)
             self._set_count(tx, 1)
             return True
 
@@ -143,7 +143,7 @@ class CritBitKernel(MapKernel):
         entries = (fresh, displaced) if i == 0 else (displaced, fresh)
         tx.write(node, 0, _U32.pack(new_word) + entries[0] + entries[1])
         self._put_entry(tx, holder, off, word, self._make_entry(0, node.pack()), False)
-        self._extend_new(tx, node, 4 + i * self.stride)
+        self._extend_new(node, 4 + i * self.stride)
         self._set_count(tx, count + 1)
         return True
 

@@ -72,7 +72,7 @@ class HashMapKernel(MapKernel):
         node = tx.alloc_zeroed(self.entry_size)
         tx.write(node, 0, self.entry.pack(key, encode_value(value), head.pack()))
         tx.write(buckets, idx * 16, node.pack())
-        self._extend_new(tx, node)
+        self._extend_new(node)
         self._set_count(tx, count + 1)
         if count + 1 > nbuckets * MAX_LOAD:
             self._rehash(tx, buckets, nbuckets)

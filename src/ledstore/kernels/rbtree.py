@@ -151,7 +151,7 @@ class RBTreeKernel(MapKernel):
             self._set(y, LEFT, z.offset)
         else:
             self._set(y, RIGHT, z.offset)
-        self._extend_new(tx, z)
+        self._extend_new(z)
         self._insert_fixup(z.offset)
         self._flush(tx, count + 1)
         return True

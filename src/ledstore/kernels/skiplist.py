@@ -126,7 +126,7 @@ class SkipListKernel(MapKernel):
         tx.write(node, 0, self.entry.pack(key, encode_value(value), *succs))
         for pred, lo, hi in runs:
             tx.write(pred, self._next_off(lo), node.pack() * (hi - lo))
-        self._extend_new(tx, node)
+        self._extend_new(node)
         self.by_key[key] = node
         self.height[key] = h
         for level in range(h):

@@ -39,32 +39,30 @@ class ObjectId(NamedTuple):
 
 NULL_OID = ObjectId(0, 0)
 
-_CODES = {
-    "u8": (1, "scalar", "uint"),
-    "u16": (2, "scalar", "uint"),
-    "u32": (4, "scalar", "uint"),
-    "u64": (8, "scalar", "uint"),
-    "i32": (4, "scalar", "sint"),
-    "i64": (8, "scalar", "sint"),
-    "f32": (4, "scalar", "float"),
-    "f64": (8, "scalar", "float"),
-    "oid": (16, "objectid", "raw"),
+_CODES = {  # code: (size, kind, encoding, struct format)
+    "u8": (1, "scalar", "uint", "B"),
+    "u16": (2, "scalar", "uint", "H"),
+    "u32": (4, "scalar", "uint", "I"),
+    "u64": (8, "scalar", "uint", "Q"),
+    "i32": (4, "scalar", "sint", "i"),
+    "i64": (8, "scalar", "sint", "q"),
+    "f32": (4, "scalar", "float", "f"),
+    "f64": (8, "scalar", "float", "d"),
+    "oid": (16, "objectid", "raw", "16s"),
 }
 _BYTES_RE = re.compile(r"^bytes(\d+)$")
 _VALUE_RE = re.compile(r"\d*s|[a-zA-Z]")  # one decoded value's struct code
-
-_INT_FMT = {(1, False): "<B", (2, False): "<H", (4, False): "<I", (8, False): "<Q",
-            (4, True): "<i", (8, True): "<q"}
-_FLT_FMT = {4: "<f", 8: "<d"}
 
 
 @dataclass(frozen=True)
 class FieldLayout:
     name: str
     offset: int
+    code: str       # as declared: u8 .. f64, oid or bytesN
     size: int
     kind: str       # scalar | objectid | bytes
     encoding: str   # uint | sint | float | raw
+    fmt: str        # the struct format code, without a byte-order prefix
 
     def decode(self, raw: bytes):
         if self.kind == "objectid":
@@ -82,32 +80,14 @@ class FieldLayout:
             return bytes(value)
         return struct.pack("<" + self.fmt, float(value) if self.encoding == "float" else value)
 
-    @property
-    def fmt(self) -> str:
-        """The field's struct format code, without a byte-order prefix."""
-        if self.kind != "scalar":
-            return f"{self.size}s"
-        if self.encoding == "float":
-            return _FLT_FMT[self.size][1:]
-        return _INT_FMT[(self.size, self.encoding == "sint")][1:]
 
-
-def _parse_code(code: str) -> tuple[int, str, str]:
+def _parse_code(code: str) -> tuple[int, str, str, str]:
     if code in _CODES:
         return _CODES[code]
     m = _BYTES_RE.match(code)
     if m:
-        return int(m.group(1)), "bytes", "raw"
+        return int(m.group(1)), "bytes", "raw", f"{m.group(1)}s"
     raise NoSuchField(f"unknown field code {code!r}")
-
-
-def _code_of(f: FieldLayout) -> str:
-    if f.kind == "bytes":
-        return f"bytes{f.size}"
-    for code, spec in _CODES.items():
-        if spec == (f.size, f.kind, f.encoding):
-            return code
-    raise NoSuchField(f"no code for {f}")
 
 
 def packed_struct(parts) -> struct.Struct:
@@ -185,10 +165,10 @@ def define_record(specs) -> RecordLayout:
             cursor = max(cursor, spec.offset + spec.size)
             continue
         name, code = spec[0], spec[1]
-        size, kind, enc = _parse_code(code)
         off = spec[2] if len(spec) > 2 else cursor
-        fields.append(FieldLayout(name, off, size, kind, enc))
-        cursor = max(cursor, off + size)
+        f = FieldLayout(name, off, code, *_parse_code(code))
+        fields.append(f)
+        cursor = max(cursor, off + f.size)
     for f in fields:
         if f.name in names:
             raise OverlappingFields(f"duplicate field {f.name!r}")

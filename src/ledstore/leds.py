@@ -13,6 +13,12 @@ if the chain is there. Extensions are append-only: removing or reordering
 levels would misinterpret data written by older versions, which is exactly
 what the base-layout fingerprint guards against.
 
+Each job on a whole chain has one function, the one the map kernels call:
+deep_copy moves the chain behind a link to a clone when its record is
+copied to a new slot, and frees the originals; free_extendible frees the
+chain with its record. A schema manifest loads only if every level number
+and payload size agrees with the fields it lists.
+
 Fields are declared in the codes of layout.py and laid out by its
 define_record, which also serves plain (non-extendible) records; base
 records are padded to a 16-byte multiple with the link slot occupying the
@@ -41,7 +47,7 @@ from .errors import (
     TxRequired,
     UnknownLevel,
 )
-from .layout import NULL_OID, FieldLayout, ObjectId, _code_of, define_record
+from .layout import NULL_OID, FieldLayout, ObjectId, define_record
 from .pool import PoolHandle, _round16
 from .txn import Transaction
 
@@ -181,14 +187,15 @@ def _walk_chain(pool, oid, desc, level, base_off=0):
     return cur
 
 
-def ensure_extension(tx, pool, oid, desc, level, *, base_off: int = 0) -> ObjectId:
+def ensure_extension(pool, oid, desc, level, *, base_off: int = 0) -> ObjectId:
     """Materialize extensions up to `level` for one object; idempotent.
 
     Walks the link chain from the base record; every null link up to the
     requested level is replaced by a freshly allocated, init-rule-filled
-    record. Each link inspection counts one check; each materialization
-    counts one allocation and its bytes. A null link with no transaction
-    (`tx` or the active one) raises TxRequired, before anything is stored.
+    record, through the pool's active transaction. Each link inspection
+    counts one check; each materialization counts one allocation and its
+    bytes. A null link with no active transaction raises TxRequired, before
+    anything is stored.
     """
     if level < 1 or level > len(desc.extensions):
         raise UnknownLevel(f"{desc.type_name} has {len(desc.extensions)} levels, asked {level}")
@@ -198,14 +205,14 @@ def ensure_extension(tx, pool, oid, desc, level, *, base_off: int = 0) -> Object
         stats.checks += 1
         nxt = ObjectId.unpack(pool.load(cur, link_off, LINK_SIZE))
         if nxt.is_null():
-            etx = tx if tx is not None else pool._active_tx
-            if etx is None:
+            tx = pool._active_tx
+            if tx is None:
                 raise TxRequired("materializing an extension needs a transaction")
             before = stats.bytes_user
             payload = _init_payload(pool, oid, desc, ext, base_off)
-            rec = etx.alloc_zeroed(ext.record_size)
-            etx.write(rec, 0, payload + NULL_OID.pack())  # the link follows the payload
-            etx.write(cur, link_off, rec.pack())
+            rec = tx.alloc_zeroed(ext.record_size)
+            tx.write(rec, 0, payload + NULL_OID.pack())  # the link follows the payload
+            tx.write(cur, link_off, rec.pack())
             stats.allocations += 1
             stats.ext_bytes += stats.bytes_user - before
             nxt = rec
@@ -221,8 +228,8 @@ def extension_record(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, leve
     already there it logs nothing, so its commit stores nothing."""
     if pool._active_tx is None:
         with Transaction(pool):
-            return ensure_extension(None, pool, oid, desc, level, base_off=base_off)
-    return ensure_extension(None, pool, oid, desc, level, base_off=base_off)
+            return ensure_extension(pool, oid, desc, level, base_off=base_off)
+    return ensure_extension(pool, oid, desc, level, base_off=base_off)
 
 
 def read_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str,
@@ -245,27 +252,25 @@ def write_field(pool: PoolHandle, oid: ObjectId, desc: TypeDescriptor, name: str
     ensure_extension raises TxRequired without one.
     """
     level, f = desc.resolve(name)
-    tx = pool._active_tx
     if level == 0:
-        data = f.encode(value)
-        if tx is not None:
-            tx.write(oid, base_off + f.offset, data)
-        else:
-            pool.store(oid, base_off + f.offset, data)
-        return
-    rec = ensure_extension(tx, pool, oid, desc, level, base_off=base_off)
-    data = f.encode(value)
-    if tx is not None:
-        tx.write(rec, f.offset, data)
+        target, off = oid, base_off + f.offset
     else:
-        pool.store(rec, f.offset, data)
+        target = ensure_extension(pool, oid, desc, level, base_off=base_off)
+        off = f.offset
+    data = f.encode(value)
+    tx = pool._active_tx
+    if tx is not None:
+        tx.write(target, off, data)
+    else:
+        pool.store(target, off, data)
 
 
-# --------------------------------------------------------------------- copies
+# ------------------------------------------------------------- chain moves
 
-def clone_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> ObjectId:
-    """Clone every record reachable from `first`, a non-null link, and count
-    one deep copy; returns the clone chain head."""
+def deep_copy(tx, pool, first: ObjectId, desc: TypeDescriptor) -> ObjectId:
+    """Move the extension chain that starts at `first`, a non-null link, to a
+    clone: each record is copied, the copy linked from the one before, and
+    the original freed. Counts one deep copy; returns the clone's head."""
     pool.stats.deep_copies += 1
     head = NULL_OID
     prev_rec, prev_link = None, 0
@@ -273,38 +278,22 @@ def clone_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> Ob
     for ext in desc.extensions:
         if cur.is_null():
             break
+        raw = pool.load(cur, 0, ext.record_size)
         clone = tx.alloc_zeroed(ext.record_size)
-        tx.copy_bytes(clone, 0, cur, 0, ext.record_size)
+        tx.write(clone, 0, raw)
         if prev_rec is None:
             head = clone
         else:
             tx.write(prev_rec, prev_link, clone.pack())
-        cur = ObjectId.unpack(pool.load(cur, ext.link_offset, LINK_SIZE))
+        tx.free(cur)
+        cur = ObjectId.unpack(raw, ext.link_offset)
         prev_rec, prev_link = clone, ext.link_offset
     return head
 
 
-def deep_copy(tx, pool, oid: ObjectId, desc: TypeDescriptor, *,
-              shallow: bool = False) -> ObjectId:
-    """Clone a standalone extendible record.
-
-    Deep mode clones the whole extension chain and relinks the copy; shallow
-    mode copies the base record verbatim, sharing extension records, which
-    is only safe for short-lived read-only temporaries.
-    """
-    new = tx.alloc_zeroed(desc.base_size)
-    tx.copy_bytes(new, 0, oid, 0, desc.base_size)
-    if shallow:
-        return new
-    first = ObjectId.unpack(pool.load(oid, desc.link_offset, LINK_SIZE))
-    if not first.is_null():
-        head = clone_extension_chain(tx, pool, first, desc)
-        tx.write(new, desc.link_offset, head.pack())
-    return new
-
-
-def free_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> None:
-    """Free every record reachable from `first`."""
+def free_extendible(tx, pool, first: ObjectId, desc: TypeDescriptor) -> None:
+    """Free the extension chain that starts at the link `first`, extensions
+    of extensions included; a null link frees nothing."""
     cur = first
     for ext in desc.extensions:
         if cur.is_null():
@@ -312,14 +301,6 @@ def free_extension_chain(tx, pool, first: ObjectId, desc: TypeDescriptor) -> Non
         nxt = ObjectId.unpack(pool.load(cur, ext.link_offset, LINK_SIZE))
         tx.free(cur)
         cur = nxt
-
-
-def free_extendible(tx, pool, oid: ObjectId, desc: TypeDescriptor) -> None:
-    """Free a record and its whole extension chain, extensions of extensions included."""
-    pool._check_owned_for_free(oid)  # freed-again surfaces as DoubleFree, not OutOfBounds
-    first = ObjectId.unpack(pool.load(oid, desc.link_offset, LINK_SIZE))
-    free_extension_chain(tx, pool, first, desc)
-    tx.free(oid)
 
 
 # ------------------------------------------------------------------- manifest
@@ -335,13 +316,13 @@ def dump_manifest(descs, path: str) -> None:
                 )
             exts.append({
                 "level": ext.level,
-                "fields": [[f.name, _code_of(f), f.offset] for f in ext.payload_fields],
+                "fields": [[f.name, f.code, f.offset] for f in ext.payload_fields],
                 "payload_size": ext.payload_size,
                 "init": ext.init_rule,
             })
         types.append({
             "name": d.type_name,
-            "base_fields": [[f.name, _code_of(f), f.offset] for f in d.base_fields],
+            "base_fields": [[f.name, f.code, f.offset] for f in d.base_fields],
             "base_size": d.base_size,
             "extensions": exts,
             "fingerprint": d.fingerprint,
@@ -361,7 +342,13 @@ def load_manifest(path: str) -> list[TypeDescriptor]:
                 f"{t['name']}: computed base size {desc.base_size} != stored {t['base_size']}"
             )
         for ext in sorted(t["extensions"], key=lambda e: e["level"]):
-            desc = append_extension(desc, [tuple(f) for f in ext["fields"]], ext["init"])
+            desc = append_extension(desc, [tuple(f) for f in ext["fields"]], ext["init"],
+                                    level=ext["level"])
+            if desc.extensions[-1].payload_size != ext["payload_size"]:
+                raise OverlappingFields(
+                    f"{t['name']} level {ext['level']}: computed payload size "
+                    f"{desc.extensions[-1].payload_size} != stored {ext['payload_size']}"
+                )
         if desc.fingerprint != t["fingerprint"]:
             raise OverlappingFields(f"{t['name']}: fingerprint drift on load")
         out.append(desc)

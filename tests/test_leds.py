@@ -1,17 +1,21 @@
 """Extendible descriptors: layout math, lazy materialization, copies, manifests."""
 
+import json
+
 import pytest
 
 from ledstore import (
-    DoubleFree,
+    NULL_OID,
     NoSuchField,
     NonContiguousLevel,
+    ObjectId,
     OverlappingFields,
     TxRequired,
     UnknownLevel,
     open_pool,
 )
 from ledstore.leds import (
+    FieldView,
     append_extension,
     deep_copy,
     define_record,
@@ -99,8 +103,8 @@ class TestEnsure:
         desc = ll_extended()
         oid = make_obj(pool, desc, 7)
         before = pool.stats.snapshot()
-        with pool.tx_begin() as tx:
-            ensure_extension(tx, pool, oid, desc, 1)
+        with pool.tx_begin():
+            ensure_extension(pool, oid, desc, 1)
         d = pool.stats.delta(before)
         assert d["allocations"] == 1
         assert d["ext_bytes"] == 40      # 24-byte record + 16-byte link store
@@ -109,11 +113,11 @@ class TestEnsure:
     def test_idempotent(self, pool):
         desc = ll_extended()
         oid = make_obj(pool, desc, 7)
-        with pool.tx_begin() as tx:
-            first = ensure_extension(tx, pool, oid, desc, 1)
+        with pool.tx_begin():
+            first = ensure_extension(pool, oid, desc, 1)
         before = pool.stats.snapshot()
-        with pool.tx_begin() as tx:
-            again = ensure_extension(tx, pool, oid, desc, 1)
+        with pool.tx_begin():
+            again = ensure_extension(pool, oid, desc, 1)
         assert again == first
         assert pool.stats.delta(before)["allocations"] == 0
         assert pool.stats.delta(before)["n_allocs"] == 0
@@ -122,11 +126,10 @@ class TestEnsure:
         desc = append_extension(ll_extended(), [("tag", "u64")], {"op": "zero"})
         oid = make_obj(pool, desc, 3)
         before = pool.stats.snapshot()
-        with pool.tx_begin() as tx:
-            lvl2 = ensure_extension(tx, pool, oid, desc, 2)
+        with pool.tx_begin():
+            lvl2 = ensure_extension(pool, oid, desc, 2)
         assert pool.stats.delta(before)["allocations"] == 2
         # oracle: walk the links and count non-null hops
-        from ledstore import ObjectId
         l1 = ObjectId.unpack(pool.load(oid, desc.link_offset, 16))
         assert not l1.is_null()
         l2 = ObjectId.unpack(pool.load(l1, desc.extensions[0].link_offset, 16))
@@ -134,12 +137,10 @@ class TestEnsure:
 
     def test_partial_chain_is_a_prefix(self, pool):
         """Materializing level 1 of a two-level type leaves level 2 null."""
-        from ledstore import ObjectId
-
         desc = append_extension(ll_extended(), [("tag", "u64")], {"op": "zero"})
         oid = make_obj(pool, desc, 3)
-        with pool.tx_begin() as tx:
-            lvl1 = ensure_extension(tx, pool, oid, desc, 1)
+        with pool.tx_begin():
+            lvl1 = ensure_extension(pool, oid, desc, 1)
         assert not ObjectId.unpack(pool.load(oid, desc.link_offset, 16)).is_null()
         assert ObjectId.unpack(
             pool.load(lvl1, desc.extensions[0].link_offset, 16)).is_null()
@@ -147,15 +148,15 @@ class TestEnsure:
     def test_unknown_level(self, pool):
         desc = ll_extended()
         oid = make_obj(pool, desc, 1)
-        with pool.tx_begin() as tx:
+        with pool.tx_begin():
             with pytest.raises(UnknownLevel):
-                ensure_extension(tx, pool, oid, desc, 2)
+                ensure_extension(pool, oid, desc, 2)
 
     def test_materialization_requires_tx(self, pool):
         desc = ll_extended()
         oid = make_obj(pool, desc, 1)
         with pytest.raises(TxRequired):
-            ensure_extension(None, pool, oid, desc, 1)
+            ensure_extension(pool, oid, desc, 1)
 
 
 class TestFieldAccess:
@@ -196,6 +197,20 @@ class TestFieldAccess:
             write_field(pool, oid, desc, "val_fl", 2.5)
         assert read_field(pool, oid, desc, "val_fl") == 2.5
 
+    def test_init_rule_reads_a_lower_level(self, pool):
+        """A level-2 init rule reads level 1's field by walking the chain."""
+        desc = append_extension(ll_extended(), [("val_copy", "f64")],
+                                {"op": "copy_fields", "map": {"val_copy": "val_fl"}})
+        oid = make_obj(pool, desc, 7)
+        with pytest.raises(NoSuchField):  # level 1 not there yet: the walk stops short
+            FieldView(pool, oid, desc, 1).read("val_fl")
+        with pool.tx_begin():
+            write_field(pool, oid, desc, "val_fl", 2.5)
+        assert FieldView(pool, oid, desc, 1).read("val_fl") == 2.5
+        assert read_field(pool, oid, desc, "val_copy") == 2.5  # not the base's 7
+        with pytest.raises(NoSuchField):
+            FieldView(pool, oid, desc, 1).read("val_copy")
+
     def test_unknown_field(self, pool):
         desc = ll_extended()
         oid = make_obj(pool, desc, 5)
@@ -221,73 +236,68 @@ class TestFieldAccess:
             assert re.stats.delta(before)["allocations"] == 0  # found via link
 
 
-class TestCopiesAndFrees:
-    def test_copy_unextended(self, pool):
-        desc = ll_extended()
-        oid = make_obj(pool, desc, 4)
-        before = pool.stats.snapshot()
-        with pool.tx_begin() as tx:
-            cp = deep_copy(tx, pool, oid, desc)
-        assert pool.stats.delta(before)["n_allocs"] == 1
-        link = pool.load(cp, desc.link_offset, 16)
-        assert link == bytes(16)
+def chain(pool, oid, desc):
+    """The extension record ids reachable from `oid`'s link, in level order."""
+    out, cur, link_off = [], oid, desc.link_offset
+    for ext in desc.extensions:
+        cur = ObjectId.unpack(pool.load(cur, link_off, 16))
+        if cur.is_null():
+            break
+        out.append(cur)
+        link_off = ext.link_offset
+    return out
 
+
+class TestCopiesAndFrees:
     def test_copy_two_extensions_isolated(self, pool):
         desc = append_extension(ll_extended(), [("tag", "u64")], {"op": "zero"})
         oid = make_obj(pool, desc, 4)
-        with pool.tx_begin() as tx:
-            ensure_extension(tx, pool, oid, desc, 2)
-        before = pool.stats.snapshot()
-        with pool.tx_begin() as tx:
-            cp = deep_copy(tx, pool, oid, desc)
-        assert pool.stats.delta(before)["n_allocs"] == 3
         with pool.tx_begin():
-            write_field(pool, cp, desc, "val_fl", 99.0)
-            write_field(pool, cp, desc, "tag", 123)
-        # oracle: field-by-field comparison, original untouched
-        assert read_field(pool, oid, desc, "val_fl") == 4.0
-        assert read_field(pool, oid, desc, "tag") == 0
-        assert read_field(pool, cp, desc, "val_fl") == 99.0
-        assert read_field(pool, cp, desc, "tag") == 123
-
-    def test_shallow_copy_shares_links(self, pool):
-        desc = ll_extended()
-        oid = make_obj(pool, desc, 4)
-        with pool.tx_begin() as tx:
-            ensure_extension(tx, pool, oid, desc, 1)
+            write_field(pool, oid, desc, "tag", 77)
+        source = chain(pool, oid, desc)
+        assert len(source) == 2
+        live = pool.live_bytes
         before = pool.stats.snapshot()
         with pool.tx_begin() as tx:
-            cp = deep_copy(tx, pool, oid, desc, shallow=True)
-        assert pool.stats.delta(before)["n_allocs"] == 1
-        assert pool.load(cp, desc.link_offset, 16) == pool.load(oid, desc.link_offset, 16)
+            cp = tx.alloc_zeroed(desc.base_size)
+            tx.copy_bytes(cp, 0, oid, 0, desc.link_offset)
+            head = deep_copy(tx, pool, source[0], desc)
+            tx.write(cp, desc.link_offset, head.pack())
+            # 48-byte base + two 24->32 rounded clones; the originals go at commit
+            assert pool.live_bytes == live + 48 + 32 + 32
+        d = pool.stats.delta(before)
+        assert d["deep_copies"] == 1
+        assert d["n_allocs"] == 3
+        assert pool.live_bytes == live + 48  # oracle: allocator accounting
+        clones = chain(pool, cp, desc)
+        assert clones[0] == head and len(clones) == 2
+        assert not set(clones) & set(source)
+        assert read_field(pool, cp, desc, "val_fl") == 4.0
+        assert read_field(pool, cp, desc, "tag") == 77
 
     def test_free_extendible_reclaims_chain(self, pool):
-        desc = ll_extended()
+        desc = append_extension(ll_extended(), [("tag", "u64")], {"op": "zero"})
         oid = make_obj(pool, desc, 4)
-        with pool.tx_begin() as tx:
-            ensure_extension(tx, pool, oid, desc, 1)
+        with pool.tx_begin():
+            ensure_extension(pool, oid, desc, 2)
+        first = chain(pool, oid, desc)[0]
         live = pool.live_bytes
         with pool.tx_begin() as tx:
-            free_extendible(tx, pool, oid, desc)
-        # oracle: allocator accounting; 48-byte base + 24->32 rounded record
-        assert pool.live_bytes == live - 48 - 32
+            free_extendible(tx, pool, first, desc)
+        # oracle: allocator accounting; two 24->32 rounded records, base kept
+        assert pool.live_bytes == live - 32 - 32
 
     def test_free_unextended_is_plain_free(self, pool):
         desc = ll_extended()
         oid = make_obj(pool, desc, 4)
         live = pool.live_bytes
+        before = pool.stats.snapshot()
         with pool.tx_begin() as tx:
-            free_extendible(tx, pool, oid, desc)
+            free_extendible(tx, pool, NULL_OID, desc)  # the null link frees nothing
+            assert pool.stats.delta(before)["flush_events"] == 0
+            tx.free(oid)
+        assert pool.stats.delta(before)["n_frees"] == 1
         assert pool.live_bytes == live - 48
-
-    def test_double_free(self, pool):
-        desc = ll_extended()
-        oid = make_obj(pool, desc, 4)
-        with pool.tx_begin() as tx:
-            free_extendible(tx, pool, oid, desc)
-        with pool.tx_begin() as tx:
-            with pytest.raises(DoubleFree):
-                free_extendible(tx, pool, oid, desc)
 
 
 class TestTranslationCache:
@@ -345,6 +355,29 @@ class TestManifest:
         assert loaded[0].base_size == descs[0].base_size
         assert loaded[0].extensions[0].payload_size == 8
         assert manifest_fingerprint(loaded) == manifest_fingerprint(descs)
+        assert loaded == descs
+        with open(path) as fh:  # each field's code as it was declared
+            plain = json.load(fh)["types"][1]
+        assert plain["base_fields"] == [["k", "u64", 0], ["name", "bytes16", 8]]
+
+    def test_level_gap_rejected(self, tmp_path):
+        desc = append_extension(ll_extended(), [("tag", "u64")], {"op": "zero"})
+        path = tmp_path / "schema.json"
+        dump_manifest([desc], str(path))
+        doc = json.loads(path.read_text())
+        doc["types"][0]["extensions"][1]["level"] = 5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NonContiguousLevel):
+            load_manifest(str(path))
+
+    def test_payload_size_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "schema.json"
+        dump_manifest([ll_extended()], str(path))
+        doc = json.loads(path.read_text())
+        doc["types"][0]["extensions"][0]["payload_size"] = 999
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OverlappingFields):
+            load_manifest(str(path))
 
     def test_callable_init_not_serializable(self, tmp_path):
         desc = append_extension(ll_type(), [("x", "u64")], lambda view: bytes(8))
