@@ -71,7 +71,7 @@ from .layout import ObjectId, define_record
 from .stats import WriteStats
 
 MAGIC = b"LEDSPOOL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 HEADER_SIZE = 4096
 DEFAULT_HEAP_OFFSET = 4096
 MIN_CAPACITY = 1 << 20
@@ -271,7 +271,8 @@ class PoolHandle:
         payload size, or remove it (the breakdown's `cached` variant). A hit
         trusts the earlier validation, like a direct pointer, and counts
         nothing; a miss counts one translation. The cache empties when
-        `_active_tx` changes, which every resolve checks, and at every free."""
+        `_active_tx` changes, which every resolve checks, and drops a block's
+        entry when the block is freed."""
         self.__dict__.pop("_resolve", None)
         self.__dict__.pop("_release", None)
         if not enabled:
@@ -293,7 +294,7 @@ class PoolHandle:
             return oid[1] + off
 
         def release(payload: int) -> None:
-            cache.clear()
+            cache.pop(payload, None)
             PoolHandle._release(self, payload)
 
         self._resolve, self._release = resolve, release
@@ -372,10 +373,24 @@ class PoolHandle:
         self.stats.n_allocs += 1
         return ObjectId(self.pool_uuid, payload)
 
-    def _unclaim(self, payload: int, size: int, reused: bool) -> None:
-        """Roll a claimed block back on file, in one store: the header _take
-        found and a zeroed payload. _scan_heap rebuilds the view afterwards."""
-        self._store(payload - BLOCK.size, _vacant_header(size, reused) + bytes(size), "meta")
+    def _unclaim(self, payload: int, size: int) -> None:
+        """Roll a block claimed off a free list back on file, in one store: its
+        free header and a zeroed payload. _scan_heap rebuilds the view."""
+        self._store(payload - BLOCK.size, _vacant_header(size, True) + bytes(size), "meta")
+
+    def _unclaim_run(self, payload: int) -> None:
+        """Roll back a transaction's frontier allocations, the first at
+        `payload`, in one store: zero from its block header up to the first
+        zero block header. Every block in that run is the transaction's: only
+        a claim moves the frontier, and raw_alloc is refused while a
+        transaction runs. The walk relies on stores landing in order.
+        _scan_heap rebuilds the view."""
+        buf, capacity, unpack = self.buf, self.capacity, BLOCK.unpack_from
+        start = off = payload - BLOCK.size
+        while off + BLOCK.size <= capacity and (size := unpack(buf, off)[0]):
+            off += BLOCK.size + size
+        if (end := min(off, capacity)) > start:
+            self._store(start, bytes(end - start), "meta")
 
     def raw_free(self, oid: ObjectId) -> None:
         if self._active_tx is not None:

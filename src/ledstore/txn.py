@@ -7,11 +7,18 @@ One flat undo log lives in the pool's log region. A record is one store: a
 
   SNAP  (kind 1): body = the `len` prior bytes at `target`; rollback
                   restores them.
-  ALLOC (kind 2): no body; a `len`-byte payload taken at the heap frontier.
-  REUSE (kind 4): the same for a block from a free list. Rollback of either
-                  restores, in one store, the block header the allocation
-                  found and a zeroed payload (pool._unclaim).
-  FREE  (kind 3): no body, len 0; deferred free of the payload at `target`.
+  ALLOC (kind 2): no body; the transaction's first block taken at the heap
+                  frontier, a `len`-byte payload at `target`. Its later
+                  frontier blocks log nothing: rollback zeroes, in one store,
+                  from this block's header up to the first zero block header
+                  (pool._unclaim_run), as only this transaction's claims
+                  move the frontier meanwhile.
+  REUSE (kind 4): no body; one block taken from a free list. Rollback
+                  restores, in one store, its free block header and a zeroed
+                  payload (pool._unclaim).
+  FREE  (kind 3): body = u64 payload offsets, `len` = 8 per offset; the
+                  transaction's deferred frees: `target` and the body's. One
+                  is appended by `commit`, just before its commit point.
 
 `tag` is (pool uuid + transaction number) mod 2^32; a number whose tag is 0
 is skipped, as zeroed log bytes carry that tag. `crc` is zlib.crc32 of the
@@ -22,18 +29,23 @@ The log-state word (pool.py) is stored only at the commit point and at
 truncation. Between transactions it is IDLE | n, n the last transaction
 that ended; the next one, number m, logs from the start of the log. A
 commit that frees nothing stores IDLE | m once, its commit point. One that
-frees stores COMMITTING | bytes logged (its commit point), then one store
-per free (the status word and the zeroed payload together), then IDLE | m.
+frees appends its FREE record, stores COMMITTING | bytes logged (its commit
+point), then one store per free (the status word and the zeroed payload
+together), then IDLE | m. A block freed by the transaction that allocated
+it is released at once and logged nowhere: its ALLOC or REUSE rollback
+restores it. A FREE record that does not fit the log aborts the commit.
 
 Recovery under IDLE | n rolls back, in reverse order, m's records from the
 start of the log (_parse_log says where they end), then stores IDLE | m;
-under COMMITTING | used it redoes every FREE in those bytes, idempotently
-(no block is reused before truncation). `abort` is that rollback, run on
-the live handle. Writes into blocks allocated by the same transaction skip
-snapshotting: rollback reclaims and zeroes the whole block anyway.
+under COMMITTING | used it redoes every free the FREE record lists,
+idempotently (no block is reused before truncation). `abort` is that
+rollback, run on the live handle. Writes into blocks allocated by the same
+transaction skip snapshotting: rollback reclaims and zeroes the whole block
+anyway.
 
 Block headers and the heap view belong to pool.py; this module logs around
-its `_take`/`_claim`, `_release`, `_unclaim`, `_redo_free` and `_scan_heap`.
+its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_free`
+and `_scan_heap`.
 
 `write`, called once per changed span of a node, makes one state test, one
 `_resolve`, at most one snapshot, then the store.
@@ -43,6 +55,7 @@ Nesting is rejected; the handle owns at most one active transaction.
 
 from __future__ import annotations
 
+from struct import Struct
 from zlib import crc32
 
 from .errors import DoubleFree, NestedTransaction, OutOfBounds, OutOfSpace, TxStateError
@@ -53,14 +66,18 @@ REC_SNAP = 1
 REC_ALLOC = 2
 REC_FREE = 3
 REC_REUSE = 4
-_BODILESS = (REC_ALLOC, REC_FREE, REC_REUSE)
+_BODILESS = (REC_ALLOC, REC_REUSE)
+_BODIED = (REC_SNAP, REC_FREE)
 
 UNDO_RECORD = define_record([
     ("kind", "u32"), ("crc", "u32"), ("len", "u32"), ("tag", "u32"), ("target", "u64"),
 ])
 _pack_record = UNDO_RECORD.codec.pack
+_HDR = UNDO_RECORD.size
 _U32 = 0xFFFFFFFF  # transaction numbers and tags wrap at 2^32
 _HEADS = [UNDO_RECORD.pack(kind)[:8] for kind in range(5)]  # kind, a zeroed crc field
+_U64 = Struct("<Q")  # one FREE-record body entry
+_pack_u64 = _U64.pack
 
 TX_ACTIVE = "active"
 TX_COMMITTED = "committed"
@@ -69,6 +86,8 @@ TX_ABORTED = "aborted"
 
 class Transaction:
     """Undo-log scope: all-or-nothing stores, allocations, and frees."""
+
+    _run_logged = False  # set once the first frontier block's ALLOC is logged
 
     def __init__(self, pool: PoolHandle):
         if pool._active_tx is not None:
@@ -81,7 +100,7 @@ class Transaction:
         self._tag = self._crc = (pool.pool_uuid + self._seq) & _U32
         self._log_used = 0
         self._fresh: set[int] = set()       # payload offsets allocated here
-        self._freed: dict[int, None] = {}   # payload offsets, in free order
+        self._freed: dict[int, None] = {}   # deferred frees' payload offsets, in order
         self._covered: set[tuple[int, int]] = set()
         pool._active_tx = self
 
@@ -89,16 +108,15 @@ class Transaction:
 
     def _append(self, kind: int, target: int, length: int, body: bytes = b"") -> None:
         pool = self.pool
-        total = UNDO_RECORD.size + len(body)
+        total = _HDR + len(body)
         if self._log_used + total > pool.log_capacity:
             raise OutOfSpace(
                 f"undo log full ({pool.log_capacity} bytes); "
                 "larger log_capacity needed for this transaction"
             )
-        tag = self._tag
-        crc = crc32(body, crc32(_pack_record(kind, 0, length, tag, target), self._crc))
+        crc = crc32(body, crc32(_pack_record(kind, 0, length, self._tag, target), self._crc))
         pool._store(pool.heap_offset + self._log_used,
-                    _pack_record(kind, crc, length, tag, target) + body, "log")
+                    _pack_record(kind, crc, length, self._tag, target) + body, "log")
         self._crc = crc
         self._log_used += total
 
@@ -150,33 +168,54 @@ class Transaction:
     def alloc_zeroed(self, size: int) -> ObjectId:
         """Zeroed allocation; a block whose header on file is not the one
         its record implies is refused with OutOfBounds (pool._take)."""
-        self._require_active()
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
         payload, rsize, reused = pool._take(size)
-        self._append(REC_REUSE if reused else REC_ALLOC, payload, rsize)
+        if reused:
+            self._append(REC_REUSE, payload, rsize)
+        elif not self._run_logged:
+            self._append(REC_ALLOC, payload, rsize)
+            self._run_logged = True
         self._fresh.add(payload)
         return pool._claim(payload, rsize, reused)
 
     def free(self, oid: ObjectId) -> None:
-        """Deferred free: the block is reclaimed at commit, kept on abort/crash."""
-        self._require_active()
-        if oid.offset in self._freed:
-            raise DoubleFree(f"offset {oid.offset} already freed in this transaction")
+        """Free at commit, kept on abort/crash; a block this transaction
+        allocated is released at once, as its rollback restores it anyway."""
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
+        offset = oid.offset
+        if offset in self._freed:
+            raise DoubleFree(f"offset {offset} already freed in this transaction")
         self.pool._check_owned_for_free(oid)
-        self._append(REC_FREE, oid.offset, 0)
-        self._freed[oid.offset] = None
+        if offset in self._fresh:
+            self.pool._release(offset)
+        else:
+            self._freed[offset] = None
 
     # ------------------------------------------------------------------ outcome
 
     def commit(self) -> None:
-        self._require_active()
+        """Make the transaction durable; OutOfSpace, after an abort, when the
+        log has no room for its FREE record."""
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
-        if self._log_used:
-            if self._freed:
-                pool._set_log_state(LOG_COMMITTING, self._log_used)  # commit point
-                for payload in self._freed:
-                    pool._release(payload)
-            pool._set_log_state(LOG_IDLE, self._seq)  # commit point if nothing freed
+        if self._freed:
+            first, *rest = self._freed
+            try:
+                self._append(REC_FREE, first, 8 * len(rest),
+                             b"".join(map(_pack_u64, rest)) if rest else b"")
+            except OutOfSpace:
+                self.abort()
+                raise
+            pool._set_log_state(LOG_COMMITTING, self._log_used)  # commit point
+            for payload in self._freed:
+                pool._release(payload)
+            pool._set_log_state(LOG_IDLE, self._seq)
+        elif self._log_used:
+            pool._set_log_state(LOG_IDLE, self._seq)  # commit point
         self._end(TX_COMMITTED)
 
     def abort(self) -> None:
@@ -216,7 +255,7 @@ def _next_seq(pool: PoolHandle, n: int) -> int:
 def _crc_as(buf, off: int, end: int, tag: int, seed: int) -> int | None:
     """The crc the record at `off` has with `tag`, chained from `seed`; None past `end`."""
     kind, _, length, _, target = UNDO_RECORD.unpack_from(buf, off)
-    body_end = (start := off + UNDO_RECORD.size) + (length if kind == REC_SNAP else 0)
+    body_end = (start := off + UNDO_RECORD.size) + (length if kind in _BODIED else 0)
     return None if body_end > end else crc32(
         buf[start:body_end], crc32(_pack_record(kind, 0, length, tag, target), seed))
 
@@ -242,9 +281,10 @@ def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, 
     """The records from the start of the log that carry `tag`, as (kind, target,
     len, body offset); with `used`, exactly `used` bytes of them. A SNAP range
     lies in the header page or the block region, other records' in the block
-    region. A record failing a check raises OutOfBounds before any applies,
-    unless, without `used`, it _ends_log: it is another transaction's, or this
-    one's torn last record (its copy cut short), whose in-place store never ran."""
+    region, and so does every payload a FREE record lists. A record failing a
+    check raises OutOfBounds before any applies, unless, without `used`, it
+    _ends_log: it is another transaction's, or this one's torn last record (its
+    copy cut short), whose in-place store never ran."""
     records = []
     off, hdr = pool.heap_offset, UNDO_RECORD.size
     end = off + (pool.log_capacity if used is None else used)
@@ -254,10 +294,14 @@ def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, 
     with memoryview(pool.buf) as log:
         while off + hdr <= end:
             kind, rec_crc, length, rec_tag, target = unpack(log, off)
-            body_end = off + hdr + (length if kind == REC_SNAP else 0)
+            body_end = off + hdr + (length if kind in _BODIED else 0)
             reach = target + length
             if kind == REC_SNAP:
                 ok = reach <= pool.heap_offset or blocks <= target and reach <= capacity
+            elif kind == REC_FREE:
+                ok = (first <= target < capacity and body_end <= end and length % 8 == 0
+                      and all(first <= t < capacity
+                              for t, in _U64.iter_unpack(log[off + hdr : body_end])))
             else:
                 ok = kind in _BODILESS and first <= target < capacity and reach <= capacity
             if (not ok or rec_tag != tag or body_end > end
@@ -285,13 +329,18 @@ def recover_log(pool: PoolHandle) -> None:
         for kind, target, length, body in reversed(records):
             if kind == REC_SNAP:
                 pool._store(target, pool.buf[body : body + length], "meta")
-            elif kind != REC_FREE:  # a FREE needs no undo: it was deferred to commit
-                pool._unclaim(target, length, kind == REC_REUSE)
+            elif kind == REC_REUSE:
+                pool._unclaim(target, length)
+            elif kind == REC_ALLOC:
+                pool._unclaim_run(target)
+            # a FREE needs no undo: its frees wait for the commit point
     elif status == LOG_COMMITTING and 0 < low <= pool.log_capacity:
         tag = UNDO_RECORD.unpack_from(pool.buf, pool.heap_offset)[3]
-        for kind, target, _, _ in _parse_log(pool, tag, low):
+        for kind, target, length, body in _parse_log(pool, tag, low):
             if kind == REC_FREE:
                 pool._redo_free(target)
+                for listed, in _U64.iter_unpack(pool.buf[body : body + length]):
+                    pool._redo_free(listed)
         seq = (tag - pool.pool_uuid) & _U32
     else:
         raise OutOfBounds(f"corrupt log state: status {status}, low bits {low}")

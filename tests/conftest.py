@@ -27,15 +27,16 @@ def recorded_commits(pool, digest):
     Yields (boundaries, ordinals): boundaries starts with `digest(pool)` and
     gains `digest(pool)` after each completed commit; ordinals gains that
     commit's commit point, the store ordinal (`pool._write_ordinal`) of its
-    first log-state store: COMMITTING when the transaction frees blocks,
-    else IDLE; or of its last store if it logged nothing. A crash at store
-    k therefore recovers to boundary `sum(c < k for c in ordinals)`.
+    first log-state store: COMMITTING when the transaction defers frees
+    (one store after its FREE record), else IDLE; or of its last store if
+    it logged nothing. A crash at store k therefore recovers to boundary
+    `sum(c < k for c in ordinals)`.
     """
     boundaries, ordinals = [digest(pool)], []
     real_commit = Transaction.commit
 
     def commit(tx):
-        ordinal = tx.pool._write_ordinal + (1 if tx._log_used else 0)
+        ordinal = tx.pool._write_ordinal + (2 if tx._freed else 1 if tx._log_used else 0)
         real_commit(tx)
         if tx.pool is pool:
             ordinals.append(ordinal)

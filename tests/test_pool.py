@@ -69,7 +69,7 @@ class TestHeaderFormat:
         with open(pool_path, "rb") as f:
             raw = f.read(4096)
         assert raw[0:8] == b"LEDSPOOL"
-        assert struct.unpack_from("<I", raw, 8)[0] == 2  # format_version
+        assert struct.unpack_from("<I", raw, 8)[0] == 3  # format_version
         name = raw[16:80].rstrip(b"\0")
         assert name == b"test-layout"
         assert struct.unpack_from("<I", raw, 80)[0] == 1  # layout_version
@@ -156,7 +156,9 @@ class TestOpen:
 
     def test_foreign_format_version_rejected(self, pool, pool_path):
         pool.close()
-        for version in (1, 99):  # version 1's undo log had no tags or checksums
+        # version 1's undo log had no tags or checksums; version 2 logged a
+        # FREE record per free, with no body
+        for version in (1, 2, 99):
             with open(pool_path, "r+b") as f:
                 f.seek(8)
                 f.write(struct.pack("<I", version))

@@ -20,6 +20,7 @@ from ledstore import (
     OutOfBounds,
     OutOfSpace,
     SimulatedCrash,
+    Transaction,
     TxStateError,
     create_pool,
     open_pool,
@@ -39,6 +40,37 @@ def heap_digest(handle):
     region = bytes(handle.buf[handle.blocks_offset : handle.capacity])
     head = bytes(handle.buf[96:120])  # root_id + root_size
     return hashlib.sha256(head + region).hexdigest()
+
+
+def heap_view(handle):
+    """The handle's heap view: live blocks, free lists (sorted, empty ones
+    dropped, since their order is not on file) and frontier."""
+    free = {size: sorted(lst) for size, lst in handle._free_lists.items() if lst}
+    return dict(handle._live), free, handle._frontier
+
+
+def boundary(handle):
+    """What a transaction boundary pins: the heap bytes and the heap view."""
+    return heap_digest(handle), heap_view(handle)
+
+
+def assert_view_is_scan(handle):
+    """The heap view equals the one a fresh scan of the block headers builds."""
+    view = heap_view(handle)
+    handle._scan_heap()
+    assert heap_view(handle) == view
+
+
+@pytest.fixture(autouse=True)
+def view_checked_after_abort(monkeypatch):
+    """After every abort in this module, the heap view matches the file."""
+    real_abort = Transaction.abort
+
+    def abort(tx):
+        real_abort(tx)
+        assert_view_is_scan(tx.pool)
+
+    monkeypatch.setattr(Transaction, "abort", abort)
 
 
 class TestBasics:
@@ -317,9 +349,10 @@ class TestCrashRecovery:
         # dry run's commit ordinals aligned with the crash runs'
         handle.arm_crash(CrashPlan(trigger=crash_at if crash_at else 10**9))
         oids = []
-        with recorded_commits(handle, heap_digest) as (boundaries, ordinals):
+        with recorded_commits(handle, boundary) as (boundaries, ordinals):
             try:
                 with handle.tx_begin() as tx:
+                    tx.free(tx.alloc_zeroed(48))  # released at once, then reused
                     for i in range(4):
                         oid = tx.alloc_zeroed(48)
                         tx.write(oid, 0, bytes([i + 1]) * 48)
@@ -350,7 +383,8 @@ class TestCrashRecovery:
             assert crashed, f"write {k} of {total_writes} should crash"
             with recover(path) as re:
                 expected = sum(1 for c in commit_ordinals if c < k)
-                assert heap_digest(re) == boundaries[expected], f"crash at {k}"
+                assert boundary(re) == boundaries[expected], f"crash at {k}"
+                assert_view_is_scan(re)
                 status, used = re.log_state
                 assert status == 0 and used == 0
 
@@ -386,7 +420,7 @@ class TestCrashRecovery:
                                 oid = objs.pop(int(r * len(objs)) % len(objs))
                                 tx.free(oid)
 
-            with recorded_commits(handle, heap_digest) as (boundaries, ordinals):
+            with recorded_commits(handle, boundary) as (boundaries, ordinals):
                 run_script(handle, live_objects)
             total = handle._write_ordinal
             handle.close()
@@ -402,7 +436,8 @@ class TestCrashRecovery:
                     pass
                 with recover(path) as re:
                     expected = sum(1 for c in ordinals if c < k)
-                    assert heap_digest(re) == boundaries[expected]
+                    assert boundary(re) == boundaries[expected]
+                    assert_view_is_scan(re)
 
 
 class TestSelfValidatingLog:
@@ -532,7 +567,7 @@ class TestSelfValidatingLog:
         for oid in (a, b, keep):
             handle.store(oid, 0, b"\x5a" * 32)
         handle.arm_crash(CrashPlan(trigger=crash_at or 10**9))
-        with recorded_commits(handle, heap_digest) as (boundaries, ordinals):
+        with recorded_commits(handle, boundary) as (boundaries, ordinals):
             try:
                 with handle.tx_begin() as tx:
                     tx.write(keep, 0, b"k" * 8)
@@ -553,7 +588,8 @@ class TestSelfValidatingLog:
             _, _, finished, (a, b) = self._two_frees(path, crash_at=k)
             assert finished is None, f"store {k} should crash"
             with recover(path) as re:
-                assert heap_digest(re) == boundaries[1], f"crash at {k}"
+                assert boundary(re) == boundaries[1], f"crash at {k}"
+                assert_view_is_scan(re)
                 assert re.log_state == (0, 0)
                 for oid in (a, b):
                     header = struct.unpack_from("<QQ", re.buf, oid.offset - 16)
@@ -597,3 +633,140 @@ class TestSelfValidatingLog:
             pool.raw_alloc(32)
         assert pool.stats.delta(before) == {k: 0 for k in before}  # nothing stored
         assert pool.allocated_objects == 0
+
+
+class TestOneRecordPerEffect:
+    """A transaction logs one ALLOC for its frontier blocks and one FREE for
+    its deferred frees; a block it allocates and frees is logged once."""
+
+    @staticmethod
+    def _log_records(handle, tag):
+        """(kind, len, target, body) of each record with `tag` from the log start."""
+        records, off = [], handle.heap_offset
+        while True:
+            kind, _, length, rec_tag, target = struct.unpack_from("<IIIIQ", handle.buf, off)
+            if rec_tag != tag:
+                return records
+            size = 0 if kind in (2, 4) else length
+            records.append((kind, length, target, bytes(handle.buf[off + 24 : off + 24 + size])))
+            off += 24 + size
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_k_frees_log_one_free_record(self, pool, k):
+        oids = [pool.raw_alloc(32) for _ in range(k)]
+        tx = pool.tx_begin()
+        for oid in oids:
+            tx.free(oid)
+        assert tx._log_used == 0  # a free logs nothing until commit
+        logged = pool.stats.bytes_log
+        tx.commit()
+        assert pool.stats.bytes_log - logged == 24 + 8 * (k - 1)
+        body = b"".join(struct.pack("<Q", oid.offset) for oid in oids[1:])
+        assert self._log_records(pool, tx._tag) == [(3, 8 * (k - 1), oids[0].offset, body)]
+        assert pool.allocated_objects == 0
+
+    def test_alloc_then_free_logs_no_free_and_aborts_byte_identical(self, pool):
+        keep = pool.raw_alloc(32)
+        pool.store(keep, 0, b"k" * 32)
+        pool.raw_free(pool.raw_alloc(48))  # a free-list block in play
+        before = heap_digest(pool)
+        tx = pool.tx_begin()
+        reused, fresh = tx.alloc_zeroed(48), tx.alloc_zeroed(64)
+        tx.write(reused, 0, b"r" * 48)
+        tx.write(fresh, 0, b"f" * 64)
+        tx.write(keep, 0, b"w" * 32)
+        used = tx._log_used
+        tx.free(reused)
+        tx.free(fresh)
+        assert tx._log_used == used and not tx._freed  # released at once, unlogged
+        assert tx.alloc_zeroed(64) == fresh  # its block is free again, in place
+        tx.abort()
+        assert heap_digest(pool) == before
+
+    def test_alloc_then_free_commits_without_a_commit_record(self, pool):
+        tx = pool.tx_begin()
+        tx.free(tx.alloc_zeroed(32))
+        stores = pool.stats.flush_events
+        tx.commit()
+        assert pool.stats.flush_events - stores == 1  # IDLE only: nothing deferred
+        assert pool.allocated_objects == 0
+        assert_view_is_scan(pool)
+
+    def test_frontier_allocations_log_one_record_and_roll_back_in_one_store(self, pool):
+        pool.raw_alloc(16)
+        before = heap_digest(pool)
+        tx = pool.tx_begin()
+        oids = [tx.alloc_zeroed(16 * (i + 1)) for i in range(5)]
+        for oid in oids:
+            tx.write(oid, 0, b"z" * 16)
+        assert self._log_records(pool, tx._tag) == [(2, 16, oids[0].offset, b"")]
+        stores = pool.stats.flush_events
+        tx.abort()
+        assert pool.stats.flush_events - stores == 2  # the run, then truncation
+        assert heap_digest(pool) == before
+
+    @staticmethod
+    def _crash_after_commit_point(path):
+        """Three blocks freed in one transaction, crashed at the first free's
+        store after the commit point; returns the blocks and the tag."""
+        handle = create_pool(path, "free-test", MIB)
+        oids = [handle.raw_alloc(32) for _ in range(3)]
+        for oid in oids:
+            handle.store(oid, 0, b"\x5a" * 32)
+        tx = handle.tx_begin()
+        for oid in oids:
+            tx.free(oid)
+        handle.arm_crash(CrashPlan(trigger=3))  # FREE record, COMMITTING, first free
+        with pytest.raises(SimulatedCrash):
+            tx.commit()
+        with open(path, "rb") as f:
+            f.seek(144)  # the log-state word: committing, one 40-byte record
+            assert struct.unpack("<Q", f.read(8))[0] == (2 << 56) | (24 + 16)
+        return oids, tx._tag, handle.heap_offset
+
+    def test_crash_after_commit_point_redoes_every_listed_free(self, tmp_path):
+        path = str(tmp_path / "redo.pool")
+        oids, _, _ = self._crash_after_commit_point(path)
+        with recover(path) as re:
+            assert re.log_state == (0, 0)
+            assert re.allocated_objects == 0
+            for oid in oids:
+                assert struct.unpack_from("<QQ", re.buf, oid.offset - 16) == (32, 0xF4EEB10C)
+                assert re.buf[oid.offset : oid.offset + 32] == bytes(32)
+
+    @pytest.mark.parametrize("where", [0, 1], ids=["header-page", "past-end"])
+    def test_listed_target_outside_block_region_refused(self, tmp_path, where):
+        path = str(tmp_path / "bad.pool")
+        _, tag, log = self._crash_after_commit_point(path)
+        with open(path, "r+b") as f:
+            f.seek(log)
+            record = bytearray(f.read(24 + 16))
+            bad = 64 if where == 0 else os.path.getsize(path)
+            record[32:40] = struct.pack("<Q", bad)  # the last listed payload
+            struct.pack_into("<I", record, 4, record_crc(record, tag))
+            f.seek(log)
+            f.write(record)
+            f.seek(0)
+            before = f.read()
+        for _ in range(2):  # the refusal applied nothing and left no lock
+            with pytest.raises(OutOfBounds):
+                recover(path)
+            with open(path, "rb") as f:
+                assert f.read() == before
+
+    def test_free_record_that_does_not_fit_aborts_the_commit(self, tmp_path):
+        handle = create_pool(str(tmp_path / "full.pool"), "full-log", MIB,
+                             log_capacity=1024)
+        gone, filler = handle.raw_alloc(64), handle.raw_alloc(1024)
+        before = heap_digest(handle)
+        tx = handle.tx_begin()
+        tx.write(filler, 0, b"f" * 990)  # 24 + 990 of the 1024 log bytes
+        tx.free(gone)
+        with pytest.raises(OutOfSpace):
+            tx.commit()
+        assert tx.state == "aborted" and handle._active_tx is None
+        assert heap_digest(handle) == before
+        with handle.tx_begin() as tx:
+            tx.free(gone)
+        assert handle.allocated_objects == 1
+        handle.close()
