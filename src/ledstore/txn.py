@@ -15,7 +15,9 @@ One flat undo log lives in the pool's log region. A record is one store: a
                   move the frontier meanwhile.
   REUSE (kind 4): no body; one block taken from a free list. Rollback
                   restores, in one store, its free block header and a zeroed
-                  payload (pool._unclaim).
+                  payload (pool._unclaim), unless the block lies at or past
+                  the ALLOC's: the transaction took it at the frontier, freed
+                  it and took it again, and the run's store zeroes it.
   FREE  (kind 3): body = u64 payload offsets, `len` = 8 per offset; the
                   transaction's deferred frees: `target` and the body's. One
                   is appended by `commit`, just before its commit point.
@@ -36,12 +38,14 @@ it is released at once and logged nowhere: its ALLOC or REUSE rollback
 restores it. A FREE record that does not fit the log aborts the commit.
 
 Recovery under IDLE | n rolls back, in reverse order, m's records from the
-start of the log (_parse_log says where they end), then stores IDLE | m;
-under COMMITTING | used it redoes every free the FREE record lists,
-idempotently (no block is reused before truncation). `abort` is that
-rollback, run on the live handle. Writes into blocks allocated by the same
-transaction skip snapshotting: rollback reclaims and zeroes the whole block
-anyway.
+start of the log (_parse_log says where they end), then stores IDLE | m.
+A rollback cut short before that store runs again in full and lands on the
+same bytes: the run's walk reads only block headers at or past its start,
+where no other undo store writes. Under COMMITTING | used it redoes every
+free the FREE record lists, idempotently (no block is reused before
+truncation). `abort` is that rollback, run on the live handle. Writes into
+blocks allocated by the same transaction skip snapshotting: rollback
+reclaims and zeroes the whole block anyway.
 
 Block headers and the heap view belong to pool.py; this module logs around
 its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_free`
@@ -73,7 +77,7 @@ UNDO_RECORD = define_record([
     ("kind", "u32"), ("crc", "u32"), ("len", "u32"), ("tag", "u32"), ("target", "u64"),
 ])
 _pack_record = UNDO_RECORD.codec.pack
-_HDR = UNDO_RECORD.size
+_HDR = UNDO_RECORD.size  # bytes in a record header
 _U32 = 0xFFFFFFFF  # transaction numbers and tags wrap at 2^32
 _HEADS = [UNDO_RECORD.pack(kind)[:8] for kind in range(5)]  # kind, a zeroed crc field
 _U64 = Struct("<Q")  # one FREE-record body entry
@@ -125,15 +129,12 @@ class Transaction:
         self._append(REC_SNAP, addr, length, self.pool.buf[addr : addr + length])
         self._covered.add((addr, length))
 
-    def _require_active(self) -> None:
-        if self.state != TX_ACTIVE:
-            raise TxStateError(f"transaction is {self.state}")
-
     # ------------------------------------------------------------------ ops
 
     def snapshot_range(self, oid: ObjectId, off: int, length: int) -> None:
         """Log prior bytes so later in-place stores to the range can be undone."""
-        self._require_active()
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         addr = self.pool._resolve(oid, off, length)
         if oid[1] not in self._fresh:
             self._snap(addr, length)
@@ -150,7 +151,8 @@ class Transaction:
 
     def write_header(self, off: int, data: bytes) -> None:
         """Snapshotted store into the header page (root id, layout version)."""
-        self._require_active()
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         self._snap(off, len(data))
         self.pool._store(off, data, "meta")
 
@@ -158,7 +160,8 @@ class Transaction:
         self, dst: ObjectId, dst_off: int, src: ObjectId, src_off: int, length: int
     ) -> None:
         """memcpy between payloads; safe for overlap (reads before writing)."""
-        self._require_active()
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         if length == 0:
             return
         src_addr = self.pool._resolve(src, src_off, length)
@@ -220,7 +223,8 @@ class Transaction:
 
     def abort(self) -> None:
         """Roll back exactly as crash recovery would, from the log on file."""
-        self._require_active()
+        if self.state is not TX_ACTIVE:
+            raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
         recover_log(pool)
         pool._scan_heap()  # the heap view is rebuilt rather than journaled
@@ -234,7 +238,7 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.state != TX_ACTIVE:
+        if self.state is not TX_ACTIVE:
             return
         if self.pool.closed:
             # simulated crash killed the handle; recovery owns the rollback
@@ -255,7 +259,7 @@ def _next_seq(pool: PoolHandle, n: int) -> int:
 def _crc_as(buf, off: int, end: int, tag: int, seed: int) -> int | None:
     """The crc the record at `off` has with `tag`, chained from `seed`; None past `end`."""
     kind, _, length, _, target = UNDO_RECORD.unpack_from(buf, off)
-    body_end = (start := off + UNDO_RECORD.size) + (length if kind in _BODIED else 0)
+    body_end = (start := off + _HDR) + (length if kind in _BODIED else 0)
     return None if body_end > end else crc32(
         buf[start:body_end], crc32(_pack_record(kind, 0, length, tag, target), seed))
 
@@ -269,7 +273,7 @@ def _ends_log(buf, off: int, end: int, tag: int, seed: int) -> bool:
     if expect == rec_crc or rec_tag != tag:
         return expect != rec_crc
     at, needle = UNDO_RECORD.offsets["tag"], tag.to_bytes(4, "little")
-    q = off + UNDO_RECORD.size + at - 1
+    q = off + _HDR + at - 1
     while (q := buf.find(needle, q + 1, end)) != -1:  # the next record, wherever it starts
         if UNDO_RECORD.unpack_from(buf, q - at)[1] in {
                 _crc_as(buf, q - at, end, tag, s) for s in {rec_crc, expect} - {None}}:
@@ -286,7 +290,7 @@ def _parse_log(pool: PoolHandle, tag: int, used: int | None) -> list[tuple[int, 
     _ends_log: it is another transaction's, or this one's torn last record (its
     copy cut short), whose in-place store never ran."""
     records = []
-    off, hdr = pool.heap_offset, UNDO_RECORD.size
+    off, hdr = pool.heap_offset, _HDR
     end = off + (pool.log_capacity if used is None else used)
     blocks, capacity = pool.blocks_offset, pool.capacity
     first = blocks + BLOCK.size  # the lowest payload offset
@@ -326,10 +330,12 @@ def recover_log(pool: PoolHandle) -> None:
         records = _parse_log(pool, (pool.pool_uuid + seq) & _U32, None)
         if not records:
             return
+        # blocks at or past the run's start are the run's, zeroed by its one store
+        run = next((t for k, t, _, _ in records if k == REC_ALLOC), pool.capacity)
         for kind, target, length, body in reversed(records):
             if kind == REC_SNAP:
                 pool._store(target, pool.buf[body : body + length], "meta")
-            elif kind == REC_REUSE:
+            elif kind == REC_REUSE and target < run:
                 pool._unclaim(target, length)
             elif kind == REC_ALLOC:
                 pool._unclaim_run(target)

@@ -705,6 +705,39 @@ class TestOneRecordPerEffect:
         assert pool.stats.flush_events - stores == 2  # the run, then truncation
         assert heap_digest(pool) == before
 
+    def test_rollback_cut_short_runs_again_to_the_same_bytes(self, tmp_path):
+        """A block past the run's first, freed and taken again off the free
+        list: at every crash ordinal of the abort, recovery runs the rollback
+        again and lands on the pre-transaction heap, and the frontier hands
+        out the same blocks zeroed."""
+        for k in range(1, 10):
+            path = str(tmp_path / f"rerun-{k}.pool")
+            handle = create_pool(path, "rerun", MIB)
+            handle.raw_alloc(16)
+            before = heap_digest(handle)
+            tx = handle.tx_begin()
+            first, later = tx.alloc_zeroed(32), tx.alloc_zeroed(48)
+            tx.write(later, 0, b"x" * 48)
+            tx.free(later)
+            assert tx.alloc_zeroed(48) == later  # a REUSE record past the ALLOC's
+            tx.write(later, 0, b"y" * 48)
+            handle.arm_crash(CrashPlan(trigger=k))
+            try:
+                tx.abort()
+            except SimulatedCrash:
+                crashed = True
+            else:
+                crashed = False
+                handle.close()
+            with recover(path) as re:
+                assert heap_digest(re) == before
+                assert (re.raw_alloc(32), re.raw_alloc(48)) == (first, later)
+                assert re.load(first, 0, 32) == bytes(32)
+                assert re.load(later, 0, 48) == bytes(48)
+            if not crashed:
+                return
+        pytest.fail("the abort crashed at every ordinal tried")
+
     @staticmethod
     def _crash_after_commit_point(path):
         """Three blocks freed in one transaction, crashed at the first free's
