@@ -406,11 +406,26 @@ class PoolHandle:
         self._free_lists.setdefault(size, []).append(payload)
         self.stats.n_frees += 1
 
-    def _redo_free(self, payload: int) -> None:
-        """Recovery's redo of a committed free: _release's store, sized from the
-        block header (the view is not built yet; the block may be free already)."""
-        size = BLOCK.unpack_from(self.buf, payload - BLOCK.size)[0]
-        self._store(payload - _STATUS_BACK, _FREE_STATUS + bytes(size), "meta")
+    def _redo_frees(self, payloads: list[int]) -> None:
+        """Recovery's redo of a committed transaction's frees: _release's store
+        for each listed payload, sized from its block header (the view is not
+        built yet; a block may be free already). Every target is checked
+        before the first store: its header's size must be a nonzero multiple
+        of 16 that ends the payload within capacity, and its status
+        ST_ALLOCATED or ST_FREE; else OutOfBounds, with the file untouched.
+        A header forged inside a payload passes this check: nothing on file
+        tells a block header from payload bytes that read as one."""
+        buf, capacity, unpack = self.buf, self.capacity, BLOCK.unpack_from
+        sizes = []
+        for payload in payloads:
+            size, status = unpack(buf, payload - BLOCK.size)
+            if not (size and size % ALIGN == 0 and payload + size <= capacity
+                    and status in (ST_ALLOCATED, ST_FREE)):
+                raise OutOfBounds(f"listed free {payload} has block header "
+                                  f"{{size {size}, status {status:#x}}}")
+            sizes.append(size)
+        for payload, size in zip(payloads, sizes):
+            self._store(payload - _STATUS_BACK, _FREE_STATUS + bytes(size), "meta")
 
     def _check_owned_for_free(self, oid: ObjectId) -> None:
         if oid.pool_uuid != self.pool_uuid:

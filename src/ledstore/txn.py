@@ -43,12 +43,13 @@ A rollback cut short before that store runs again in full and lands on the
 same bytes: the run's walk reads only block headers at or past its start,
 where no other undo store writes. Under COMMITTING | used it redoes every
 free the FREE record lists, idempotently (no block is reused before
-truncation). `abort` is that rollback, run on the live handle. Writes into
+truncation), once every listed block header has passed pool._redo_frees's
+check. `abort` is that rollback, run on the live handle. Writes into
 blocks allocated by the same transaction skip snapshotting: rollback
 reclaims and zeroes the whole block anyway.
 
 Block headers and the heap view belong to pool.py; this module logs around
-its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_free`
+its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_frees`
 and `_scan_heap`.
 
 `write`, called once per changed span of a node, makes one state test, one
@@ -342,11 +343,12 @@ def recover_log(pool: PoolHandle) -> None:
             # a FREE needs no undo: its frees wait for the commit point
     elif status == LOG_COMMITTING and 0 < low <= pool.log_capacity:
         tag = UNDO_RECORD.unpack_from(pool.buf, pool.heap_offset)[3]
+        frees = []
         for kind, target, length, body in _parse_log(pool, tag, low):
             if kind == REC_FREE:
-                pool._redo_free(target)
-                for listed, in _U64.iter_unpack(pool.buf[body : body + length]):
-                    pool._redo_free(listed)
+                frees.append(target)
+                frees += (listed for listed, in _U64.iter_unpack(pool.buf[body : body + length]))
+        pool._redo_frees(frees)
         seq = (tag - pool.pool_uuid) & _U32
     else:
         raise OutOfBounds(f"corrupt log state: status {status}, low bits {low}")

@@ -787,6 +787,40 @@ class TestOneRecordPerEffect:
             with open(path, "rb") as f:
                 assert f.read() == before
 
+    @pytest.mark.parametrize("where", ["live", "free"], ids=["in-live-block", "in-free-payload"])
+    def test_listed_target_that_is_not_a_payload_start_refused(self, tmp_path, where):
+        """A crc-valid FREE record whose last listed offset lies 16 bytes into
+        a live block (whose data reads as a 1 MiB block header) or into a
+        free block's zeroed payload: recovery refuses it with OutOfBounds
+        before its first redo store, and the file stays as it was."""
+        path = str(tmp_path / "probe.pool")
+        handle = create_pool(path, "free-test", MIB)
+        live, spare = handle.raw_alloc(48), handle.raw_alloc(64)
+        handle.store(live, 0, struct.pack("<QQ", MIB, 0xA110CA7E))
+        handle.raw_free(spare)
+        gone = [handle.raw_alloc(32) for _ in range(2)]
+        tx = handle.tx_begin()
+        for oid in gone:
+            tx.free(oid)
+        handle.arm_crash(CrashPlan(trigger=3))  # FREE record, COMMITTING, first free
+        with pytest.raises(SimulatedCrash):
+            tx.commit()
+        with open(path, "r+b") as f:
+            f.seek(handle.heap_offset)
+            record = bytearray(f.read(24 + 8))
+            bad = (live if where == "live" else spare).offset + 16
+            record[24:32] = struct.pack("<Q", bad)
+            struct.pack_into("<I", record, 4, record_crc(record, tx._tag))
+            f.seek(handle.heap_offset)
+            f.write(record)
+            f.seek(0)
+            before = f.read()
+        for _ in range(2):
+            with pytest.raises(OutOfBounds, match=f"listed free {bad}"):
+                recover(path)
+            with open(path, "rb") as f:
+                assert f.read() == before
+
     def test_free_record_that_does_not_fit_aborts_the_commit(self, tmp_path):
         handle = create_pool(str(tmp_path / "full.pool"), "full-log", MIB,
                              log_capacity=1024)
