@@ -35,6 +35,12 @@ def crit_bit(a: int, b: int) -> int:
     return 64 - (a ^ b).bit_length()
 
 
+def node_codec(stride: int):
+    """One read of a node whose entries are `stride` bytes: (diff word,
+    entry 0 bytes, entry 1 bytes)."""
+    return packed_struct([(0, "I"), (4, f"{stride}s"), (4 + stride, f"{stride}s")])
+
+
 class CritBitKernel(MapKernel):
     kind = "ctree"
     ROOT_SIZE = 96
@@ -46,11 +52,10 @@ class CritBitKernel(MapKernel):
         super().__init__(pool, **kw)
         self.stride = self.entry_size
         self.node_size = 4 + 2 * self.stride
-        raw = f"{self.stride}s"
         # one read of the root (ROOT): (is_leaf, count, entry slot bytes); of
-        # a node: (diff word, entry 0 bytes, entry 1 bytes); an entry's key
-        # and slot words are decoded from its bytes by `head`
-        self.node = packed_struct([(0, "I"), (4, raw), (4 + self.stride, raw)])
+        # a node: node_codec; an entry's key and slot words are decoded from
+        # its bytes by `head`
+        self.node = node_codec(self.stride)
         self.head = packed_struct(self.entry_parts(0, "key", "slot"))
 
     # -- structure ----------------------------------------------------------
@@ -223,19 +228,21 @@ class CritBitKernel(MapKernel):
 
     @classmethod
     def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
-        """Clone node-for-node bottom-up, widening leaf keys; one store per record."""
+        """Clone node-for-node bottom-up, widening leaf keys; one store per
+        record. Each old node is read once, as {word, entry 0, entry 1}."""
         leaf_word, count, raw = pool.read(root, cls.ROOT)
         root_leaf = leaf_word == 1
         new_node_size = 4 + 2 * new.size
+        old_node_codec = node_codec(old.size)
 
         def clone_entry(raw, is_leaf) -> bytes:
             key, slot = old.unpack_from(raw)
             if is_leaf:
                 return new.pack(key, slot)
             old_node = ObjectId.unpack(slot)
-            word = _U32.unpack_from(pool.load(old_node, 0, 4))[0]
-            e0 = clone_entry(pool.load(old_node, 4, old.size), bool(word >> 8 & 1))
-            e1 = clone_entry(pool.load(old_node, 4 + old.size, old.size), bool(word >> 9 & 1))
+            word, raw0, raw1 = pool.read(old_node, old_node_codec)
+            e0 = clone_entry(raw0, bool(word >> 8 & 1))
+            e1 = clone_entry(raw1, bool(word >> 9 & 1))
             new_node = tx.alloc_zeroed(new_node_size)
             tx.write(new_node, 0, _U32.pack(word) + e0 + e1)
             ms.nodes_migrated += 1

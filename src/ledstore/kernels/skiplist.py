@@ -13,9 +13,21 @@ sentinel is a full node record with an unused key.
 
 Navigating a 4-level list is linear in n, which is unusable at desk scale
 in pure Python, so each kernel instance keeps a volatile per-level sorted
-index (rebuilt by one scan on attach). The index only picks predecessors;
-every link read at a modification site and every link write is performed
-against the persistent records, so the stored structure stands alone.
+index, rebuilt on attach by one walk of level 0: one read per node, and
+count + 2 translations with the pool root and the head. The index only
+picks predecessors; every link read at a modification site and every link
+write is performed against the persistent records, so the stored structure
+stands alone.
+
+That walk (`_index`, which `migrate` shares) takes level membership from
+the links alone. A node is on level i >= 1 iff it is the node that the
+previous level-i member's next[i] names, the head's for the first member.
+Levels nest, so the test stops at the first level that misses. When level
+0 ends, every level's expected next must be null. If one is not, the
+level-i chain names a node that level 0 does not reach after the last
+level-i member (a node off level i-1, or a backward link), and the walk
+raises OutOfBounds rather than index the list silently. `validate` still
+walks each level on its own.
 """
 
 from __future__ import annotations
@@ -23,10 +35,46 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 
-from ..layout import NULL_OID, ObjectId, define_record, packed_struct
-from .base import OID_WORDS, MapKernel, check_key, encode_value
+from ..errors import OutOfBounds
+from ..layout import NULL_OID, ObjectId, packed_struct
+from .base import OID_WORDS, MapKernel, check_key, encode_value, word_parts
 
 LEVELS = 4
+
+
+def _index(pool, head: ObjectId, codec, at: int):
+    """Walk level 0 from `head` once, one `pool.read` per node (the head's
+    included) through `codec`, whose first value is the key and whose values
+    from index `at` on are next[0..3] as word pairs. Heights follow the
+    module docstring's membership rule, and its end-of-walk check raises
+    OutOfBounds. Returns ({key: node id}, {key: height}, the key lists of
+    levels 0..3, each node's decoded values), all in list order."""
+    links = [slice(at + 2 * level, at + 2 * level + 2) for level in range(LEVELS)]
+    link0 = links[0]
+    rec = pool.read(head, codec)
+    # the next member expected on each level; the trailing None ends the test
+    expect = [rec[link] for link in links] + [None]
+    by_key, height, levels, recs = {}, {}, [[] for _ in range(LEVELS)], []
+    keys0 = levels[0]
+    cur = expect[0]
+    while cur != (0, 0):
+        node = ObjectId(*cur)
+        recs.append(rec := pool.read(node, codec))
+        key = rec[0]
+        by_key[key] = node
+        h = 1
+        while expect[h] == cur:
+            expect[h] = rec[links[h]]
+            levels[h].append(key)
+            h += 1
+        height[key] = h
+        keys0.append(key)
+        cur = rec[link0]
+    for level in range(1, LEVELS):
+        if expect[level] != (0, 0):
+            raise OutOfBounds(f"level {level} names node {expect[level][1]}, which level 0 "
+                              f"does not reach after that level's last member")
+    return by_key, height, levels, recs
 
 
 class SkipListKernel(MapKernel):
@@ -43,6 +91,8 @@ class SkipListKernel(MapKernel):
         # then the link words in the auto lane)
         self.node = packed_struct(self.entry_parts(
             0, "key", "value", *(f"next{i}" for i in range(LEVELS))) + self.link_parts(0))
+        # attach's walk: the key, then two words per next link
+        self.walk = packed_struct(self.entry_parts(0, "key", *(f"next{i}" for i in range(LEVELS))))
         if self.rng is None:
             self.rng = random.Random(0x51C1)
         # volatile navigation index
@@ -62,19 +112,11 @@ class SkipListKernel(MapKernel):
         self.head = head
 
     def _load_structure(self) -> None:
+        """Rebuild the index in one walk of level 0 (`_index`): each node's
+        height comes from the links that name it, and an upper-level link
+        that level 0 does not reach in order raises OutOfBounds."""
         self.head = ObjectId(*self.pool.read(self.root, self.ROOT)[:2])
-        self.by_key.clear()
-        self.height.clear()
-        self.level_keys = [[] for _ in range(LEVELS)]
-        for level in range(LEVELS):
-            cur = self._node_next(self.head, level)
-            while not cur.is_null():
-                key, _, _, *links = self.pool.read(cur, self.node)
-                self.level_keys[level].append(key)
-                if level == 0:
-                    self.by_key[key] = cur
-                self.height[key] = level + 1
-                cur = self._link(links, level)
+        self.by_key, self.height, self.level_keys, _ = _index(self.pool, self.head, self.walk, 1)
 
     @staticmethod
     def _link(words, level: int) -> ObjectId:
@@ -193,35 +235,22 @@ class SkipListKernel(MapKernel):
     @classmethod
     def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Clone node-for-node, heights preserved, built tail-first so each new
-        record is written with a single store."""
+        record is written with a single store. The old list is read in one
+        walk of level 0 (`_index`), one read per old node: {key, value
+        bytes, next links}; heights come from the links."""
         uuid, off, count = pool.read(root, cls.ROOT)
         old_head = ObjectId(uuid, off)
-        # old nodes are read field by field: {key, value}, the key, one link
-        old_entry = define_record(old.fields[:2])
-        old_key = define_record(old.fields[:1])
+        walk = packed_struct([(f.offset, f.fmt) for f in old.fields[:2]] + word_parts(
+            [old.field(f"next{level}") for level in range(LEVELS)]))
 
-        def old_next(oid, level):
-            return ObjectId.unpack(pool.load(oid, old.offsets[f"next{level}"], 16))
-
-        entries = []          # (key, value bytes) in ascending order
-        heights = {}
-        cur = old_next(old_head, 0)
-        while not cur.is_null():
-            entries.append(old_entry.unpack_from(pool.load(cur, 0, old_entry.size)))
-            nxt = old_next(cur, 0)
-            tx.free(cur)
-            cur = nxt
-        for level in range(1, LEVELS):
-            cur = old_next(old_head, level)
-            while not cur.is_null():
-                key, = old_key.unpack_from(pool.load(cur, 0, old_key.size))
-                heights[key] = level + 1
-                cur = old_next(cur, level)
+        by_key, height, _, recs = _index(pool, old_head, walk, 2)
+        for node in by_key.values():
+            tx.free(node)
         tx.free(old_head)
 
         tails = [NULL_OID] * LEVELS
-        for key, value in reversed(entries):
-            h = heights.get(key, 1)
+        for key, value, *_ in reversed(recs):
+            h = height[key]
             record = new.pack(key, value, *(t.pack() for t in tails[:h]))
             node = tx.alloc_zeroed(new.size)
             tx.write(node, 0, record)

@@ -1,7 +1,7 @@
 """Executed Python bytecodes per map operation, for every kernel x lane x
-{insert, remove, lookup}: a cost figure that does not depend on the
-machine, for changes whose wall-time effect is smaller than a shared host's
-noise.
+{insert, remove, lookup}, and per upgrade step: a cost figure that does not
+depend on the machine, for changes whose wall-time effect is smaller than a
+shared host's noise.
 
     python tests/opcodes_per_op.py [SRC_DIR]
 
@@ -10,7 +10,10 @@ imported, so a parent checkout and a change compare with one run each. For
 each kernel and lane, a version-1 pool gets KEYS (2,000) random keys, one
 transaction each, untraced. The version-2 program ("change": the key widened
 to 64 bits) then takes it over: the manual lane runs its migration pass
-first, the automatic lane upgrades lazily. Then OPS (400) inserts of new keys
+first, the automatic lane upgrades lazily. Both steps run under a
+`sys.settrace` opcode tracer: `migrate` (manual lane only) is the whole
+migration pass, `attach` the version-2 kernel's attach to the pool; each is
+one total, not a mean. Then OPS (400) inserts of new keys
 and OPS removes of original keys run, one transaction each, then OPS lookups
 of original keys that stay, outside any transaction, all under a
 `sys.settrace` opcode tracer. Like perfbench's read-skewed lookups, each is a
@@ -54,7 +57,8 @@ def _opcodes(fn, *args) -> int:
 
 
 def probe(kind: str, lane: str, workdir: str) -> dict:
-    """Mean bytecodes per insert and per remove for one kernel and lane."""
+    """Bytecodes of the upgrade steps, and mean bytecodes per insert, remove
+    and lookup, for one kernel and lane."""
     from ledstore import create_pool
     from ledstore.kernels import make_kernel, make_manual_migrator
     from ledstore.retention import run_migration
@@ -69,11 +73,13 @@ def probe(kind: str, lane: str, workdir: str) -> dict:
         for key in original:
             with pool.tx_begin() as tx:
                 v1.insert(tx, key, key)
+        upgrade = {}
         if lane == "manual":
-            run_migration(pool, make_manual_migrator(kind, "change"))
+            upgrade["migrate"] = _opcodes(run_migration, pool,
+                                          make_manual_migrator(kind, "change"))
         kernel = make_kernel(pool, kind, mode=lane, version=2, change="change",
                              rng=random.Random(SEED + 1))
-        kernel.attach()
+        upgrade["attach"] = _opcodes(kernel.attach)
 
         def insert(key):
             with pool.tx_begin() as tx:
@@ -90,7 +96,8 @@ def probe(kind: str, lane: str, workdir: str) -> dict:
         gone = set(removed)
         hot = rng.sample([key for key in original if key not in gone], OPS // 5)
         looked = [rng.choice(hot) for _ in range(OPS)]
-        return {"insert": sum(_opcodes(insert, key) for key in fresh) / OPS,
+        return {**upgrade,
+                "insert": sum(_opcodes(insert, key) for key in fresh) / OPS,
                 "remove": sum(_opcodes(remove, key) for key in removed) / OPS,
                 "lookup": sum(_opcodes(lookup, key) for key in looked) / OPS}
     finally:
@@ -106,7 +113,7 @@ def main() -> None:
             for lane in LANES:
                 for op, n in probe(kind, lane, workdir).items():
                     out[f"{kind}/{lane}/{op}"] = n
-                    print(f"{kind:9} {lane:7} {op:7} {n:10,.1f}", flush=True)
+                    print(f"{kind:9} {lane:7} {op:7} {n:12,.1f}", flush=True)
     print(json.dumps(out, sort_keys=True))
 
 

@@ -498,6 +498,150 @@ class TestAutoMode:
         pool.close()
 
 
+def level_walk(pool, k):
+    """Reference skip-list index: each of the four levels walked on its own
+    from the head, one field load at a time. Returns ({key: node id},
+    {key: height}, the key list of each level)."""
+    from ledstore.layout import ObjectId
+
+    u, o, _ = pool.read(pool.root_id, k.ROOT)
+    key_field = k.entry.field("key")
+    by_key, height, levels = {}, {}, []
+    for level in range(4):
+        next_off = k.entry.offsets[f"next{level}"]
+        keys, cur = [], ObjectId.unpack(pool.load(ObjectId(u, o), next_off, 16))
+        while not cur.is_null():
+            key = key_field.decode(pool.load(cur, key_field.offset, key_field.size))
+            keys.append(key)
+            if level == 0:
+                by_key[key] = cur
+            height[key] = level + 1
+            cur = ObjectId.unpack(pool.load(cur, next_off, 16))
+        levels.append(keys)
+    return by_key, height, levels
+
+
+def skiplist_pool(tmp_path, lane, seed, n=300):
+    """A version-1 skip list of `lane` after random inserts and removes."""
+    pool = create_pool(str(tmp_path / f"s-{lane}-{seed}.pool"), "skiplist-v1", 32 * MIB)
+    k = make_kernel(pool, "skiplist", mode=lane, rng=random.Random(seed))
+    k.create()
+    rng = random.Random(seed)
+    keys = rng.sample(range(1, 1 << 30), n)
+    run_ops(pool, k, [("ins", key, key) for key in keys])
+    run_ops(pool, k, [("del", key) for key in rng.sample(keys, n // 3)])
+    return pool
+
+
+SKIPLIST_LANES = [("manual", 1, "change"), ("auto", 2, "change")]
+
+
+class TestSkipListAttach:
+    """Attach rebuilds the volatile index in one walk of level 0."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("lane", range(len(SKIPLIST_LANES)), ids=["manual", "auto"])
+    def test_index_equals_a_walk_of_every_level(self, tmp_path, lane, seed):
+        mode, version, change = SKIPLIST_LANES[lane]
+        pool = skiplist_pool(tmp_path, mode, seed)
+        k = make_kernel(pool, "skiplist", mode=mode, version=version, change=change)
+        k.attach()
+        by_key, height, levels = level_walk(pool, k)
+        assert levels[3] and len(levels[0]) == k.count() == 200
+        assert (k.by_key, k.height, k.level_keys) == (by_key, height, levels)
+        assert list(k.by_key) == levels[0]  # in list order
+        k.validate()
+        pool.close()
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_index_of_a_migrated_pool(self, tmp_path, seed):
+        pool = skiplist_pool(tmp_path, "manual", seed)
+        before = level_walk(pool, make_kernel(pool, "skiplist"))
+        run_migration(pool, make_manual_migrator("skiplist", "change"))
+        k = make_kernel(pool, "skiplist", version=2, change="change")
+        k.attach()
+        by_key, height, levels = level_walk(pool, k)
+        assert (height, levels) == before[1:]  # heights survive the migration
+        assert (k.by_key, k.height, k.level_keys) == (by_key, height, levels)
+        k.validate()
+        pool.close()
+
+    @pytest.mark.parametrize("lane", range(len(SKIPLIST_LANES)), ids=["manual", "auto"])
+    def test_attach_makes_count_plus_two_translations(self, tmp_path, lane):
+        mode, version, change = SKIPLIST_LANES[lane]
+        pool = skiplist_pool(tmp_path, mode, 6)
+        k = make_kernel(pool, "skiplist", mode=mode, version=version, change=change)
+        before = pool.stats.translations
+        k.attach()
+        assert pool.stats.translations - before == k.count() + 2  # root, head, each node
+        pool.close()
+
+    @staticmethod
+    def _corrupt_level2(pool, backward):
+        """Point the last level-2 member's next[2] at a node off level 2: one
+        after it that is on level 0 only, or (`backward`) one before it that
+        is not on level 2. The target's own next[2] is null, so a walk of
+        level 2 alone ends."""
+        from ledstore.layout import NULL_OID
+
+        k = make_kernel(pool, "skiplist")
+        by_key, height, levels = level_walk(pool, k)
+        last = levels[2][-1]
+        if backward:
+            target = next(key for key in levels[0] if key < last and height[key] == 2)
+        else:
+            target = next(key for key in levels[0] if key > last and height[key] == 1)
+        assert pool.load(by_key[target], k.entry.offsets["next2"], 16) == NULL_OID.pack()
+        pool.store(by_key[last], k.entry.offsets["next2"], by_key[target].pack())
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["off-level-1", "backward"])
+    def test_upper_link_that_level_0_does_not_reach_refused(self, tmp_path, backward):
+        from ledstore import OutOfBounds
+
+        pool = skiplist_pool(tmp_path, "manual", 7)
+        self._corrupt_level2(pool, backward)
+        with pytest.raises(OutOfBounds, match="level 2"):
+            make_kernel(pool, "skiplist").attach()
+        pool.close()
+
+
+@pytest.mark.parametrize("kind", ["skiplist", "ctree"])
+def test_migrate_reads_each_old_node_once(tmp_path, monkeypatch, kind):
+    """A manual migration resolves every old node once: its translations
+    are one per old node and one per tx.write, plus one for the pool root,
+    at any size."""
+    from ledstore.pool import PoolHandle
+    from ledstore.txn import Transaction
+
+    constants = set()
+    for n in (100, 300):
+        pool, k = fresh_kernel(tmp_path, kind, name=f"m{n}", rng=random.Random(3))
+        run_ops(pool, k, [("ins", key, key) for key in random.Random(n).sample(range(1, 1 << 30), n)])
+        old = set(pool._live) - {pool.root_id.offset}  # every node, the skip list's head too
+        resolved, writes = [], []
+        real_resolve, real_write = PoolHandle._resolve, Transaction.write
+
+        def resolve(self, oid, *range_):
+            resolved.append(oid.offset)
+            return real_resolve(self, oid, *range_)
+
+        def write(self, oid, off, data):
+            writes.append(oid.offset)
+            return real_write(self, oid, off, data)
+
+        monkeypatch.setattr(PoolHandle, "_resolve", resolve)
+        monkeypatch.setattr(Transaction, "write", write)
+        before = pool.stats.translations
+        run_migration(pool, make_manual_migrator(kind, "change"))
+        monkeypatch.undo()
+        assert sorted(off for off in resolved if off in old) == sorted(old)
+        translations = pool.stats.translations - before
+        assert translations == len(resolved)
+        constants.add(translations - len(old) - len(writes))
+        pool.close()
+    assert constants == {1}  # the pool root's one read
+
+
 class TestBTreeCopies:
     def test_shallow_toggle_reduces_deep_copies(self, tmp_path):
         rng = random.Random(4)
