@@ -26,8 +26,9 @@ Levels nest, so the test stops at the first level that misses. When level
 0 ends, every level's expected next must be null. If one is not, the
 level-i chain names a node that level 0 does not reach after the last
 level-i member (a node off level i-1, or a backward link), and the walk
-raises OutOfBounds rather than index the list silently. `validate` still
-walks each level on its own.
+raises OutOfBounds rather than index the list silently. It reads at most
+count + 1 nodes, so a longer level 0, a cycle included, raises too.
+`validate` still walks each level on its own.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ from .base import OID_WORDS, MapKernel, check_key, encode_value, word_parts
 LEVELS = 4
 
 
-def _index(pool, head: ObjectId, codec, at: int):
+def _index(pool, head: ObjectId, count: int, codec, at: int):
     """Walk level 0 from `head` once, one `pool.read` per node (the head's
     included) through `codec`, whose first value is the key and whose values
     from index `at` on are next[0..3] as word pairs. Heights follow the
     module docstring's membership rule, and its end-of-walk check raises
-    OutOfBounds. Returns ({key: node id}, {key: height}, the key lists of
-    levels 0..3, each node's decoded values), all in list order."""
+    OutOfBounds; so does a level 0 longer than the root's `count`, which
+    also ends a cycle. Returns ({key: node id}, {key: height}, the key lists
+    of levels 0..3, each node's decoded values), all in list order."""
     links = [slice(at + 2 * level, at + 2 * level + 2) for level in range(LEVELS)]
     link0 = links[0]
     rec = pool.read(head, codec)
@@ -57,7 +59,9 @@ def _index(pool, head: ObjectId, codec, at: int):
     by_key, height, levels, recs = {}, {}, [[] for _ in range(LEVELS)], []
     keys0 = levels[0]
     cur = expect[0]
-    while cur != (0, 0):
+    for _ in range(count + 1):
+        if cur == (0, 0):
+            break
         node = ObjectId(*cur)
         recs.append(rec := pool.read(node, codec))
         key = rec[0]
@@ -70,6 +74,8 @@ def _index(pool, head: ObjectId, codec, at: int):
         height[key] = h
         keys0.append(key)
         cur = rec[link0]
+    else:
+        raise OutOfBounds(f"level 0 holds more than count = {count} nodes")
     for level in range(1, LEVELS):
         if expect[level] != (0, 0):
             raise OutOfBounds(f"level {level} names node {expect[level][1]}, which level 0 "
@@ -114,9 +120,12 @@ class SkipListKernel(MapKernel):
     def _load_structure(self) -> None:
         """Rebuild the index in one walk of level 0 (`_index`): each node's
         height comes from the links that name it, and an upper-level link
-        that level 0 does not reach in order raises OutOfBounds."""
-        self.head = ObjectId(*self.pool.read(self.root, self.ROOT)[:2])
-        self.by_key, self.height, self.level_keys, _ = _index(self.pool, self.head, self.walk, 1)
+        that level 0 does not reach in order, or a level 0 longer than the
+        root's count, raises OutOfBounds."""
+        u, o, count = self.pool.read(self.root, self.ROOT)
+        self.head = ObjectId(u, o)
+        self.by_key, self.height, self.level_keys, _ = _index(
+            self.pool, self.head, count, self.walk, 1)
 
     @staticmethod
     def _link(words, level: int) -> ObjectId:
@@ -243,7 +252,7 @@ class SkipListKernel(MapKernel):
         walk = packed_struct([(f.offset, f.fmt) for f in old.fields[:2]] + word_parts(
             [old.field(f"next{level}") for level in range(LEVELS)]))
 
-        by_key, height, _, recs = _index(pool, old_head, walk, 2)
+        by_key, height, _, recs = _index(pool, old_head, count, walk, 2)
         for node in by_key.values():
             tx.free(node)
         tx.free(old_head)

@@ -604,6 +604,32 @@ class TestSkipListAttach:
             make_kernel(pool, "skiplist").attach()
         pool.close()
 
+    def test_level0_cycle_refused(self, tmp_path, monkeypatch):
+        """The last node's next[0] names the first: attach reads count + 1
+        nodes at most, then raises OutOfBounds (the read cap turns an
+        endless walk into a failure)."""
+        from ledstore import OutOfBounds
+        from ledstore.pool import PoolHandle
+
+        pool = skiplist_pool(tmp_path, "manual", 8)
+        k = make_kernel(pool, "skiplist")
+        by_key, _, levels = level_walk(pool, k)
+        pool.store(by_key[levels[0][-1]], k.entry.offsets["next0"], by_key[levels[0][0]].pack())
+        count, reads = len(levels[0]), []
+        real_read = PoolHandle.read
+
+        def read(self, oid, codec, off=0):
+            reads.append(oid)
+            assert len(reads) <= 2 * count, "attach walks on"
+            return real_read(self, oid, codec, off)
+
+        monkeypatch.setattr(PoolHandle, "read", read)
+        with pytest.raises(OutOfBounds, match="more than count"):
+            make_kernel(pool, "skiplist").attach()
+        assert len(reads) == count + 3  # the root, the head, count + 1 nodes
+        monkeypatch.undo()
+        pool.close()
+
 
 @pytest.mark.parametrize("kind", ["skiplist", "ctree"])
 def test_migrate_reads_each_old_node_once(tmp_path, monkeypatch, kind):
