@@ -43,27 +43,30 @@ from .base import OID_WORDS, MapKernel, check_key, encode_value, word_parts
 LEVELS = 4
 
 
-def _index(pool, head: ObjectId, count: int, codec, at: int):
+def _index(pool, head: ObjectId, count: int, codec, at: int, recs: list | None = None):
     """Walk level 0 from `head` once, one `pool.read` per node (the head's
     included) through `codec`, whose first value is the key and whose values
     from index `at` on are next[0..3] as word pairs. Heights follow the
     module docstring's membership rule, and its end-of-walk check raises
     OutOfBounds; so does a level 0 longer than the root's `count`, which
     also ends a cycle. Returns ({key: node id}, {key: height}, the key lists
-    of levels 0..3, each node's decoded values), all in list order."""
+    of levels 0..3), all in list order; each node's decoded values are
+    appended to `recs` when one is given (migrate's case: attach keeps none)."""
     links = [slice(at + 2 * level, at + 2 * level + 2) for level in range(LEVELS)]
     link0 = links[0]
     rec = pool.read(head, codec)
     # the next member expected on each level; the trailing None ends the test
     expect = [rec[link] for link in links] + [None]
-    by_key, height, levels, recs = {}, {}, [[] for _ in range(LEVELS)], []
+    by_key, height, levels = {}, {}, [[] for _ in range(LEVELS)]
     keys0 = levels[0]
     cur = expect[0]
     for _ in range(count + 1):
         if cur == (0, 0):
             break
         node = ObjectId(*cur)
-        recs.append(rec := pool.read(node, codec))
+        rec = pool.read(node, codec)
+        if recs is not None:
+            recs.append(rec)
         key = rec[0]
         by_key[key] = node
         h = 1
@@ -80,7 +83,7 @@ def _index(pool, head: ObjectId, count: int, codec, at: int):
         if expect[level] != (0, 0):
             raise OutOfBounds(f"level {level} names node {expect[level][1]}, which level 0 "
                               f"does not reach after that level's last member")
-    return by_key, height, levels, recs
+    return by_key, height, levels
 
 
 class SkipListKernel(MapKernel):
@@ -124,7 +127,7 @@ class SkipListKernel(MapKernel):
         root's count, raises OutOfBounds."""
         u, o, count = self.pool.read(self.root, self.ROOT)
         self.head = ObjectId(u, o)
-        self.by_key, self.height, self.level_keys, _ = _index(
+        self.by_key, self.height, self.level_keys = _index(
             self.pool, self.head, count, self.walk, 1)
 
     @staticmethod
@@ -252,7 +255,8 @@ class SkipListKernel(MapKernel):
         walk = packed_struct([(f.offset, f.fmt) for f in old.fields[:2]] + word_parts(
             [old.field(f"next{level}") for level in range(LEVELS)]))
 
-        by_key, height, _, recs = _index(pool, old_head, count, walk, 2)
+        recs = []
+        by_key, height, _ = _index(pool, old_head, count, walk, 2, recs)
         for node in by_key.values():
             tx.free(node)
         tx.free(old_head)
