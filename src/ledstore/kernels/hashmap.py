@@ -10,6 +10,9 @@ Record shapes (packed, little-endian):
 The bucket array is a plain vector of 16-byte node ids, grown x8 whenever
 the load factor passes 4; growth relinks every node and swaps the array,
 so bucket membership is always bucket_index(key, nbuckets).
+
+Insert, remove and lookup walk one chain; every whole-map walk goes through
+`_chains`: one read of the bucket array, then one read per node.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import struct
 
 from ..layout import NULL_OID, ObjectId, packed_struct
-from .base import OID_WORDS, MapKernel, check_key, encode_value
+from .base import OID_WORDS, MapKernel, check_key, encode_value, word_parts
 
 INITIAL_BUCKETS = 10
 GROWTH = 8
@@ -30,6 +33,18 @@ def bucket_index(key: int, nbuckets: int) -> int:
     h = (key * 0x9E3779B97F4A7C15) & _M64
     h ^= h >> 29
     return h % nbuckets
+
+
+def _chains(pool, buckets: ObjectId, nbuckets: int, codec, at: int = 3):
+    """(bucket index, node id, its values decoded by `codec`) for every node
+    in bucket and chain order; `codec`'s values `at` and `at + 1` are next."""
+    words = iter(pool.read(buckets, struct.Struct(f"<{2 * nbuckets}Q")))
+    for idx, link in enumerate(zip(words, words)):
+        while link != (0, 0):
+            node = ObjectId(*link)
+            rec = pool.read(node, codec)
+            yield idx, node, rec
+            link = rec[at:at + 2]
 
 
 class HashMapKernel(MapKernel):
@@ -111,28 +126,18 @@ class HashMapKernel(MapKernel):
 
     def scan(self):
         buckets, nbuckets, _ = self._begin()
-        for idx in range(nbuckets):
-            cur = self._head(buckets, idx)
-            while not cur.is_null():
-                rec = self.pool.read(cur, self.node)
-                self._confirm(cur, rec[0], 0, rec[5:])
-                yield rec[0], rec[1]
-                cur = ObjectId(rec[3], rec[4])
+        for _, node, rec in _chains(self.pool, buckets, nbuckets, self.node):
+            self._confirm(node, rec[0], 0, rec[5:])
+            yield rec[0], rec[1]
 
     def _rehash(self, tx, old_buckets: ObjectId, old_n: int) -> None:
         new_n = old_n * GROWTH
         new_buckets = tx.alloc_zeroed(new_n * 16)
         heads = [NULL_OID] * new_n
-        old_heads = self.pool.read(old_buckets, struct.Struct(f"<{2 * old_n}Q"))
-        for idx in range(old_n):
-            cur = ObjectId(old_heads[2 * idx], old_heads[2 * idx + 1])
-            while not cur.is_null():
-                k, _, _, uuid, off = self.pool.read(cur, self.node)[:5]
-                nxt = ObjectId(uuid, off)
-                widx = bucket_index(k, new_n)
-                tx.write(cur, self.next_off, heads[widx].pack())
-                heads[widx] = cur
-                cur = nxt
+        for _, node, rec in _chains(self.pool, old_buckets, old_n, self.node):
+            widx = bucket_index(rec[0], new_n)
+            tx.write(node, self.next_off, heads[widx].pack())
+            heads[widx] = node
         tx.write(new_buckets, 0, b"".join(h.pack() for h in heads))
         tx.free(old_buckets)
         self.ROOT.put(tx, self.root, (*new_buckets, new_n), 0, 3)  # buckets, nbuckets
@@ -140,16 +145,12 @@ class HashMapKernel(MapKernel):
     def validate(self) -> None:
         buckets, nbuckets, expected = self._begin()
         seen: set[int] = set()
-        for idx in range(nbuckets):
-            cur = self._head(buckets, idx)
-            while not cur.is_null():
-                key, _, _, uuid, off = self.pool.read(cur, self.node)[:5]
-                assert bucket_index(key, nbuckets) == idx, f"key {key} in wrong bucket"
-                assert key not in seen, f"duplicate key {key}"
-                seen.add(key)
-                assert len(seen) <= expected, "cycle or count drift"
-                self._peek_key64(cur, key)
-                cur = ObjectId(uuid, off)
+        for idx, node, (key, *_) in _chains(self.pool, buckets, nbuckets, self.node):
+            assert bucket_index(key, nbuckets) == idx, f"key {key} in wrong bucket"
+            assert key not in seen, f"duplicate key {key}"
+            seen.add(key)
+            assert len(seen) <= expected, "cycle or count drift"
+            self._peek_key64(node, key)
         assert len(seen) == expected, f"count {expected} != scanned {len(seen)}"
 
     # -- manual migration ------------------------------------------------------
@@ -157,20 +158,20 @@ class HashMapKernel(MapKernel):
     @classmethod
     def migrate(cls, pool, tx, root: ObjectId, ms, old, new) -> None:
         """Rebuild every chain in the v2 layout, tail-first so each new node is
-        written with exactly one store; old nodes and the old array are freed."""
+        written with exactly one store; old nodes and the old array are freed.
+        `_chains` reads each old node once, as {key, value bytes, next}."""
         uuid, off, nbuckets, count = pool.read(root, cls.ROOT)
         old_buckets = ObjectId(uuid, off)
+        walk = packed_struct([(f.offset, f.fmt) for f in old.fields[:2]]
+                             + word_parts([old.field("next")]))
 
         new_buckets = tx.alloc_zeroed(nbuckets * 16)
+        chains = [[] for _ in range(nbuckets)]
+        for idx, node, (key, value, *_) in _chains(pool, old_buckets, nbuckets, walk, 2):
+            chains[idx].append((key, value))
+            tx.free(node)
         heads = []
-        for idx in range(nbuckets):
-            chain = []
-            cur = ObjectId.unpack(pool.load(old_buckets, idx * 16, 16))
-            while not cur.is_null():
-                key, value, nxt = old.unpack_from(pool.load(cur, 0, old.size))
-                chain.append((key, value))
-                tx.free(cur)
-                cur = ObjectId.unpack(nxt)
+        for chain in chains:
             head = NULL_OID
             for key, value in reversed(chain):
                 record = new.pack(key, value, head.pack())

@@ -12,23 +12,27 @@ level-i chain iff i < height, and unused next slots stay null. The head
 sentinel is a full node record with an unused key.
 
 Navigating a 4-level list is linear in n, which is unusable at desk scale
-in pure Python, so each kernel instance keeps a volatile per-level sorted
-index, rebuilt on attach by one walk of level 0: one read per node, and
-count + 2 translations with the pool root and the head. The index only
-picks predecessors; every link read at a modification site and every link
-write is performed against the persistent records, so the stored structure
-stands alone.
+in pure Python, so each kernel instance keeps a volatile index: `by_key`,
+`height` and one sorted key list, `keys`. A key's predecessor on level i
+is the nearest earlier key whose height is above i, or the head; one walk
+back from the key's place finds them all, about 2^i steps for level i.
+The index only picks predecessors; every link read at a modification site
+and every link write is performed against the persistent records, so the
+stored structure stands alone. An abort rolls back the records but not the
+index, so insert, remove, lookup and validate rebuild it once the handle's
+abort count (`PoolHandle.aborts`) has moved.
 
-That walk (`_index`, which `migrate` shares) takes level membership from
-the links alone. A node is on level i >= 1 iff it is the node that the
-previous level-i member's next[i] names, the head's for the first member.
-Levels nest, so the test stops at the first level that misses. When level
-0 ends, every level's expected next must be null. If one is not, the
-level-i chain names a node that level 0 does not reach after the last
-level-i member (a node off level i-1, or a backward link), and the walk
-raises OutOfBounds rather than index the list silently. It reads at most
-count + 1 nodes, so a longer level 0, a cycle included, raises too.
-`validate` still walks each level on its own.
+The index is built by one walk of level 0 (`_index`, which `migrate`
+shares): one read per node, count + 2 translations with the pool root and
+the head. A node is on level i >= 1 iff it is the node that the previous
+level-i member's next[i] names, the head's for the first member. Levels
+nest, so the test stops at the first level that misses. When level 0 ends,
+every level's expected next must be null. If one is not, the level-i chain
+names a node that level 0 does not reach after the last level-i member (a
+node off level i-1, or a backward link), and the walk raises OutOfBounds
+rather than index the list silently. It reads at most count + 1 nodes, so
+a longer level 0, a cycle included, raises too. `validate` walks each
+level on its own and compares it with the index.
 """
 
 from __future__ import annotations
@@ -49,16 +53,15 @@ def _index(pool, head: ObjectId, count: int, codec, at: int, recs: list | None =
     from index `at` on are next[0..3] as word pairs. Heights follow the
     module docstring's membership rule, and its end-of-walk check raises
     OutOfBounds; so does a level 0 longer than the root's `count`, which
-    also ends a cycle. Returns ({key: node id}, {key: height}, the key lists
-    of levels 0..3), all in list order; each node's decoded values are
-    appended to `recs` when one is given (migrate's case: attach keeps none)."""
+    also ends a cycle. Returns ({key: node id}, {key: height}), both in list
+    order; each node's decoded values are appended to `recs` when one is
+    given (migrate's case: attach keeps none)."""
     links = [slice(at + 2 * level, at + 2 * level + 2) for level in range(LEVELS)]
     link0 = links[0]
     rec = pool.read(head, codec)
     # the next member expected on each level; the trailing None ends the test
     expect = [rec[link] for link in links] + [None]
-    by_key, height, levels = {}, {}, [[] for _ in range(LEVELS)]
-    keys0 = levels[0]
+    by_key, height = {}, {}
     cur = expect[0]
     for _ in range(count + 1):
         if cur == (0, 0):
@@ -72,10 +75,8 @@ def _index(pool, head: ObjectId, count: int, codec, at: int, recs: list | None =
         h = 1
         while expect[h] == cur:
             expect[h] = rec[links[h]]
-            levels[h].append(key)
             h += 1
         height[key] = h
-        keys0.append(key)
         cur = rec[link0]
     else:
         raise OutOfBounds(f"level 0 holds more than count = {count} nodes")
@@ -83,7 +84,7 @@ def _index(pool, head: ObjectId, count: int, codec, at: int, recs: list | None =
         if expect[level] != (0, 0):
             raise OutOfBounds(f"level {level} names node {expect[level][1]}, which level 0 "
                               f"does not reach after that level's last member")
-    return by_key, height, levels
+    return by_key, height
 
 
 class SkipListKernel(MapKernel):
@@ -104,11 +105,11 @@ class SkipListKernel(MapKernel):
         self.walk = packed_struct(self.entry_parts(0, "key", *(f"next{i}" for i in range(LEVELS))))
         if self.rng is None:
             self.rng = random.Random(0x51C1)
-        # volatile navigation index
         self.head = NULL_OID
         self.by_key: dict[int, ObjectId] = {}
         self.height: dict[int, int] = {}
-        self.level_keys: list[list[int]] = [[] for _ in range(LEVELS)]
+        self.keys: list[int] = []
+        self.built = pool.aborts  # the handle's abort count when the index was built
 
     def _next_off(self, level: int) -> int:
         return self.next0 + 16 * level
@@ -121,14 +122,12 @@ class SkipListKernel(MapKernel):
         self.head = head
 
     def _load_structure(self) -> None:
-        """Rebuild the index in one walk of level 0 (`_index`): each node's
-        height comes from the links that name it, and an upper-level link
-        that level 0 does not reach in order, or a level 0 longer than the
-        root's count, raises OutOfBounds."""
+        """Rebuild the index in one walk of level 0 (`_index`)."""
+        self.built = self.pool.aborts
         u, o, count = self.pool.read(self.root, self.ROOT)
         self.head = ObjectId(u, o)
-        self.by_key, self.height, self.level_keys = _index(
-            self.pool, self.head, count, self.walk, 1)
+        self.by_key, self.height = _index(self.pool, self.head, count, self.walk, 1)
+        self.keys = list(self.by_key)
 
     @staticmethod
     def _link(words, level: int) -> ObjectId:
@@ -137,35 +136,35 @@ class SkipListKernel(MapKernel):
     def _node_next(self, oid: ObjectId, level: int) -> ObjectId:
         return ObjectId.unpack(self.pool.load(oid, self._next_off(level), 16))
 
-    def _pred(self, level: int, key: int) -> ObjectId:
-        keys = self.level_keys[level]
-        pos = bisect_left(keys, key)
-        return self.head if pos == 0 else self.by_key[keys[pos - 1]]
-
     def _pred_runs(self, key: int, h: int) -> list[tuple[ObjectId, int, int]]:
         """(pred, first level, end level) per distinct predecessor of `key`
         over levels 0..h-1; one node precedes key on a contiguous run of
         levels, so each run's next slots are one span."""
-        runs = []
-        for level in range(h):
-            pred = self._pred(level, key)
-            if runs and runs[-1][0] == pred:
-                runs[-1][2] = level + 1
-            else:
-                runs.append([pred, level, level + 1])
+        keys, height = self.keys, self.height
+        runs, lo, pos = [], 0, bisect_left(keys, key)
+        while pos:
+            pos -= 1
+            k = keys[pos]
+            hk = height[k]
+            if hk >= h:
+                runs.append((self.by_key[k], lo, h))
+                return runs
+            if hk > lo:
+                runs.append((self.by_key[k], lo, hk))
+                lo = hk
+        runs.append((self.head, lo, h))
         return runs
-
-    def _auto_link(self, node: ObjectId):
-        """An indexed node's link words, read only when _confirm needs them."""
-        return self.pool.read(node, OID_WORDS, self.desc.link_offset) if self.key64_ext else ()
 
     # -- operations ----------------------------------------------------------
 
     def insert(self, tx, key: int, value: int) -> bool:
         check_key(key)
+        if self.built != self.pool.aborts:
+            self._load_structure()
         if key in self.by_key:
-            node = self.by_key[key]
-            self._confirm(node, key, 0, self._auto_link(node))
+            node = self.by_key[key]  # its link words are read only when _confirm needs them
+            self._confirm(node, key, 0, self.pool.read(node, OID_WORDS, self.desc.link_offset)
+                          if self.key64_ext else ())
             return False
         h = 1
         while h < LEVELS and self.rng.random() < 0.5:
@@ -183,25 +182,23 @@ class SkipListKernel(MapKernel):
         self._extend_new(node)
         self.by_key[key] = node
         self.height[key] = h
-        for level in range(h):
-            insort(self.level_keys[level], key)
+        insort(self.keys, key)
         self._set_count(tx, count + 1)
         return True
 
     def remove(self, tx, key: int) -> bool:
+        if self.built != self.pool.aborts:
+            self._load_structure()
         node = self.by_key.get(key)
         if node is None:
             return False
         count = self.count()
         rec = self.pool.read(node, self.node)
         link = self._confirm(node, key, 0, rec[3 + 2 * LEVELS:])
-        h = self.height[key]
-        for pred, lo, hi in self._pred_runs(key, h):
+        for pred, lo, hi in self._pred_runs(key, self.height[key]):
             tx.write(pred, self._next_off(lo),
                      b"".join(self._link(rec[3:], level).pack() for level in range(lo, hi)))
-        for level in range(h):
-            keys = self.level_keys[level]
-            keys.pop(bisect_left(keys, key))
+        self.keys.pop(bisect_left(self.keys, key))
         self._free_entry(tx, node, link)
         del self.by_key[key]
         del self.height[key]
@@ -209,6 +206,8 @@ class SkipListKernel(MapKernel):
         return True
 
     def lookup(self, key: int):
+        if self.built != self.pool.aborts:
+            self._load_structure()
         node = self.by_key.get(key)
         if node is None:
             return None
@@ -225,22 +224,22 @@ class SkipListKernel(MapKernel):
             cur = self._link(links, 0)
 
     def validate(self) -> None:
-        level_sets: list[set[int]] = []
+        if self.built != self.pool.aborts:
+            self._load_structure()
+        keys = self.keys
+        assert keys == sorted(set(keys)) and len(keys) == len(self.by_key), "index out of order"
         for level in range(LEVELS):
-            keys = []
+            walked = []
             cur = self._node_next(self.head, level)
             while not cur.is_null():
                 key, _, _, *links = self.pool.read(cur, self.node)
-                keys.append(key)
-                assert len(keys) <= self.count() + 1, "cycle in chain"
+                assert self.by_key.get(key) == cur, f"volatile index drift at key {key}"
+                walked.append(key)
+                assert len(walked) <= self.count() + 1, "cycle in chain"
                 cur = self._link(links, level)
-            assert keys == sorted(keys), f"level {level} out of order"
-            assert len(keys) == len(set(keys)), f"level {level} has duplicates"
-            level_sets.append(set(keys))
-            assert keys == self.level_keys[level], f"volatile index drift at level {level}"
-        for level in range(1, LEVELS):
-            assert level_sets[level] <= level_sets[level - 1], "level not a subset"
-        assert len(level_sets[0]) == self.count(), "count drift"
+            assert walked == [k for k in keys if self.height[k] > level], \
+                f"volatile index drift at level {level}"
+        assert len(keys) == self.count(), "count drift"
 
     # -- manual migration ------------------------------------------------------
 
@@ -256,7 +255,7 @@ class SkipListKernel(MapKernel):
             [old.field(f"next{level}") for level in range(LEVELS)]))
 
         recs = []
-        by_key, height, _ = _index(pool, old_head, count, walk, 2, recs)
+        by_key, height = _index(pool, old_head, count, walk, 2, recs)
         for node in by_key.values():
             tx.free(node)
         tx.free(old_head)

@@ -10,8 +10,9 @@ rule against the object's existing fields, stores the record and its null
 link with one store, then its id in the predecessor's link slot. Outside a
 transaction, reads walk the chain in an implicit one, which stores nothing
 if the chain is there. Extensions are append-only: removing or reordering
-levels would misinterpret data written by older versions, which is exactly
-what the base-layout fingerprint guards against.
+levels would misinterpret older data. The base-layout fingerprint hashes
+each type's name and base fields alone, so it does not see that: "change"
+and "add" schemas share one fingerprint, and an edited level 1 goes unseen.
 
 Each job on a whole chain has one function, the one the map kernels call:
 deep_copy moves the chain behind a link to a clone when its record is

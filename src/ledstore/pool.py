@@ -52,6 +52,7 @@ import mmap
 import os
 import secrets
 import struct
+from contextlib import nullcontext
 
 from .errors import (
     AlreadyExists,
@@ -158,6 +159,7 @@ class PoolHandle:
         self.stats = WriteStats()
         self.closed = False
         self._active_tx = None
+        self.aborts = 0                # transactions rolled back on this handle
         self._trip = _NEVER            # flush_events value whose store is refused
         self._arm_base = 0             # flush_events when the crash plan was armed
 
@@ -470,7 +472,8 @@ class PoolHandle:
 
         A grown root keeps the old contents as a prefix and zero-fills the
         tail; the old root block is freed. Runs in the active transaction,
-        or in an internal one so the swap is failure-atomic either way.
+        or in an internal one, committed on return and aborted on any
+        error, so the swap is failure-atomic either way.
         """
         if requested_size <= 0:
             raise OutOfBounds("root size must be positive")
@@ -481,17 +484,13 @@ class PoolHandle:
         from .txn import Transaction
 
         tx = self._active_tx
-        own_tx = tx is None
-        if own_tx:
-            tx = Transaction(self)
-        new_root = tx.alloc_zeroed(requested_size)
-        if not root.is_null():
-            tx.copy_bytes(new_root, 0, root, 0, min(self.root_size, requested_size))
-            tx.free(root)
-        tx.write_header(*_encoded("root", new_root))
-        tx.write_header(*_encoded("root_size", requested_size))
-        if own_tx:
-            tx.commit()
+        with nullcontext(tx) if tx is not None else Transaction(self) as tx:
+            new_root = tx.alloc_zeroed(requested_size)
+            if not root.is_null():
+                tx.copy_bytes(new_root, 0, root, 0, min(self.root_size, requested_size))
+                tx.free(root)
+            tx.write_header(*_encoded("root", new_root))
+            tx.write_header(*_encoded("root_size", requested_size))
         return new_root
 
     # ------------------------------------------------------------------ transactions

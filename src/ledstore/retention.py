@@ -104,37 +104,36 @@ def open_with_policy(path: str, policy: RetentionPolicy) -> PoolHandle:
         return _open_reset(path, policy)
 
     handle = open_pool(path, policy.layout_name)  # LayoutMismatch propagates
-    stored = handle.layout_version
-
-    if policy.model == MANUAL:
-        if stored == policy.layout_version:
+    try:
+        stored = handle.layout_version
+        if policy.model == MANUAL:
+            if stored == policy.layout_version:
+                return handle
+            if stored > policy.layout_version:
+                raise LayoutMismatch(
+                    f"pool is at version {stored}, ahead of expected {policy.layout_version}"
+                )
+            mig = policy.migration
+            if mig.from_version != stored or mig.to_version != policy.layout_version:
+                raise MigrationMissing(
+                    f"no pass covering v{stored} -> v{policy.layout_version}"
+                )
+            handle.last_migration = run_migration(handle, mig)
             return handle
-        if stored > policy.layout_version:
-            handle.close()
-            raise LayoutMismatch(
-                f"pool is at version {stored}, ahead of expected {policy.layout_version}"
-            )
-        mig = policy.migration
-        if mig.from_version != stored or mig.to_version != policy.layout_version:
-            handle.close()
-            raise MigrationMissing(
-                f"no pass covering v{stored} -> v{policy.layout_version}"
-            )
-        handle.last_migration = run_migration(handle, mig)
-        return handle
 
-    # automatic: fingerprint check, version bump, lazy upgrades on access
-    stored_fp = handle.schema_fingerprint
-    if stored_fp != 0 and stored_fp != policy.schema_fingerprint:
+        # automatic: fingerprint check, version bump, lazy upgrades on access
+        stored_fp = handle.schema_fingerprint
+        if stored_fp != 0 and stored_fp != policy.schema_fingerprint:
+            raise FingerprintMismatch(
+                f"pool base layouts {stored_fp:#x} != manifest {policy.schema_fingerprint:#x}"
+            )
+        if stored_fp == 0:
+            raise FingerprintMismatch("pool records no base-layout fingerprint")
+        if stored < policy.layout_version:
+            handle.set_layout_version(policy.layout_version)
+    except BaseException:  # a failed step, a full log included, leaks no handle or lock
         handle.close()
-        raise FingerprintMismatch(
-            f"pool base layouts {stored_fp:#x} != manifest {policy.schema_fingerprint:#x}"
-        )
-    if stored_fp == 0:
-        handle.close()
-        raise FingerprintMismatch("pool records no base-layout fingerprint")
-    if stored < policy.layout_version:
-        handle.set_layout_version(policy.layout_version)
+        raise
     return handle
 
 

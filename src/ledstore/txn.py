@@ -227,6 +227,7 @@ class Transaction:
         if self.state is not TX_ACTIVE:
             raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
+        pool.aborts += 1  # a volatile index built before the rollback is stale
         recover_log(pool)
         pool._scan_heap()  # the heap view is rebuilt rather than journaled
         self._end(TX_ABORTED)

@@ -536,6 +536,13 @@ def skiplist_pool(tmp_path, lane, seed, n=300):
 SKIPLIST_LANES = [("manual", 1, "change"), ("auto", 2, "change")]
 
 
+def index_levels(k):
+    """The kernel's volatile index in level_walk's terms: each level's keys
+    are those of `keys` whose height is above the level."""
+    return k.by_key, k.height, [[key for key in k.keys if k.height[key] > level]
+                                for level in range(4)]
+
+
 class TestSkipListAttach:
     """Attach rebuilds the volatile index in one walk of level 0."""
 
@@ -548,7 +555,7 @@ class TestSkipListAttach:
         k.attach()
         by_key, height, levels = level_walk(pool, k)
         assert levels[3] and len(levels[0]) == k.count() == 200
-        assert (k.by_key, k.height, k.level_keys) == (by_key, height, levels)
+        assert index_levels(k) == (by_key, height, levels)
         assert list(k.by_key) == levels[0]  # in list order
         k.validate()
         pool.close()
@@ -562,7 +569,7 @@ class TestSkipListAttach:
         k.attach()
         by_key, height, levels = level_walk(pool, k)
         assert (height, levels) == before[1:]  # heights survive the migration
-        assert (k.by_key, k.height, k.level_keys) == (by_key, height, levels)
+        assert index_levels(k) == (by_key, height, levels)
         k.validate()
         pool.close()
 
@@ -631,7 +638,32 @@ class TestSkipListAttach:
         pool.close()
 
 
-@pytest.mark.parametrize("kind", ["skiplist", "ctree"])
+@pytest.mark.parametrize("lane", range(len(SKIPLIST_LANES)), ids=["manual", "auto"])
+def test_skiplist_index_follows_an_aborted_transaction(tmp_path, lane):
+    """A transaction that inserts one key and removes another, then fails,
+    rolls the records back; the volatile index follows them."""
+    mode, version, change = SKIPLIST_LANES[lane]
+    pool = create_pool(str(tmp_path / "s.pool"), "skiplist-v1", 32 * MIB)
+    make_kernel(pool, "skiplist", mode=mode).create()
+    k = make_kernel(pool, "skiplist", mode=mode, version=version, change=change,
+                    rng=random.Random(1))
+    k.attach()
+    run_ops(pool, k, [("ins", key, 10 * key) for key in range(1, 20)])
+    with pytest.raises(RuntimeError), pool.tx_begin() as tx:
+        assert k.insert(tx, 100, 1000)
+        assert k.remove(tx, 3)
+        raise RuntimeError("fail after both ops")
+    assert k.lookup(100) is None
+    assert k.lookup(3) == 30
+    k.validate()
+    assert index_levels(k) == level_walk(pool, k)
+    run_ops(pool, k, [("ins", 100, 1000), ("del", 3)])  # the index serves later ops
+    assert (k.lookup(100), k.lookup(3), k.count()) == (1000, None, 19)
+    k.validate()
+    pool.close()
+
+
+@pytest.mark.parametrize("kind", ["skiplist", "ctree", "hashmap"])
 def test_migrate_reads_each_old_node_once(tmp_path, monkeypatch, kind):
     """A manual migration resolves every old node once: its translations
     are one per old node and one per tx.write, plus one for the pool root,

@@ -222,6 +222,19 @@ class TestRoot:
         pool.get_root(256)
         assert pool.live_bytes == live - 64 + 256
 
+    def test_failed_root_outside_a_transaction_ends_its_own(self, tmp_path):
+        """A root that does not fit raises OutOfSpace and leaves no active
+        transaction behind: the next one begins and the handle closes."""
+        pool = create_pool(str(tmp_path / "small.pool"), "x", MIB)
+        with pytest.raises(OutOfSpace):
+            pool.get_root(2 * MIB)
+        assert pool.root_id.is_null()
+        with pool.tx_begin():
+            pass
+        root = pool.get_root(64)
+        assert pool.root_id == root
+        pool.close()
+
 
 class TestTranslate:
     def test_deterministic(self, pool):

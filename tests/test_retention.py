@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from ledstore import FingerprintMismatch, LayoutMismatch, MigrationMissing, create_pool
+from ledstore import (
+    FingerprintMismatch,
+    LayoutMismatch,
+    MigrationMissing,
+    OutOfSpace,
+    create_pool,
+    open_pool,
+)
 from ledstore.kernels import make_auto_schema, make_kernel, make_manual_migrator
 from ledstore.leds import manifest_fingerprint
 from ledstore.retention import (
@@ -104,6 +111,30 @@ class TestManual:
             migration=make_manual_migrator("hashmap"))  # covers 1 -> 2 only
         with pytest.raises(MigrationMissing):
             open_with_policy(path, policy)
+
+    def test_failed_pass_closes_the_handle(self, tmp_path):
+        """A migration that fills the undo log raises OutOfSpace and releases
+        the handle and its lock: the pool reopens untouched at version 1."""
+        path = str(tmp_path / "m.pool")
+        pool = create_pool(path, "hashmap-map", 32 * MIB, log_capacity=16 * 1024)
+        k = make_kernel(pool, "hashmap")
+        k.create()
+        for key in range(1, 2500):  # no growth past 640 buckets; the FREE record overflows
+            with pool.tx_begin() as tx:
+                k.insert(tx, key, key)
+        pool.close()
+        policy = RetentionPolicy(
+            MANUAL, "hashmap-map", layout_version=2,
+            migration=make_manual_migrator("hashmap", "change"))
+        with pytest.raises(OutOfSpace) as failure:  # its traceback keeps the frames alive
+            open_with_policy(path, policy)
+        with open_pool(path, "hashmap-map") as pool:  # PoolLocked if the handle leaked
+            assert pool.layout_version == 1
+            k = make_kernel(pool, "hashmap")
+            k.attach()
+            k.validate()
+            assert k.count() == 2499
+        assert "undo log full" in str(failure.value)
 
     def test_policy_without_pass_rejected(self):
         with pytest.raises(MigrationMissing):
