@@ -32,10 +32,10 @@ or nil together) and decodes each node it touches once, with one
 `pool.read` through a codec the kernel derives in __init__ from `entry`
 with `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 `link_parts`, never from literal record offsets. Insert and remove edit the
-decoded values and write each contiguous changed span of a node with one
-`tx.write` (RecordLayout.put): one store per span, not one per field. The
-B-tree and red-black tree keep an operation's decoded nodes in one dict
-(`_begin`, `_rec`). A matched or scanned entry's decoded link words let
+decoded values and store each contiguous changed span with one `tx.write`.
+The B-tree and red-black tree keep an operation's decoded nodes in one dict
+(`_begin`, `_rec`), mark what they change (`_mark`) and store each marked
+node once per operation (`_flush`) unless it freed it (`_drop`). A matched or scanned entry's decoded link words let
 `_confirm` read a materialized key64 straight from its extension record and
 `_free_entry` free its chain without reloading the link slot. An entry's
 chain moves and frees go through leds: `_relocated` hands a non-null link
@@ -188,21 +188,38 @@ class MapKernel:
 
     def _begin(self) -> tuple:
         """Start an operation on decoded nodes: forget the last operation's
-        nodes; one read of the pool root gives the id in its first field
+        nodes and marks; one read of the pool root gives the id in its first field
         (tree root or bucket array) and the rest of ROOT's values (the
         count last)."""
         self._recs = {}
+        self._dirty = {}
         u, o, *rest = self.pool.read(self.root, self.ROOT)
         return ObjectId(u, o), *rest
 
     def _rec(self, x: int) -> list:
         """The values of the node at payload offset `x`, decoded by
         `self.node`, read at most once per operation; every write of the
-        operation edits this list."""
+        operation edits this list, then marks what it changed (_mark)."""
         rec = self._recs.get(x)
         if rec is None:
             rec = self._recs[x] = list(self.pool.read(ObjectId(self.pool.pool_uuid, x), self.node))
         return rec
+
+    def _mark(self, x: int, bits: int) -> None:
+        """Values of node `x` changed: value i if bit i of `bits` is set."""
+        self._dirty[x] = self._dirty.get(x, 0) | bits
+
+    def _drop(self, x: int) -> None:
+        """The operation frees node `x`: _flush skips it."""
+        self._dirty.pop(x, None)
+
+    def _flush(self, tx) -> None:
+        """Store each marked node, in marking order, with one RecordLayout.put
+        (a store per run of adjacent marked values); clear the marks."""
+        uuid, recs, put = self.pool.pool_uuid, self._recs, self.node.put
+        for x, bits in self._dirty.items():
+            put(tx, ObjectId(uuid, x), recs[x], bits)
+        self._dirty = {}
 
     def count(self) -> int:
         return self.pool.read(self.root, U64, self.ROOT.offsets["count"])[0]

@@ -44,6 +44,11 @@ def node_shape(stride: int) -> tuple[int, int]:
 # 1 + 2i is item i's key, 2 + 2i its remaining bytes raw, and child j's id is
 # the two words at KIDS + 2j
 KIDS = 1 + 2 * SLOTS
+# MapKernel._mark bits: N the count, ITEMS/CHILDREN[lo][hi] items/children lo..hi-1
+N = 1
+ITEMS = [[(1 << 1 + 2 * hi) - (1 << 1 + 2 * lo) for hi in range(SLOTS + 1)] for lo in range(SLOTS)]
+CHILDREN = [[(1 << KIDS + 2 * hi) - (1 << KIDS + 2 * lo) for hi in range(SLOTS + 1)]
+            for lo in range(SLOTS)]
 
 
 def _kid(rec: list, j: int) -> ObjectId:
@@ -77,27 +82,12 @@ class BTreeKernel(MapKernel):
     # -- structure ----------------------------------------------------------
 
     def _init_structure(self, tx) -> None:
-        node = tx.alloc_zeroed(self.node_size)
-        tx.write(node, 0, _I32.pack(0))
-        self._write_root(tx, self.root, tree=node, count=0)
+        self._write_root(tx, self.root, tree=tx.alloc_zeroed(self.node_size), count=0)
 
     def _item_off(self, i: int) -> int:
         return ITEMS_OFF + i * self.stride
 
-    # -- decoded nodes (MapKernel._begin, _rec) ---------------------------------
-
-    def _put(self, tx, node: ObjectId, rec: list, lo: int, hi: int) -> None:
-        """Store n and items lo..hi-1: one span from n when lo is 0, else two."""
-        if lo == 0:
-            self.node.put(tx, node, rec, 0, 1 + 2 * hi)
-            return
-        self.node.put(tx, node, rec, 0, 1)
-        if hi > lo:
-            self.node.put(tx, node, rec, 1 + 2 * lo, 1 + 2 * hi)
-
-    def _put_kids(self, tx, node: ObjectId, rec: list, lo: int, hi: int) -> None:
-        if hi > lo:
-            self.node.put(tx, node, rec, KIDS + 2 * lo, KIDS + 2 * hi)
+    # -- decoded nodes (MapKernel._begin, _rec, _mark, _flush) --------------------
 
     def _moved(self, tx, rest: bytes) -> bytes:
         """An item's rest for a slot in another node (see _relocated)."""
@@ -143,7 +133,7 @@ class BTreeKernel(MapKernel):
             new_root = tx.alloc_zeroed(self.node_size)
             rec = self._recs[new_root[1]] = list(self.zero_rec)
             rec[KIDS], rec[KIDS + 1] = troot
-            self._put_kids(tx, new_root, rec, 0, 1)
+            self._mark(new_root[1], CHILDREN[0][1])
             self._split_child(tx, new_root, rec, 0)
             self._write_root(tx, self.root, tree=new_root)
             troot = new_root
@@ -161,7 +151,8 @@ class BTreeKernel(MapKernel):
                 rec[1 + 2 * pos] = key
                 rec[2 + 2 * pos] = encode_value(value).ljust(len(rec[2]), b"\0")
                 rec[0] = n + 1
-                self._put(tx, cur, rec, pos, n + 1)
+                self._mark(cur[1], N | ITEMS[pos][n + 1])
+                self._flush(tx)  # _extend_new reads the item from the file
                 self._extend_new(cur, self._item_off(pos))
                 return
             if self._rec(_kid(rec, pos)[1])[0] == MAX_KEYS:
@@ -179,10 +170,10 @@ class BTreeKernel(MapKernel):
             src = 1 + 2 * (MIN_KEYS + 1 + j)
             rrec[1 + 2 * j], rrec[2 + 2 * j] = crec[src], self._moved(tx, crec[src + 1])
         rrec[0] = MIN_KEYS
-        self._put(tx, right, rrec, 0, MIN_KEYS)
+        self._mark(right[1], N | ITEMS[0][MIN_KEYS])
         if _has_kids(crec):
             rrec[KIDS : KIDS + 2 * (MIN_KEYS + 1)] = crec[KIDS + 2 * (MIN_KEYS + 1) : KIDS + 2 * SLOTS]
-            self._put_kids(tx, right, rrec, 0, MIN_KEYS + 1)
+            self._mark(right[1], CHILDREN[0][MIN_KEYS + 1])
         pn = prec[0]
         prec[3 + 2 * i : 3 + 2 * pn] = prec[1 + 2 * i : 1 + 2 * pn]
         prec[KIDS + 2 * (i + 2) : KIDS + 2 * (pn + 2)] = prec[KIDS + 2 * (i + 1) : KIDS + 2 * (pn + 1)]
@@ -190,10 +181,9 @@ class BTreeKernel(MapKernel):
         prec[1 + 2 * i], prec[2 + 2 * i] = crec[mid], self._moved(tx, crec[mid + 1])
         prec[KIDS + 2 * (i + 1)], prec[KIDS + 2 * (i + 1) + 1] = right
         prec[0] = pn + 1
-        self._put(tx, parent, prec, i, pn + 1)
-        self._put_kids(tx, parent, prec, i + 1, pn + 2)
+        self._mark(parent[1], N | ITEMS[i][pn + 1] | CHILDREN[i + 1][pn + 2])
         crec[0] = MIN_KEYS
-        self.node.put(tx, child, crec, 0, 1)
+        self._mark(child[1], N)
 
     # -- delete ----------------------------------------------------------------------
 
@@ -213,6 +203,8 @@ class BTreeKernel(MapKernel):
         if rec[0] == 0 and _has_kids(rec):
             self._write_root(tx, self.root, tree=_kid(rec, 0))
             tx.free(troot)
+            self._drop(troot[1])
+        self._flush(tx)
         self._set_count(tx, count - 1)
         return True
 
@@ -231,7 +223,7 @@ class BTreeKernel(MapKernel):
             self._free_entry(tx, cur, self._link(rec, pos), self._item_off(pos))
             rec[1 + 2 * pos : 2 * n - 1] = rec[3 + 2 * pos : 1 + 2 * n]
             rec[0] = n - 1
-            self._put(tx, cur, rec, pos, n - 1)
+            self._mark(cur[1], N | ITEMS[pos][n - 1])
             return
         left, right = _kid(rec, pos), _kid(rec, pos + 1)
         if self._rec(left[1])[0] > MIN_KEYS:
@@ -244,7 +236,7 @@ class BTreeKernel(MapKernel):
             return
         self._free_entry(tx, cur, self._link(rec, pos), self._item_off(pos))
         rec[1 + 2 * pos], rec[2 + 2 * pos] = item
-        self.node.put(tx, cur, rec, 1 + 2 * pos, 3 + 2 * pos)
+        self._mark(cur[1], ITEMS[pos][pos + 1])
 
     def _extract_edge(self, tx, cur: ObjectId, *, last: bool) -> tuple:
         """Detach and return the max (or min) item of a subtree as (key, rest),
@@ -263,10 +255,10 @@ class BTreeKernel(MapKernel):
         item = rec[1 + 2 * i], rec[2 + 2 * i]
         rec[0] = n - 1
         if last:
-            self.node.put(tx, cur, rec, 0, 1)
+            self._mark(cur[1], N)
         else:
             rec[1 : 2 * n - 1] = rec[3 : 1 + 2 * n]
-            self._put(tx, cur, rec, 0, n - 1)
+            self._mark(cur[1], N | ITEMS[0][n - 1])
         return item
 
     def _fill(self, tx, parent: ObjectId, prec: list, i: int) -> int:
@@ -298,11 +290,9 @@ class BTreeKernel(MapKernel):
         prec[up], prec[up + 1] = srec[last], self._moved(tx, srec[last + 1])
         crec[0] = cn + 1
         srec[0] = sn - 1
-        self._put(tx, child, crec, 0, cn + 1)
-        if internal:
-            self._put_kids(tx, child, crec, 0, cn + 2)
-        self.node.put(tx, parent, prec, up, up + 2)
-        self.node.put(tx, sib, srec, 0, 1)
+        self._mark(child[1], N | ITEMS[0][cn + 1] | (CHILDREN[0][cn + 2] if internal else 0))
+        self._mark(parent[1], ITEMS[i - 1][i])
+        self._mark(sib[1], N)
 
     def _borrow_next(self, tx, parent: ObjectId, prec: list, i: int) -> None:
         child, sib = _kid(prec, i), _kid(prec, i + 1)
@@ -318,12 +308,12 @@ class BTreeKernel(MapKernel):
         srec[1 : 2 * sn - 1] = srec[3 : 1 + 2 * sn]
         crec[0] = cn + 1
         srec[0] = sn - 1
-        self._put(tx, child, crec, cn, cn + 1)
+        self._mark(child[1], N | ITEMS[cn][cn + 1])
         if internal:
-            self._put_kids(tx, child, crec, cn + 1, cn + 2)
-            self._put_kids(tx, sib, srec, 0, sn)
-        self.node.put(tx, parent, prec, at, at + 2)
-        self._put(tx, sib, srec, 0, sn - 1)
+            self._mark(child[1], CHILDREN[cn + 1][cn + 2])
+            self._mark(sib[1], CHILDREN[0][sn])
+        self._mark(parent[1], ITEMS[i][i + 1])
+        self._mark(sib[1], N | ITEMS[0][sn - 1])
 
     def _merge(self, tx, parent: ObjectId, prec: list, i: int) -> None:
         left, right = _kid(prec, i), _kid(prec, i + 1)
@@ -335,18 +325,17 @@ class BTreeKernel(MapKernel):
             dst = 1 + 2 * (ln + 1 + j)
             lrec[dst], lrec[dst + 1] = rrec[1 + 2 * j], self._moved(tx, rrec[2 + 2 * j])
         lrec[0] = ln + 1 + rn
-        self._put(tx, left, lrec, ln, ln + 1 + rn)
+        self._mark(left[1], N | ITEMS[ln][ln + 1 + rn])
         if _has_kids(rrec):
             lrec[KIDS + 2 * (ln + 1) : KIDS + 2 * (ln + rn + 2)] = rrec[KIDS : KIDS + 2 * (rn + 1)]
-            self._put_kids(tx, left, lrec, ln + 1, ln + rn + 2)
+            self._mark(left[1], CHILDREN[ln + 1][ln + rn + 2])
         pn = prec[0]
         prec[at : 2 * pn - 1] = prec[at + 2 : 1 + 2 * pn]
         prec[KIDS + 2 * (i + 1) : KIDS + 2 * pn] = prec[KIDS + 2 * (i + 2) : KIDS + 2 * (pn + 1)]
         prec[0] = pn - 1
-        self._put(tx, parent, prec, i, pn - 1)
-        self._put_kids(tx, parent, prec, i + 1, pn)
+        self._mark(parent[1], N | ITEMS[i][pn - 1] | CHILDREN[i + 1][pn])
         tx.free(right)
-        del self._recs[right[1]]
+        self._drop(right[1])
 
     # -- scan / validate ------------------------------------------------------------
 

@@ -77,7 +77,7 @@ class HashMapKernel(MapKernel):
         buckets, nbuckets, count = self._begin()
         idx = bucket_index(key, nbuckets)
         head = cur = self._head(buckets, idx)
-        while not cur.is_null():
+        while cur != NULL_OID:
             rec = self.pool.read(cur, self.node)
             if rec[0] == key:
                 self._confirm(cur, key, 0, rec[5:])
@@ -98,7 +98,7 @@ class HashMapKernel(MapKernel):
         idx = bucket_index(key, nbuckets)
         prev = None
         cur = self._head(buckets, idx)
-        while not cur.is_null():
+        while cur != NULL_OID:
             rec = self.pool.read(cur, self.node)
             nxt = ObjectId(rec[3], rec[4])
             if rec[0] == key:
@@ -116,7 +116,7 @@ class HashMapKernel(MapKernel):
     def lookup(self, key: int):
         buckets, nbuckets, _ = self._begin()
         cur = self._head(buckets, bucket_index(key, nbuckets))
-        while not cur.is_null():
+        while cur != NULL_OID:
             rec = self.pool.read(cur, self.node)
             if rec[0] == key:
                 self._confirm(cur, key, 0, rec[5:])
@@ -140,7 +140,7 @@ class HashMapKernel(MapKernel):
             heads[widx] = node
         tx.write(new_buckets, 0, b"".join(h.pack() for h in heads))
         tx.free(old_buckets)
-        self.ROOT.put(tx, self.root, (*new_buckets, new_n), 0, 3)  # buckets, nbuckets
+        self.ROOT.put(tx, self.root, (*new_buckets, new_n), 0b111)  # buckets, nbuckets
 
     def validate(self) -> None:
         buckets, nbuckets, expected = self._begin()

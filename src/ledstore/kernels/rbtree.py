@@ -25,24 +25,9 @@ BLACK = 1
 # ids as (uuid, offset) words. Operations address nodes by payload offset
 # (every id in a tree is in this pool) and edit these value indices:
 COLOR, PARENT, LEFT, RIGHT = 3, 5, 7, 9
-_BIT = {COLOR: 1, PARENT: 2, LEFT: 4, RIGHT: 8}
-_FIELD_SPANS = ((3, 4), (4, 6), (6, 8), (8, 10))  # color, parent, left, right; adjacent
-
-
-def _spans(mask: int) -> list[tuple[int, int]]:
-    """Value spans that store the changed fields in `mask`, one per run of
-    adjacent changed fields."""
-    runs: list[list[int]] = []
-    for bit, (a, b) in enumerate(_FIELD_SPANS):
-        if mask >> bit & 1:
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-    return [tuple(r) for r in runs]
-
-
-_SPANS = [_spans(mask) for mask in range(16)]
+# the values each field's change marks (MapKernel._mark): its id's two words
+_BITS = {COLOR: 1 << COLOR, PARENT: 3 << PARENT - 1, LEFT: 3 << LEFT - 1, RIGHT: 3 << RIGHT - 1}
+_NEW = (1 << RIGHT + 1) - 1  # a new node: key through right
 
 
 class RBTreeKernel(MapKernel):
@@ -60,9 +45,7 @@ class RBTreeKernel(MapKernel):
         self.link_zeros = self.node.unpack_from(bytes(self.node.size))[10:]
         self.uuid = pool.pool_uuid
         self.nil = None
-        # per operation: changed fields of decoded nodes, the tree root
-        self._dirty: dict[int, int] = {}
-        self._troot = self._troot0 = None
+        self._troot = self._troot0 = None  # per operation: the tree root
 
     # -- structure ----------------------------------------------------------
 
@@ -75,26 +58,21 @@ class RBTreeKernel(MapKernel):
     def _load_structure(self) -> None:
         self.nil = self.pool.read(self.root, self.ROOT)[3]
 
-    # -- decoded nodes (MapKernel._rec) ---------------------------------------------
+    # -- decoded nodes (MapKernel._rec, _mark, _flush) -----------------------------
 
     def _begin(self) -> int:
         troot, _, _, count = super()._begin()
-        self._dirty = {}
         self._troot = self._troot0 = troot[1]
         return count
 
     def _set(self, x: int, field: int, v: int) -> None:
         """Change one field of node `x`; _flush stores it."""
         self._rec(x)[field] = v
-        self._dirty[x] = self._dirty.get(x, 0) | _BIT[field]
+        self._mark(x, _BITS[field])
 
-    def _flush(self, tx, count: int) -> None:
-        """Store every changed node, one write per span of changed fields,
-        then the pool root: the tree root if it moved, and the count."""
-        for x, mask in self._dirty.items():
-            oid, rec = ObjectId(self.uuid, x), self._recs[x]
-            for a, b in _SPANS[mask]:
-                self.node.put(tx, oid, rec, a, b)
+    def _end(self, tx, count: int) -> None:
+        """Store the changed nodes, then the tree root if it moved, and the count."""
+        self._flush(tx)
         if self._troot != self._troot0:
             self._write_root(tx, self.root, tree=ObjectId(self.uuid, self._troot))
         self._set_count(tx, count)
@@ -142,9 +120,9 @@ class RBTreeKernel(MapKernel):
             self._confirm(ObjectId(u, x), key, 0, rec[10:])
             return False
         z = tx.alloc_zeroed(self.entry_size)
-        zrec = self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil,
-                                       *self.link_zeros]
-        self.node.put(tx, z, zrec, 0, 10)
+        self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil, *self.link_zeros]
+        self._mark(z.offset, _NEW)
+        self._flush(tx)  # _extend_new reads the key from the file
         if y == nil:
             self._troot = z.offset
         elif key < rec[0]:
@@ -153,7 +131,7 @@ class RBTreeKernel(MapKernel):
             self._set(y, RIGHT, z.offset)
         self._extend_new(z)
         self._insert_fixup(z.offset)
-        self._flush(tx, count + 1)
+        self._end(tx, count + 1)
         return True
 
     def _insert_fixup(self, z: int) -> None:
@@ -226,9 +204,9 @@ class RBTreeKernel(MapKernel):
             put(y, COLOR, z_color)
         if y_color == BLACK:
             self._delete_fixup(x)
-        self._dirty.pop(z, None)
+        self._drop(z)
         self._free_entry(tx, ObjectId(self.uuid, z), link)
-        self._flush(tx, count - 1)
+        self._end(tx, count - 1)
         return True
 
     def _delete_fixup(self, x: int) -> None:

@@ -112,12 +112,12 @@ class RecordLayout:
     packed extent (the end of the last part). `pack` and `unpack_from` take
     and give the values in offset order, scalars as numbers and `Ns` parts
     as raw bytes; values after those given to `pack` are zero-filled.
-    `unpack_from` is the struct's own method. `put(tx, oid, values, a, b)`
-    stores values a..b-1, contiguous on file, with one tx.write.
+    `unpack_from` is the struct's own method. `put(tx, oid, values, bits)`
+    stores the values whose bits are set, one tx.write per adjacent run.
     """
 
-    __slots__ = ("fields", "size", "offsets", "codec", "unpack_from", "_starts",
-                 "_codes", "_zeros", "_runs")
+    __slots__ = ("fields", "size", "offsets", "codec", "unpack_from", "_codes", "_zeros",
+                 "_runs")
 
     def __init__(self, parts, fields: tuple[FieldLayout, ...] = ()):
         parts = list(parts)
@@ -126,14 +126,14 @@ class RecordLayout:
         self.codec = packed_struct(parts)
         self.size = self.codec.size
         self.unpack_from = self.codec.unpack_from
-        self._starts, self._codes = [], []
+        starts, self._codes = [], []
         for off, fmt in parts:
             for code in _VALUE_RE.findall(fmt):
-                self._starts.append(off)
+                starts.append(off)
                 self._codes.append(code)
                 off += struct.calcsize("<" + code)
         self._zeros = tuple(b"" if code.endswith("s") else 0 for code in self._codes)
-        self._runs: dict[tuple[int, int], struct.Struct] = {}
+        self._runs = _Runs(starts, self._codes)
 
     def field(self, name: str) -> FieldLayout:
         for f in self.fields:
@@ -144,14 +144,30 @@ class RecordLayout:
     def pack(self, *values) -> bytes:
         return self.codec.pack(*values, *self._zeros[len(values):])
 
-    def put(self, tx, oid, values, a: int, b: int) -> None:
-        run = self._runs.get((a, b))
-        if run is None:
-            run = self._runs[(a, b)] = struct.Struct("<" + "".join(self._codes[a:b]))
-            last = struct.calcsize("<" + self._codes[b - 1])
-            if self._starts[a] + run.size != self._starts[b - 1] + last:
+    def put(self, tx, oid, values, bits: int) -> None:
+        for off, run, a, b in self._runs[bits]:
+            tx.write(oid, off, run.pack(*values[a:b]))
+
+
+class _Runs(dict):
+    """One layout's `put` plans: bits -> (offset, struct, a, b) for each run
+    a..b-1 of adjacent set bits, ascending; each planned on first use."""
+
+    def __init__(self, starts: list[int], codes: list[str]):
+        self.starts, self.codes = starts, codes
+
+    def __missing__(self, bits: int) -> tuple:
+        plan, rest, starts, codes = [], bits, self.starts, self.codes
+        while rest:
+            low = rest & -rest  # a run's first bit; adding it carries past the run
+            a, b = low.bit_length() - 1, (rest + low & ~rest).bit_length() - 1
+            run = struct.Struct("<" + "".join(codes[a:b]))
+            if starts[a] + run.size != starts[b - 1] + struct.calcsize("<" + codes[b - 1]):
                 raise ValueError(f"values {a}..{b - 1} are not contiguous")
-        tx.write(oid, self._starts[a], run.pack(*values[a:b]))
+            plan.append((starts[a], run, a, b))
+            rest &= rest + low
+        self[bits] = plan = tuple(plan)
+        return plan
 
 
 def define_record(specs) -> RecordLayout:

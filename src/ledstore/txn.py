@@ -52,8 +52,8 @@ Block headers and the heap view belong to pool.py; this module logs around
 its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_frees`
 and `_scan_heap`.
 
-`write`, called once per changed span of a node, makes one state test, one
-`_resolve`, at most one snapshot, then the store.
+`write` makes one state test, one `_resolve`, at most one snapshot, then the
+store. The log keeps no range dedupe: a range written twice is logged twice.
 
 Nesting is rejected; the handle owns at most one active transaction.
 """
@@ -106,7 +106,6 @@ class Transaction:
         self._log_used = 0
         self._fresh: set[int] = set()       # payload offsets allocated here
         self._freed: dict[int, None] = {}   # deferred frees' payload offsets, in order
-        self._covered: set[tuple[int, int]] = set()
         pool._active_tx = self
 
     # ------------------------------------------------------------------ log
@@ -128,7 +127,6 @@ class Transaction:
     def _snap(self, addr: int, length: int) -> None:
         """Log the prior bytes of [addr, addr + length) for rollback."""
         self._append(REC_SNAP, addr, length, self.pool.buf[addr : addr + length])
-        self._covered.add((addr, length))
 
     # ------------------------------------------------------------------ ops
 
@@ -146,7 +144,7 @@ class Transaction:
             raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
         addr = pool._resolve(oid, off, len(data))
-        if oid[1] not in self._fresh and (addr, len(data)) not in self._covered:
+        if oid[1] not in self._fresh:
             self._snap(addr, len(data))
         pool._store(addr, data, "user")
 
