@@ -35,11 +35,12 @@ with `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 decoded values and store each contiguous changed span with one `tx.write`.
 The B-tree and red-black tree keep an operation's decoded nodes in one dict
 (`_begin`, `_rec`), mark what they change (`_mark`) and store each marked
-node once per operation (`_flush`) unless it freed it (`_drop`). A matched or scanned entry's decoded link words let
-`_confirm` read a materialized key64 straight from its extension record and
-`_free_entry` free its chain without reloading the link slot. An entry's
-chain moves and frees go through leds: `_relocated` hands a non-null link
-to leds.deep_copy, and `_free_entry` hands the link to leds.free_extendible.
+node once per operation (`_flush`) unless it freed it (`_drop`). A matched
+or scanned entry's decoded link words let `_confirm` read a materialized
+key64 straight from its extension record and `_free_entry` free its chain
+without reloading the link slot. An entry's chain moves and frees go
+through leds: `_relocated` hands a non-null link to leds.deep_copy, and
+`_free_entry` hands the link to leds.free_extendible.
 
 Values are opaque 64-bit payloads stored in a 16-byte ObjectId-sized slot.
 Keys must fit in 32 bits: version-1 records could not hold more, and the
@@ -52,7 +53,7 @@ import struct
 from contextlib import nullcontext
 
 from .. import leds
-from ..errors import ConfigError
+from ..errors import ConfigError, OutOfBounds
 from ..layout import NULL_OID, ObjectId, RecordLayout, define_record
 from ..pool import PoolHandle
 from ..txn import Transaction
@@ -188,9 +189,9 @@ class MapKernel:
 
     def _begin(self) -> tuple:
         """Start an operation on decoded nodes: forget the last operation's
-        nodes and marks; one read of the pool root gives the id in its first field
-        (tree root or bucket array) and the rest of ROOT's values (the
-        count last)."""
+        nodes and marks; one read of the pool root gives the id in its
+        first field (tree root or bucket array) and the rest of ROOT's
+        values (the count last)."""
         self._recs = {}
         self._dirty = {}
         u, o, *rest = self.pool.read(self.root, self.ROOT)
@@ -271,8 +272,8 @@ class MapKernel:
             self.pool.stats.checks += 1
         else:
             link = leds.extension_record(self.pool, holder, self.desc, 1, base_off=base_off)
-        assert self.pool.read(ObjectId(*link), U64, self.key64_off)[0] == key, \
-            "key64 invariant violated"
+        if self.pool.read(ObjectId(*link), U64, self.key64_off)[0] != key:
+            raise OutOfBounds(f"key64 of key {key} at {holder.offset + base_off} differs")
         return link
 
     def _peek_key64(self, holder: ObjectId, key: int, base_off: int = 0) -> None:
@@ -282,8 +283,8 @@ class MapKernel:
             return
         buf = self.pool.buf
         uuid, target = OID_WORDS.unpack_from(buf, holder.offset + base_off + self.desc.link_offset)
-        if uuid or target:
-            assert U64.unpack_from(buf, target)[0] == key, "key64 invariant violated"
+        if (uuid or target) and U64.unpack_from(buf, target)[0] != key:
+            raise OutOfBounds(f"key64 of key {key} at {holder.offset + base_off} differs")
 
     def _extend_new(self, holder: ObjectId, base_off: int = 0) -> None:
         """A new entry in auto "change" mode gets its key64 at once."""

@@ -16,6 +16,12 @@ and merges either transfer their extension link verbatim (the shallow-copy
 optimization) or move the chain to a clone with leds.deep_copy, which frees
 the originals (the unoptimized deep copy), selected by the kernel's
 shallow_copy flag. In-node shifts always transfer: the source slot dies.
+
+An operation edits decoded nodes and marks what it changed (ITEMS, CHILDREN
+and N below); MapKernel._flush stores each marked node once: insert just
+before the new item's key64 extension is built (it reads the item from the
+file), remove at its end, skipping nodes the remove freed. `_read` decodes
+every node and refuses an item count outside [0, MAX_KEYS] with OutOfBounds.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 
+from ..errors import OutOfBounds
 from ..layout import ObjectId, RecordLayout
 from .base import OID_WORDS, U64, MapKernel, check_key, encode_value
 
@@ -44,6 +51,7 @@ def node_shape(stride: int) -> tuple[int, int]:
 # 1 + 2i is item i's key, 2 + 2i its remaining bytes raw, and child j's id is
 # the two words at KIDS + 2j
 KIDS = 1 + 2 * SLOTS
+COUNTS = range(MAX_KEYS + 1)  # the item counts a node may hold
 # MapKernel._mark bits: N the count, ITEMS/CHILDREN[lo][hi] items/children lo..hi-1
 N = 1
 ITEMS = [[(1 << 1 + 2 * hi) - (1 << 1 + 2 * lo) for hi in range(SLOTS + 1)] for lo in range(SLOTS)]
@@ -89,6 +97,21 @@ class BTreeKernel(MapKernel):
 
     # -- decoded nodes (MapKernel._begin, _rec, _mark, _flush) --------------------
 
+    def _rec(self, x: int) -> list:
+        """MapKernel._rec, decoding through _read."""
+        rec = self._recs.get(x)
+        if rec is None:
+            rec = self._recs[x] = self._read(x)
+        return rec
+
+    def _read(self, x: int) -> list:
+        """The values of the node at payload offset `x`, read and bounded:
+        every node read goes through here; a count outside COUNTS is OutOfBounds."""
+        rec = list(self.pool.read(ObjectId(self.pool.pool_uuid, x), self.node))
+        if rec[0] not in COUNTS:
+            raise OutOfBounds(f"B-tree node at {x} holds {rec[0]} items (at most {MAX_KEYS})")
+        return rec
+
     def _moved(self, tx, rest: bytes) -> bytes:
         """An item's rest for a slot in another node (see _relocated)."""
         return self._relocated(tx, rest, self.rest_link)
@@ -99,10 +122,11 @@ class BTreeKernel(MapKernel):
     # -- search ------------------------------------------------------------------
 
     def _find(self, troot: ObjectId, key: int):
-        """Key's item, one read per visited node: (node, its values, pos) or None."""
+        """Key's item, one read per visited node, each new to the operation
+        (every operation starts here): (node, its values, pos) or None."""
         cur = troot
         while True:
-            rec = self._rec(cur[1])
+            rec = self._recs[cur[1]] = self._read(cur[1])
             n = rec[0]
             pos = bisect_left(rec[1 : 1 + 2 * n : 2], key)
             if pos < n and rec[1 + 2 * pos] == key:
@@ -341,7 +365,7 @@ class BTreeKernel(MapKernel):
 
     def scan(self):
         def walk(cur):
-            rec = self.pool.read(cur, self.node)
+            rec = self._read(cur[1])
             n, kids = rec[0], _has_kids(rec)
             for i in range(n):
                 if kids:
@@ -358,10 +382,9 @@ class BTreeKernel(MapKernel):
         troot, count = self._begin()
 
         def check(cur, lo, hi, is_root):
-            rec = self.pool.read(cur, self.node)
+            rec = self._read(cur[1])
             n = rec[0]
             keys = list(rec[1 : 1 + 2 * n : 2])
-            assert n <= MAX_KEYS, f"node over capacity: {n}"
             if not is_root:
                 assert n >= MIN_KEYS, f"node under occupancy: {n}"
             assert keys == sorted(set(keys)), "keys not strictly ascending"

@@ -226,7 +226,7 @@ class SkipListKernel(MapKernel):
     def validate(self) -> None:
         if self.built != self.pool.aborts:
             self._load_structure()
-        keys = self.keys
+        keys, count = self.keys, self.count()
         assert keys == sorted(set(keys)) and len(keys) == len(self.by_key), "index out of order"
         for level in range(LEVELS):
             walked = []
@@ -235,11 +235,11 @@ class SkipListKernel(MapKernel):
                 key, _, _, *links = self.pool.read(cur, self.node)
                 assert self.by_key.get(key) == cur, f"volatile index drift at key {key}"
                 walked.append(key)
-                assert len(walked) <= self.count() + 1, "cycle in chain"
+                assert len(walked) <= count + 1, "cycle in chain"
                 cur = self._link(links, level)
             assert walked == [k for k in keys if self.height[k] > level], \
                 f"volatile index drift at level {level}"
-        assert len(keys) == self.count(), "count drift"
+        assert len(keys) == count, "count drift"
 
     # -- manual migration ------------------------------------------------------
 

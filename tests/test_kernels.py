@@ -638,10 +638,12 @@ class TestSkipListAttach:
         pool.close()
 
 
+@pytest.mark.parametrize("first", ["lookup", "insert", "remove", "validate"])
 @pytest.mark.parametrize("lane", range(len(SKIPLIST_LANES)), ids=["manual", "auto"])
-def test_skiplist_index_follows_an_aborted_transaction(tmp_path, lane):
+def test_skiplist_index_follows_an_aborted_transaction(tmp_path, lane, first):
     """A transaction that inserts one key and removes another, then fails,
-    rolls the records back; the volatile index follows them."""
+    rolls the records back; the volatile index follows them, rebuilt by
+    whichever call comes `first` after the abort."""
     mode, version, change = SKIPLIST_LANES[lane]
     pool = create_pool(str(tmp_path / "s.pool"), "skiplist-v1", 32 * MIB)
     make_kernel(pool, "skiplist", mode=mode).create()
@@ -653,11 +655,18 @@ def test_skiplist_index_follows_an_aborted_transaction(tmp_path, lane):
         assert k.insert(tx, 100, 1000)
         assert k.remove(tx, 3)
         raise RuntimeError("fail after both ops")
-    assert k.lookup(100) is None
-    assert k.lookup(3) == 30
+    later = [("ins", 100, 1000), ("del", 3)]  # the index serves later ops
+    if first == "lookup":
+        assert (k.lookup(100), k.lookup(3)) == (None, 30)
+    elif first == "validate":
+        k.validate()
+    else:
+        op = later.pop(first == "remove")
+        with pool.tx_begin() as tx:  # true only if the index has the rolled-back keys
+            assert k.insert(tx, *op[1:]) if first == "insert" else k.remove(tx, op[1])
     k.validate()
     assert index_levels(k) == level_walk(pool, k)
-    run_ops(pool, k, [("ins", 100, 1000), ("del", 3)])  # the index serves later ops
+    run_ops(pool, k, later)
     assert (k.lookup(100), k.lookup(3), k.count()) == (1000, None, 19)
     k.validate()
     pool.close()
@@ -722,3 +731,83 @@ class TestBTreeCopies:
         assert deep["deep_copies"] > 0
         assert shallow["deep_copies"] == 0
         assert shallow["n_allocs"] < deep["n_allocs"]  # oracle: paired runs
+
+
+@pytest.mark.parametrize("items", [100, -3])
+@pytest.mark.parametrize("op", ["lookup", "insert", "remove", "scan", "validate"])
+def test_btree_item_count_outside_bounds_refused(tmp_path, op, items):
+    """A B-tree node whose item count on file lies outside [0, MAX_KEYS]
+    fails with OutOfBounds wherever it is read, before any use of it."""
+    import struct
+
+    from ledstore import OutOfBounds
+    from ledstore.kernels.btree import MAX_KEYS
+
+    pool, k = fresh_kernel(tmp_path, "btree", rng=random.Random(3))
+    keys = random.Random(8).sample(range(1, 1 << 20), 60)
+    run_ops(pool, k, [("ins", key, key) for key in keys])
+    troot = k._begin()[0]
+    assert 0 < pool.read(troot, struct.Struct("<i"))[0] <= MAX_KEYS  # an inner root
+    pool.store(troot, 0, struct.pack("<i", items))
+    with pytest.raises(OutOfBounds, match=f"holds {items} items"):
+        if op == "lookup":
+            k.lookup(keys[0])
+        elif op == "scan":
+            list(k.scan())
+        elif op == "validate":
+            k.validate()
+        else:
+            with pool.tx_begin() as tx:
+                k.insert(tx, 7, 7) if op == "insert" else k.remove(tx, keys[0])
+    pool.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forged_key64_refused(tmp_path, kind):
+    """In the auto "change" lane a materialized key64 that differs from the
+    entry's key is OutOfBounds on lookup (and on validate, where a kernel
+    checks key64), also under python -O."""
+    from ledstore import OutOfBounds
+
+    pool, k = auto_kernel(tmp_path, kind)
+    key = 0x12345678
+    run_ops(pool, k, [("ins", key, 0x0102030405060708)])  # materializes key64
+    heap = pool.buf[pool.blocks_offset : pool.capacity]
+    at = heap.find(key.to_bytes(8, "little"))
+    assert at >= 0 and heap.find(key.to_bytes(8, "little"), at + 1) == -1
+    pool.buf[pool.blocks_offset + at] ^= 1  # key64 now reads key ^ 1
+    with pytest.raises(OutOfBounds, match="key64"):
+        k.lookup(key)
+    if kind in ("btree", "ctree", "hashmap"):
+        with pytest.raises(OutOfBounds, match="key64"):
+            k.validate()
+    pool.close()
+
+
+@pytest.mark.parametrize("mode", ["manual", "auto"])
+def test_btree_logs_no_overlapping_snapshots(tmp_path, monkeypatch, mode):
+    """In the B-tree's manual lane and version-1 auto lane, no transaction
+    logs two SNAP records whose ranges overlap: each operation stores each
+    changed node span once."""
+    from ledstore.txn import Transaction
+
+    pool, k = fresh_kernel(tmp_path, "btree", mode=mode, rng=random.Random(3))
+    rng = random.Random(12)
+    keys = rng.sample(range(1, 1 << 30), 600)
+    snaps: dict[int, list[tuple[int, int]]] = {}  # transaction number -> ranges
+    real_snap = Transaction._snap
+
+    def snap(self, addr, length):
+        snaps.setdefault(self._seq, []).append((addr, addr + length))
+        return real_snap(self, addr, length)
+
+    monkeypatch.setattr(Transaction, "_snap", snap)
+    run_ops(pool, k, [("ins", key, key) for key in keys])
+    run_ops(pool, k, [("del", key) for key in rng.sample(keys, 400)])
+    monkeypatch.undo()
+    k.validate()
+    assert sum(map(len, snaps.values())) > 1000
+    for ranges in snaps.values():
+        ranges.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:])), ranges
+    pool.close()
