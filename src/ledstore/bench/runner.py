@@ -65,6 +65,7 @@ PHASE_COUNTERS = ("allocations", "translations", "checks", "deep_copies",
                   "ext_bytes", "n_allocs", "n_frees")
 LEDGER = ("bytes_user", "bytes_log", "bytes_meta")
 CHUNK = 500  # update ops a trial runs before the next variant's turn
+XLAT_REPS, XLAT_CALLS = 7, 20_000  # _translation_cost: rounds, translations per round
 
 
 @dataclass
@@ -179,26 +180,26 @@ def _build_original(cfg: WorkloadConfig, mode: str, workdir: Path,
     return path, t_original
 
 
-def _translation_cost(pool, oid, reps: int = 7, n: int = 20_000) -> float:
+def _translation_cost(pool, oid) -> float:
     """Seconds one ObjectId translation costs beyond a translation-cache
-    hit: `n` `pool.translate(oid)` calls with the cache off and on in
-    alternation, best of `reps` each. The calls count into a scratch
+    hit: XLAT_CALLS `pool.translate(oid)` calls with the cache off and on in
+    alternation, best of XLAT_REPS each. The calls count into a scratch
     WriteStats, so the pool's ledger does not move; the cache is left on
     and empty."""
     ledger, pool.stats = pool.stats, WriteStats()
     best = {False: float("inf"), True: float("inf")}
     try:
-        for _ in range(reps):
+        for _ in range(XLAT_REPS):
             for cached in best:
                 pool.set_translation_cache(cached)
                 t0 = time.perf_counter()
-                for _ in range(n):
+                for _ in range(XLAT_CALLS):
                     pool.translate(oid)
                 best[cached] = min(best[cached], time.perf_counter() - t0)
     finally:
         pool.stats = ledger
         pool.set_translation_cache(True)
-    return max(best[False] - best[True], 0.0) / n
+    return max(best[False] - best[True], 0.0) / XLAT_CALLS
 
 
 def _trial(cfg: WorkloadConfig, variant: str, original: str,

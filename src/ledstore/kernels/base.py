@@ -34,7 +34,7 @@ with `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 `link_parts`, never from literal record offsets. Insert and remove edit the
 decoded values and store each contiguous changed span with one `tx.write`.
 The B-tree and red-black tree keep an operation's decoded nodes in one dict
-(`_begin`, `_rec`), mark what they change (`_mark`) and store each marked
+(`_rec`), mark what they change (`_mark`) and store each marked
 node once per operation (`_flush`) unless it freed it (`_drop`). A matched
 or scanned entry's decoded link words let `_confirm` read a materialized
 key64 straight from its extension record and `_free_entry` free its chain
@@ -188,19 +188,17 @@ class MapKernel:
         pass
 
     def _begin(self) -> tuple:
-        """Start an operation on decoded nodes: forget the last operation's
-        nodes and marks; one read of the pool root gives the id in its
+        """Start an operation: one read of the pool root gives the id in its
         first field (tree root or bucket array) and the rest of ROOT's
         values (the count last)."""
-        self._recs = {}
-        self._dirty = {}
         u, o, *rest = self.pool.read(self.root, self.ROOT)
         return ObjectId(u, o), *rest
 
     def _rec(self, x: int) -> list:
         """The values of the node at payload offset `x`, decoded by
-        `self.node`, read at most once per operation; every write of the
-        operation edits this list, then marks what it changed (_mark)."""
+        `self.node`, read at most once per operation (the kernel empties
+        `_recs` and `_dirty` where each operation starts); every write of
+        the operation edits this list, then marks what it changed (_mark)."""
         rec = self._recs.get(x)
         if rec is None:
             rec = self._recs[x] = list(self.pool.read(ObjectId(self.pool.pool_uuid, x), self.node))
@@ -245,9 +243,6 @@ class MapKernel:
 
     def validate(self) -> None:
         raise NotImplementedError
-
-    def items(self) -> dict[int, int]:
-        return dict(self.scan())
 
     # -- entry helpers: `holder` is the record, `base_off` the entry's offset in it
 

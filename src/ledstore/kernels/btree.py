@@ -95,7 +95,7 @@ class BTreeKernel(MapKernel):
     def _item_off(self, i: int) -> int:
         return ITEMS_OFF + i * self.stride
 
-    # -- decoded nodes (MapKernel._begin, _rec, _mark, _flush) --------------------
+    # -- decoded nodes (MapKernel._rec, _mark, _flush) ---------------------------
 
     def _rec(self, x: int) -> list:
         """MapKernel._rec, decoding through _read."""
@@ -123,7 +123,10 @@ class BTreeKernel(MapKernel):
 
     def _find(self, troot: ObjectId, key: int):
         """Key's item, one read per visited node, each new to the operation
-        (every operation starts here): (node, its values, pos) or None."""
+        (every insert, remove and lookup starts here, so the last one's
+        nodes and marks are forgotten here): (node, its values, pos) or None."""
+        self._recs = {}
+        self._dirty = {}
         cur = troot
         while True:
             rec = self._recs[cur[1]] = self._read(cur[1])

@@ -61,6 +61,10 @@ class RBTreeKernel(MapKernel):
     # -- decoded nodes (MapKernel._rec, _mark, _flush) -----------------------------
 
     def _begin(self) -> int:
+        """Start an operation on decoded nodes: forget the last one's nodes
+        and marks; read the pool root."""
+        self._recs = {}
+        self._dirty = {}
         troot, _, _, count = super()._begin()
         self._troot = self._troot0 = troot[1]
         return count

@@ -171,15 +171,11 @@ class _Runs(dict):
 
 
 def define_record(specs) -> RecordLayout:
-    """Lay out (name, code[, offset]) specs or FieldLayouts as a packed record."""
+    """Lay out (name, code[, offset]) specs as a packed record."""
     fields: list[FieldLayout] = []
     names: set[str] = set()
     cursor = 0
     for spec in specs:
-        if isinstance(spec, FieldLayout):
-            fields.append(spec)
-            cursor = max(cursor, spec.offset + spec.size)
-            continue
         name, code = spec[0], spec[1]
         off = spec[2] if len(spec) > 2 else cursor
         f = FieldLayout(name, off, code, *_parse_code(code))

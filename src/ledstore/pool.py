@@ -152,8 +152,7 @@ class CrashPlan:
 class PoolHandle:
     """An open, memory-mapped pool. Confine to one thread; one per file."""
 
-    def __init__(self, path: str, fileobj, buf):
-        self.path = path
+    def __init__(self, fileobj, buf):
         self._file = fileobj
         self.buf = buf
         self.stats = WriteStats()
@@ -583,7 +582,7 @@ def create_pool(
         f.close()
         raise IoError(str(e)) from e
 
-    handle = PoolHandle(path, f, buf)
+    handle = PoolHandle(f, buf)
     handle._frontier = blocks_offset
     uuid = secrets.randbits(64) | 1  # never zero: zero means null
     header = bytearray(HEADER_SIZE)
@@ -624,7 +623,7 @@ def _map_existing(path: str) -> PoolHandle:
     f = _open_locked(path, "r+b")
     try:
         _check_header(path, f.read(HEADER_SIZE), os.fstat(f.fileno()).st_size)
-        return PoolHandle(path, f, mmap.mmap(f.fileno(), 0))
+        return PoolHandle(f, mmap.mmap(f.fileno(), 0))
     except BaseException:
         f.close()
         raise
