@@ -195,10 +195,9 @@ class MapKernel:
         return ObjectId(u, o), *rest
 
     def _rec(self, x: int) -> list:
-        """The values of the node at payload offset `x`, decoded by
-        `self.node`, read at most once per operation (the kernel empties
-        `_recs` and `_dirty` where each operation starts); every write of
-        the operation edits this list, then marks what it changed (_mark)."""
+        """The values of the node at payload offset `x`, decoded by `self.node`,
+        read at most once per operation (whose start empties `_recs`); its
+        writes edit this list, then mark what they changed (_mark)."""
         rec = self._recs.get(x)
         if rec is None:
             rec = self._recs[x] = list(self.pool.read(ObjectId(self.pool.pool_uuid, x), self.node))
@@ -209,7 +208,7 @@ class MapKernel:
         self._dirty[x] = self._dirty.get(x, 0) | bits
 
     def _drop(self, x: int) -> None:
-        """The operation frees node `x`: _flush skips it."""
+        """_flush skips node `x`: the operation frees it, or (rbtree's nil) it is scratch."""
         self._dirty.pop(x, None)
 
     def _flush(self, tx) -> None:
@@ -257,16 +256,15 @@ class MapKernel:
         return [] if self.desc is None else [(base_off + self.desc.link_offset, "QQ")]
 
     def _confirm(self, holder: ObjectId, key: int, base_off: int, link):
-        """A positive match in auto "change" mode reads key64 through the
-        extension, given the entry's decoded link words: a null link is
-        materialized, a non-null one counts the check ensure_extension would
-        make and is not reloaded. Returns the entry's link as it now is."""
+        """A positive match in auto "change" mode checks key64, given the
+        entry's decoded link words: a non-null link counts ensure_extension's
+        check and its key64 must equal `key`; a null one is materialized from
+        `key`, which is then not read back. Returns the entry's link as it now is."""
         if not self.key64_ext:
             return link
-        if link[0] or link[1]:
-            self.pool.stats.checks += 1
-        else:
-            link = leds.extension_record(self.pool, holder, self.desc, 1, base_off=base_off)
+        if not (link[0] or link[1]):
+            return leds.extension_record(self.pool, holder, self.desc, 1, base_off=base_off)
+        self.pool.stats.checks += 1
         if self.pool.read(ObjectId(*link), U64, self.key64_off)[0] != key:
             raise OutOfBounds(f"key64 of key {key} at {holder.offset + base_off} differs")
         return link

@@ -122,9 +122,8 @@ class BTreeKernel(MapKernel):
     # -- search ------------------------------------------------------------------
 
     def _find(self, troot: ObjectId, key: int):
-        """Key's item, one read per visited node, each new to the operation
-        (every insert, remove and lookup starts here, so the last one's
-        nodes and marks are forgotten here): (node, its values, pos) or None."""
+        """Key's item, one read per visited node: (node, its values, pos) or None.
+        Insert, remove and lookup start here, dropping the last op's nodes and marks."""
         self._recs = {}
         self._dirty = {}
         cur = troot

@@ -1,5 +1,5 @@
-"""Red-black tree with an allocated nil sentinel (its parent field is
-scratch space during deletion, as in the textbook formulation).
+"""Red-black tree with an allocated nil sentinel, stored only by create and
+migrate: nil's parent is scratch during deletion, and remove never flushes it.
 
 Record shapes:
 
@@ -61,8 +61,7 @@ class RBTreeKernel(MapKernel):
     # -- decoded nodes (MapKernel._rec, _mark, _flush) -----------------------------
 
     def _begin(self) -> int:
-        """Start an operation on decoded nodes: forget the last one's nodes
-        and marks; read the pool root."""
+        """Drop the last operation's nodes and marks; read the pool root."""
         self._recs = {}
         self._dirty = {}
         troot, _, _, count = super()._begin()
@@ -126,16 +125,15 @@ class RBTreeKernel(MapKernel):
         z = tx.alloc_zeroed(self.entry_size)
         self._recs[z.offset] = [key, value, 0, RED, u, y, u, nil, u, nil, *self.link_zeros]
         self._mark(z.offset, _NEW)
-        self._flush(tx)  # _extend_new reads the key from the file
         if y == nil:
             self._troot = z.offset
         elif key < rec[0]:
             self._set(y, LEFT, z.offset)
         else:
             self._set(y, RIGHT, z.offset)
-        self._extend_new(z)
         self._insert_fixup(z.offset)
         self._end(tx, count + 1)
+        self._extend_new(z)  # reads the key from the file, where _end stored it
         return True
 
     def _insert_fixup(self, z: int) -> None:
@@ -173,7 +171,7 @@ class RBTreeKernel(MapKernel):
             self._set(up, LEFT, v)
         else:
             self._set(up, RIGHT, v)
-        self._set(v, PARENT, up)  # nil's parent is legal scratch
+        self._set(v, PARENT, up)  # nil's parent is scratch: remove drops nil
 
     def remove(self, tx, key: int) -> bool:
         count = self._begin()
@@ -209,6 +207,7 @@ class RBTreeKernel(MapKernel):
         if y_color == BLACK:
             self._delete_fixup(x)
         self._drop(z)
+        self._drop(nil)
         self._free_entry(tx, ObjectId(self.uuid, z), link)
         self._end(tx, count - 1)
         return True

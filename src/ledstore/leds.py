@@ -293,15 +293,17 @@ def deep_copy(tx, pool, first: ObjectId, desc: TypeDescriptor) -> ObjectId:
 
 
 def free_extendible(tx, pool, first: ObjectId, desc: TypeDescriptor) -> None:
-    """Free the extension chain that starts at the link `first`, extensions
-    of extensions included; a null link frees nothing."""
+    """Free the extension chain that starts at the link `first`, extensions of
+    extensions included, and load no link of the last level; a null link frees nothing."""
     cur = first
-    for ext in desc.extensions:
+    for ext in desc.extensions[:-1]:
         if cur.is_null():
-            break
+            return
         nxt = ObjectId.unpack(pool.load(cur, ext.link_offset, LINK_SIZE))
         tx.free(cur)
         cur = nxt
+    if desc.extensions and not cur.is_null():
+        tx.free(cur)
 
 
 # ------------------------------------------------------------------- manifest

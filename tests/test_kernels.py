@@ -307,6 +307,83 @@ def test_auto_remove_frees_what_it_materializes(tmp_path, kind, shallow):
     pool.close()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_materializing_remove_resolves_its_extension_once(tmp_path, monkeypatch, kind):
+    """A version-2 "change" remove of a key no earlier op touched allocates
+    one block, its key64 extension, and resolves it once, for the store
+    that builds it: the key it copies is not read back, and its free does
+    not load the last level's link. (Shallow copy: a B-tree remove that
+    moves the matched item before freeing it keeps its chain.)"""
+    from ledstore import Transaction
+    from ledstore.pool import PoolHandle
+
+    pool = create_pool(str(tmp_path / "auto.pool"), f"{kind}-v1", 32 * MIB)
+    old = make_kernel(pool, kind, mode="auto", version=1, rng=random.Random(3))
+    old.create()
+    keys = random.Random(9).sample(range(1, 1 << 20), 200)
+    run_ops(pool, old, [("ins", key, key) for key in keys])
+    k = make_kernel(pool, kind, mode="auto", version=2, change="change",
+                    shallow_copy=True, rng=random.Random(3))
+    k.attach()
+    allocated, resolved = [], []
+    real_alloc, real_resolve = Transaction.alloc_zeroed, PoolHandle._resolve
+
+    def alloc_zeroed(tx, size):
+        oid = real_alloc(tx, size)
+        allocated.append(oid.offset)
+        return oid
+
+    def resolve(self, oid, *range_):
+        resolved.append(oid.offset)
+        return real_resolve(self, oid, *range_)
+
+    monkeypatch.setattr(Transaction, "alloc_zeroed", alloc_zeroed)
+    monkeypatch.setattr(PoolHandle, "_resolve", resolve)
+    for key in random.Random(11).sample(keys, 50):
+        allocated.clear()
+        resolved.clear()
+        before = pool.stats.snapshot()
+        with pool.tx_begin() as tx:
+            assert k.remove(tx, key)
+        assert pool.stats.delta(before)["allocations"] == 1
+        assert len(allocated) == 1, (key, allocated)
+        assert resolved.count(allocated[0]) == 1, (key, resolved)
+    k.validate()
+    pool.close()
+
+
+@pytest.mark.parametrize("mode", ["manual", "auto"])
+def test_rbtree_update_stores_no_byte_twice_and_nothing_into_nil(tmp_path, monkeypatch, mode):
+    """A red-black insert or remove stores each byte at most once, and nil's
+    parent is scratch during a remove: no store of a remove targets nil's
+    record, in either lane, and the tree stays valid."""
+    from ledstore import Transaction
+
+    pool, k = (auto_kernel(tmp_path, "rbtree") if mode == "auto"
+               else fresh_kernel(tmp_path, "rbtree", rng=random.Random(3)))
+    keys = random.Random(5).sample(range(1, 1 << 20), 400)
+    writes = []  # (payload, start address, end address) of each tx.write of one op
+    real_write = Transaction.write
+
+    def write(tx, oid, off, data):
+        writes.append((oid.offset, oid.offset + off, oid.offset + off + len(data)))
+        return real_write(tx, oid, off, data)
+
+    def stores_no_byte_twice(op) -> bool:
+        writes.clear()
+        run_ops(pool, k, [op])
+        spans = sorted(span for _, *span in writes)
+        return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    monkeypatch.setattr(Transaction, "write", write)
+    assert all(stores_no_byte_twice(("ins", key, key)) for key in keys)
+    for key in random.Random(6).sample(keys, 200):
+        assert stores_no_byte_twice(("del", key)), writes
+        assert writes and k.nil not in [payload for payload, *_ in writes], writes
+    k.validate()
+    pool.close()
+
+
 V2_RECORD_SIZES = {  # manual migration, bytes per migrated record
     edit: {kind: sizes[i] for kind, sizes in NODE_SIZES.items()}
     for i, edit in ((1, "change"), (2, "add"))
