@@ -20,8 +20,8 @@ shallow_copy flag. In-node shifts always transfer: the source slot dies.
 An operation edits decoded nodes and marks what it changed (ITEMS, CHILDREN
 and N below); MapKernel._flush stores each marked node once: insert just
 before the new item's key64 extension is built (it reads the item from the
-file), remove at its end, skipping nodes the remove freed. `_read` decodes
-every node and refuses an item count outside [0, MAX_KEYS] with OutOfBounds.
+file), remove at its end, skipping nodes the remove freed. `_read` (and
+`migrate`, for old nodes) refuses an item count outside [0, MAX_KEYS]: OutOfBounds.
 """
 
 from __future__ import annotations
@@ -422,6 +422,8 @@ class BTreeKernel(MapKernel):
         def clone(old_node: ObjectId) -> ObjectId:
             raw = pool.load(old_node, 0, old_size)
             n = _I32.unpack_from(raw)[0]
+            if n not in COUNTS:  # as in _read; the pass aborts before its commit
+                raise OutOfBounds(f"B-tree node at {old_node[1]} holds {n} items")
             record = bytearray(new_size)
             _I32.pack_into(record, 0, n)
             for i in range(n):

@@ -811,10 +811,11 @@ class TestBTreeCopies:
 
 
 @pytest.mark.parametrize("items", [100, -3])
-@pytest.mark.parametrize("op", ["lookup", "insert", "remove", "scan", "validate"])
+@pytest.mark.parametrize("op", ["lookup", "insert", "remove", "scan", "validate", "migrate"])
 def test_btree_item_count_outside_bounds_refused(tmp_path, op, items):
     """A B-tree node whose item count on file lies outside [0, MAX_KEYS]
-    fails with OutOfBounds wherever it is read, before any use of it."""
+    fails with OutOfBounds wherever it is read, before any use of it; the
+    manual migration pass aborts, leaving the pool at layout version 1."""
     import struct
 
     from ledstore import OutOfBounds
@@ -833,9 +834,12 @@ def test_btree_item_count_outside_bounds_refused(tmp_path, op, items):
             list(k.scan())
         elif op == "validate":
             k.validate()
+        elif op == "migrate":
+            run_migration(pool, make_manual_migrator("btree", "change"))
         else:
             with pool.tx_begin() as tx:
                 k.insert(tx, 7, 7) if op == "insert" else k.remove(tx, keys[0])
+    assert pool.layout_version == 1
     pool.close()
 
 
