@@ -34,8 +34,9 @@ with `entry_parts` (oid fields as two u64 words) and, in the auto lane,
 `link_parts`, never from literal record offsets. Insert and remove edit the
 decoded values and store each contiguous changed span with one `tx.write`.
 The B-tree and red-black tree keep an operation's decoded nodes in one dict
-(`_rec`), mark what they change (`_mark`) and store each marked
-node once per operation (`_flush`) unless it freed it (`_drop`). A matched
+(`_rec`), mark what they change (`_mark`) and store each marked node
+once per operation (`_flush`) unless it dropped it (`_drop`: a node it
+freed, or the red-black tree's scratch nil). A matched
 or scanned entry's decoded link words let `_confirm` read a materialized
 key64 straight from its extension record and `_free_entry` free its chain
 without reloading the link slot. An entry's chain moves and frees go

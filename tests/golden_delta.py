@@ -1,8 +1,9 @@
-"""Check a regenerated golden ledger, or perfbench's exact counters, against
-the ones they replace.
+"""Check a regenerated golden ledger, perfbench's exact counters, or the
+bytecodes per op of `tests/opcodes_per_op.py`, against the ones they replace.
 
     python tests/golden_delta.py OLD.json NEW.json
     python tests/golden_delta.py OLD.counters.json NEW.counters.json
+    python tests/golden_delta.py OLD.opcodes.json NEW.opcodes.json
 
 A write-path change may move only the store, translation and byte counts,
 and only downward. For every case:
@@ -22,6 +23,10 @@ Two perfbench `*.counters.json` files (flat name -> value maps, written by
 `perfbench/run.py` for one seed) follow the same rules: a counter named for
 a byte ledger, the store counter or translations may only fall, every other
 counter is identical. Every moved counter is printed.
+
+Two JSON lines of `tests/opcodes_per_op.py` (flat `kind/lane/op` -> bytecodes
+maps; save each with `| tail -1`) are told apart from counters by the `/` in
+every name: each cell may only fall. Every moved cell is printed.
 """
 
 from __future__ import annotations
@@ -46,18 +51,19 @@ def _movable(path: str, report: dict) -> bool:
     return path.startswith("bytes.") or path.endswith(MOVABLE) or "translations" in path
 
 
-def check_counters(old: dict, new: dict) -> list[str]:
-    """Print every moved counter; return the violations."""
+def check_counters(old: dict, new: dict, cells: bool = False) -> list[str]:
+    """Print every moved counter, or bytecode cell (`cells`, each of which
+    may fall); return the violations."""
     if old.keys() != new.keys():
-        return ["counter names differ: " + ", ".join(sorted(old.keys() ^ new.keys()))]
+        return ["names differ: " + ", ".join(sorted(old.keys() ^ new.keys()))]
     errors = []
     for name in sorted(old):
         a, b = old[name], new[name]
         if a == b:
             continue
         print(f"{name}: {a} -> {b} ({(b - a) / a:+.1%})" if a else f"{name}: {a} -> {b}")
-        if not (_movable(name, {}) and b <= a):
-            errors.append(f"counter {name} {a} -> {b}")
+        if not ((cells or _movable(name, {})) and b <= a):
+            errors.append(f"{name} {a} -> {b}")
     return errors
 
 
@@ -112,10 +118,11 @@ def summary(name: str, old: dict, new: dict) -> str | None:
 def main(old_path: str, new_path: str) -> int:
     old, new = json.load(open(old_path)), json.load(open(new_path))
     if all(isinstance(v, (int, float)) for v in old.values()):
-        errors = check_counters(old, new)
+        cells = all("/" in name for name in old)  # opcodes_per_op.py's kind/lane/op
+        errors = check_counters(old, new, cells)
         for error in errors:
             print("VIOLATION", error)
-        print(f"{len(old)} counters, {len(errors)} violations")
+        print(f"{len(old)} {'cells' if cells else 'counters'}, {len(errors)} violations")
         return 1 if errors else 0
     if old.keys() != new.keys():
         print("case lists differ")
