@@ -116,13 +116,14 @@ class RecordLayout:
     stores the values whose bits are set, one tx.write per adjacent run.
     """
 
-    __slots__ = ("fields", "size", "offsets", "codec", "unpack_from", "_codes", "_zeros",
-                 "_runs")
+    __slots__ = ("fields", "size", "offsets", "codec", "unpack_from", "_named", "_codes",
+                 "_zeros", "_runs")
 
     def __init__(self, parts, fields: tuple[FieldLayout, ...] = ()):
         parts = list(parts)
         self.fields = fields
         self.offsets = {f.name: f.offset for f in fields}
+        self._named = {f.name: f for f in fields}
         self.codec = packed_struct(parts)
         self.size = self.codec.size
         self.unpack_from = self.codec.unpack_from
@@ -136,10 +137,10 @@ class RecordLayout:
         self._runs = _Runs(starts, self._codes)
 
     def field(self, name: str) -> FieldLayout:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise NoSuchField(f"record has no field {name!r}")
+        f = self._named.get(name)
+        if f is None:
+            raise NoSuchField(f"record has no field {name!r}")
+        return f
 
     def pack(self, *values) -> bytes:
         return self.codec.pack(*values, *self._zeros[len(values):])

@@ -12,9 +12,12 @@ The object heap is a sequence of blocks: a 16-byte block header {size u64
 (absolute file offset of a payload) are always 16-byte aligned. A zero
 size marks the bump frontier. The handle's view of the heap, one map of
 live blocks (payload offset -> size), exact-size free lists and the
-frontier, is rebuilt by scanning block headers on open, so no allocator
-state needs to be persisted or kept crash-safe. Only PoolHandle's
-block-heap methods read or write a block header or that view.
+frontier, is rebuilt from the block headers on open, recovery and abort,
+so no allocator state needs to be persisted or kept crash-safe. The one
+walk over the headers (`_walk`, which the rollback of a frontier run
+shares) costs bytecodes per run of equal headers, not per block, and
+refuses a malformed header with OutOfBounds. Only PoolHandle's block-heap
+methods read or write a block header or that view.
 
 Free blocks always hold zeroed payloads: payloads are zeroed when a block
 is returned to the allocator and when a pending allocation is rolled back.
@@ -53,6 +56,7 @@ import os
 import secrets
 import struct
 from contextlib import nullcontext
+from itertools import repeat
 
 from .errors import (
     AlreadyExists,
@@ -99,6 +103,7 @@ HEADER = define_record([
     ("fingerprint", "u64"),          # base-layout fingerprint, 0 if none
 ])
 BLOCK = define_record([("size", "u64"), ("status", "u64")])
+_HEADER_NAMES = tuple(f.name for f in sorted(HEADER.fields, key=lambda f: f.offset))
 _LOG_STATE = HEADER.offsets["log_state"]
 
 # log-state status byte
@@ -107,19 +112,87 @@ LOG_COMMITTING = 2
 
 _U64 = struct.Struct("<Q")
 _FREE_STATUS = _U64.pack(ST_FREE)
+_ALLOCATED_STATUS = _U64.pack(ST_ALLOCATED)
 _STATUS_BACK = BLOCK.size - BLOCK.offsets["status"]  # the status word's distance before a payload
 
 _NEVER = 1 << 63  # a trip ordinal no store count reaches
+_BULK = 4  # blocks of one size in a row after which _walk takes the run in bulk
+_REACH = 1 << 16  # bytes of heap one _run_length window spans, at most
+_STATUSES = 1 << 13  # status words _enter_run compares in one slice, at most
 
 
 def _round16(n: int) -> int:
     return (n + 15) & ~15
 
 
+def _run_length(words, first: int, step: int, limit: int, word: bytes) -> int:
+    """How many of the items words[first], words[first + step], ... (at most
+    `limit`) hold `word`, counted from the first up to the first that does
+    not. Strided slices read them in windows that double from one page of
+    heap up to _REACH bytes, so no read lands more than _REACH past the
+    run. In the first window that differs from n copies of `word`, the
+    lowest set bit of its xor with them (both read as little-endian
+    integers) falls in the first item that differs."""
+    span = 8 * step  # bytes from one item to the next
+    done, n, most = 0, max(1, 4096 // span), max(1, _REACH // span)
+    while done < limit:
+        n = min(n, limit - done)
+        at = first + done * step
+        got, want = words[at : at + n * step : step].tobytes(), word * n
+        if got == want:
+            done += n
+            n = min(2 * n, most)
+            continue
+        diff = int.from_bytes(got, "little") ^ int.from_bytes(want, "little")
+        return done + (((diff & -diff).bit_length() - 1) >> 6)
+    return done
+
+
+def _enter_run(words, base: int, off: int, size: int, capacity: int, live: dict,
+               free_lists: dict) -> int:
+    """_walk's bulk step: enter the blocks of `size` in a row from the header
+    at `off` (`words` is the heap from `base` as u64 words), and return the
+    offset past them. _run_length counts them at C speed; their status
+    words are compared _STATUSES at a time, so a stretch all allocated or
+    all free enters the view in one call and only a mixed one is walked
+    block by block."""
+    stride = BLOCK.size + size
+    at, step = (off - base) >> 3, stride >> 3
+    n = _run_length(words, at, step, (capacity - off) // stride, _U64.pack(size))
+    payload = off + BLOCK.size
+    for lo in range(0, n, _STATUSES):
+        k = min(_STATUSES, n - lo)
+        got = words[at + 1 + lo * step : at + 1 + (lo + k) * step : step].tobytes()
+        payloads = range(payload + lo * stride, payload + (lo + k) * stride, stride)
+        if got == _ALLOCATED_STATUS * k:
+            live.update(zip(payloads, repeat(size)))
+        elif got == _FREE_STATUS * k:
+            free_lists.setdefault(size, []).extend(payloads)
+        else:
+            for block, (status,) in zip(payloads, _U64.iter_unpack(got)):
+                if status == ST_ALLOCATED:
+                    live[block] = size
+                elif status == ST_FREE:
+                    free_lists.setdefault(size, []).append(block)
+                else:
+                    raise _malformed(block - BLOCK.size, size, status)
+    return off + n * stride
+
+
+def _malformed(off: int, size: int, status: int) -> OutOfBounds:
+    return OutOfBounds(f"block header at {off} is {{size {size}, status {status:#x}}}")
+
+
 def _field(buf, name: str):
     """One HEADER field of a header image, decoded."""
     f = HEADER.field(name)
     return f.decode(buf[f.offset : f.offset + f.size])
+
+
+def _header(buf) -> dict:
+    """Every HEADER field of a header image, by name, in one unpack (bytes
+    fields and the root oid raw)."""
+    return dict(zip(_HEADER_NAMES, HEADER.unpack_from(buf)))
 
 
 def _encoded(name: str, value) -> tuple[int, bytes]:
@@ -134,8 +207,8 @@ def _vacant_header(size: int, reused: bool) -> bytes:
     return BLOCK.codec.pack(size, ST_FREE) if reused else bytes(BLOCK.size)
 
 
-def _layout_name(buf) -> str:
-    return _field(buf, "layout_name").rstrip(b"\0").decode("utf-8")
+def _layout_name(raw: bytes) -> str:
+    return raw.rstrip(b"\0").decode("utf-8")
 
 
 class CrashPlan:
@@ -169,12 +242,10 @@ class PoolHandle:
 
     def _cache_header(self) -> None:
         """Header fields are read on demand, except these hot ones."""
-        buf = self.buf
-        self.pool_uuid = _field(buf, "pool_uuid")
-        self.heap_offset = _field(buf, "heap_offset")
-        self.capacity = _field(buf, "capacity")
-        self.blocks_offset = _field(buf, "blocks_offset")
-        self.log_capacity = _field(buf, "log_capacity")
+        h = _header(self.buf)
+        self.pool_uuid, self.heap_offset = h["pool_uuid"], h["heap_offset"]
+        self.capacity, self.blocks_offset = h["capacity"], h["blocks_offset"]
+        self.log_capacity = h["log_capacity"]
 
     # ------------------------------------------------------------------ raw io
 
@@ -213,7 +284,7 @@ class PoolHandle:
 
     @property
     def layout_name(self) -> str:
-        return _layout_name(self.buf)
+        return _layout_name(_field(self.buf, "layout_name"))
 
     @property
     def layout_version(self) -> int:
@@ -382,15 +453,12 @@ class PoolHandle:
     def _unclaim_run(self, payload: int) -> None:
         """Roll back a transaction's frontier allocations, the first at
         `payload`, in one store: zero from its block header up to the first
-        zero block header. Every block in that run is the transaction's: only
-        a claim moves the frontier, and raw_alloc is refused while a
-        transaction runs. The walk relies on stores landing in order.
-        _scan_heap rebuilds the view."""
-        buf, capacity, unpack = self.buf, self.capacity, BLOCK.unpack_from
-        start = off = payload - BLOCK.size
-        while off + BLOCK.size <= capacity and (size := unpack(buf, off)[0]):
-            off += BLOCK.size + size
-        if (end := min(off, capacity)) > start:
+        zero block header (where _walk ends). Every block in that run is the
+        transaction's: only a claim moves the frontier, and raw_alloc is
+        refused while a transaction runs. The walk relies on stores landing
+        in order. _scan_heap rebuilds the view."""
+        start = payload - BLOCK.size
+        if (end := self._walk(start, {}, {})) > start:
             self._store(start, bytes(end - start), "meta")
 
     def raw_free(self, oid: ObjectId) -> None:
@@ -438,23 +506,52 @@ class PoolHandle:
 
     def _scan_heap(self) -> None:
         """Rebuild the heap view from the block headers on file (open,
-        recovery, abort): no allocator state is persisted."""
-        live, free_lists = self._live, self._free_lists
-        live.clear()
-        free_lists.clear()
-        buf, capacity, unpack = self.buf, self.capacity, BLOCK.unpack_from
-        off, hdr = self.blocks_offset, BLOCK.size
-        while off + hdr <= capacity:
-            size, status = unpack(buf, off)
-            if size == 0:
-                break
-            payload = off + hdr
-            if status == ST_ALLOCATED:
-                live[payload] = size
-            else:
-                free_lists.setdefault(size, []).append(payload)
-            off = payload + size
-        self._frontier = off
+        recovery, abort): no allocator state is persisted. A refused walk
+        leaves the old view."""
+        live, free_lists = {}, {}
+        self._frontier = self._walk(self.blocks_offset, live, free_lists)
+        self._live, self._free_lists = live, free_lists
+
+    def _walk(self, off: int, live: dict, free_lists: dict) -> int:
+        """Enter the blocks from the header at `off` up to the first zero
+        size into `live` (payload -> size) and `free_lists` (size ->
+        payloads), in heap order; return the offset where they end. A header
+        with a size that is not a multiple of 16, a payload that ends past
+        capacity, or a status other than ST_ALLOCATED or ST_FREE raises
+        OutOfBounds. Stores nothing.
+
+        Blocks are walked one by one until _BULK in a row have one size;
+        then _enter_run takes the rest of that run in bulk. So a heap of a
+        few long runs costs a few hundred bytecodes, whatever its block
+        count, and a heap of short runs about what a walk per block does."""
+        buf, base, capacity, unpack = self.buf, self.blocks_offset, self.capacity, BLOCK.unpack_from
+        if (off - base) % ALIGN:
+            raise OutOfBounds(f"block walk from {off}, off the 16-byte grid from {base}")
+        hdr, last, same = BLOCK.size, -1, 0  # the last block's size, and how many in a row had it
+        with memoryview(buf) as whole, \
+                whole[base : capacity - (capacity - base) % 8].cast("Q") as words:
+            while off + hdr <= capacity:
+                size, status = unpack(buf, off)
+                if size != last:
+                    if size % ALIGN or not size:
+                        if size:
+                            raise _malformed(off, size, status)
+                        break
+                    last, same = size, 1
+                elif (same := same + 1) == _BULK:
+                    off, last = _enter_run(words, base, off, size, capacity, live, free_lists), -1
+                    continue
+                payload = off + hdr
+                if status == ST_ALLOCATED:
+                    live[payload] = size
+                elif status == ST_FREE:
+                    free_lists.setdefault(size, []).append(payload)
+                else:
+                    raise _malformed(off, size, status)
+                off = payload + size
+        if off > capacity:  # only a block walked one by one gets past the loop's test
+            raise _malformed(off - hdr - size, size, status)
+        return off
 
     @property
     def live_bytes(self) -> int:
@@ -601,17 +698,17 @@ def create_pool(
 
 def _check_header(path: str, head: bytes, size: int) -> None:
     """Raise BadMagic unless `head` is a sane header for a `size`-byte file."""
-    if len(head) < HEADER_SIZE or _field(head, "magic") != MAGIC:
+    if len(head) < HEADER_SIZE or (h := _header(head))["magic"] != MAGIC:
         raise BadMagic(f"{path} is not a pool file")
-    version = _field(head, "format_version")
-    if version != FORMAT_VERSION:
-        raise BadMagic(f"{path} has format version {version}, not {FORMAT_VERSION}")
+    if h["format_version"] != FORMAT_VERSION:
+        raise BadMagic(f"{path} has format version {h['format_version']}, "
+                       f"not {FORMAT_VERSION}")
     try:
-        _layout_name(head)
+        _layout_name(h["layout_name"])
     except UnicodeDecodeError:
         raise BadMagic(f"{path} has a layout name that is not utf-8") from None
-    heap, capacity, blocks, log_capacity = (_field(head, name) for name in (
-        "heap_offset", "capacity", "blocks_offset", "log_capacity"))
+    heap, capacity, blocks = h["heap_offset"], h["capacity"], h["blocks_offset"]
+    log_capacity = h["log_capacity"]
     if capacity != size:
         raise BadMagic(f"{path} header says {capacity} bytes, the file holds {size}")
     if heap < HEADER_SIZE or heap + log_capacity != blocks or blocks >= capacity:
@@ -646,10 +743,10 @@ def recover(path: str) -> PoolHandle:
     handle = _map_existing(path)
     try:
         recover_log(handle)
+        handle._scan_heap()
     except BaseException:
         handle._die()
         raise
-    handle._scan_heap()
     return handle
 
 

@@ -11,8 +11,9 @@ One flat undo log lives in the pool's log region. A record is one store: a
                   frontier, a `len`-byte payload at `target`. Its later
                   frontier blocks log nothing: rollback zeroes, in one store,
                   from this block's header up to the first zero block header
-                  (pool._unclaim_run), as only this transaction's claims
-                  move the frontier meanwhile.
+                  (pool._unclaim_run, which finds it with the heap scan's
+                  walk), as only this transaction's claims move the
+                  frontier meanwhile.
   REUSE (kind 4): no body; one block taken from a free list. Rollback
                   restores, in one store, its free block header and a zeroed
                   payload (pool._unclaim), unless the block lies at or past
@@ -41,8 +42,9 @@ Recovery under IDLE | n rolls back, in reverse order, m's records from the
 start of the log (_parse_log says where they end), then stores IDLE | m.
 A rollback cut short before that store runs again in full and lands on the
 same bytes: the run's walk reads only block headers at or past its start,
-where no other undo store writes. Under COMMITTING | used it redoes every
-free the FREE record lists, idempotently (no block is reused before
+where no other undo store writes; it refuses a malformed header with
+OutOfBounds before the run's store. Under COMMITTING | used it redoes
+every free the FREE record lists, idempotently (no block is reused before
 truncation), once every listed block header has passed pool._redo_frees's
 check. `abort` is that rollback, run on the live handle. Writes into
 blocks allocated by the same transaction skip snapshotting: rollback
@@ -50,7 +52,8 @@ reclaims and zeroes the whole block anyway.
 
 Block headers and the heap view belong to pool.py; this module logs around
 its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_frees`
-and `_scan_heap`.
+and `_scan_heap`. Abort still rebuilds the whole view with `_scan_heap`,
+whose cost grows with the runs of equal block headers, not the blocks.
 
 `write` makes one state test, one `_resolve`, at most one snapshot, then the
 store. The log keeps no range dedupe: a range written twice is logged twice.
@@ -227,8 +230,10 @@ class Transaction:
         pool = self.pool
         pool.aborts += 1  # a volatile index built before the rollback is stale
         recover_log(pool)
-        pool._scan_heap()  # the heap view is rebuilt rather than journaled
-        self._end(TX_ABORTED)
+        try:
+            pool._scan_heap()  # the heap view is rebuilt rather than journaled
+        finally:  # the log is rolled back: a refused scan still ends the transaction
+            self._end(TX_ABORTED)
 
     def _end(self, state: str) -> None:
         self.state = state

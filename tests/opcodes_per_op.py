@@ -8,8 +8,8 @@ shared host's noise.
 SRC_DIR (default: `src/` of this checkout) is the tree whose `ledstore` is
 imported, so a parent checkout and a change compare with one run each. For
 each kernel and lane, a version-1 pool gets KEYS (2,000) random keys, one
-transaction each, untraced. The version-2 program ("change": the key widened
-to 64 bits) then takes it over: the manual lane runs its migration pass
+transaction each, untraced, and is closed and reopened. The version-2
+program ("change": the key widened to 64 bits) then takes it over: the manual lane runs its migration pass
 first, the automatic lane upgrades lazily. Then OPS (400) inserts of new keys
 and OPS removes of original keys run, one transaction each, then OPS lookups
 of original keys that stay, outside any transaction. Like perfbench's
@@ -17,7 +17,8 @@ read-skewed lookups, each is a hit, drawn from a hot set (OPS / 5 keys), so
 in the automatic lane at most a fifth of them materialize an extension and
 the rest find it. Everything after the inserts of version 1 runs under a
 `sys.settrace` opcode tracer. Prints, for each kernel and lane, the total
-bytecodes of the two upgrade steps, `migrate` (the whole migration pass,
+bytecodes of `open` (the reopen, `recover(path)`: the header checks, the
+log check and the heap scan), of the two upgrade steps, `migrate` (the whole migration pass,
 manual lane only) and `attach` (the version-2 kernel's attach), and the
 mean bytecodes per op, then the same figures as one JSON object.
 """
@@ -35,8 +36,8 @@ LANES = ("manual", "auto")
 KEYS, OPS, SEED = 2000, 400, 1
 
 
-def _opcodes(fn, *args) -> int:
-    """Bytecodes executed by `fn(*args)`, callees included."""
+def _counted(fn, *args) -> tuple[int, object]:
+    """Bytecodes executed by `fn(*args)`, callees included, and its result."""
     n = 0
 
     def tracer(frame, event, arg):
@@ -49,30 +50,38 @@ def _opcodes(fn, *args) -> int:
 
     sys.settrace(tracer)
     try:
-        fn(*args)
+        result = fn(*args)
     finally:
         sys.settrace(None)
-    return n
+    return n, result
+
+
+def _opcodes(fn, *args) -> int:
+    """Bytecodes executed by `fn(*args)`, callees included."""
+    return _counted(fn, *args)[0]
 
 
 def probe(kind: str, lane: str, workdir: str) -> dict:
     """Bytecodes of the upgrade steps, and mean bytecodes per insert, remove
     and lookup, for one kernel and lane."""
-    from ledstore import create_pool
+    from ledstore import create_pool, recover
     from ledstore.kernels import make_kernel, make_manual_migrator
     from ledstore.retention import run_migration
 
     rng = random.Random(SEED)
     drawn = rng.sample(range(1, 1 << 31), KEYS + OPS)
     original, fresh = drawn[:KEYS], drawn[KEYS:]
-    pool = create_pool(f"{workdir}/{kind}-{lane}.pool", f"{kind}-map", 64 << 20)
+    path = f"{workdir}/{kind}-{lane}.pool"
+    pool = create_pool(path, f"{kind}-map", 64 << 20)
     try:
         v1 = make_kernel(pool, kind, mode=lane, version=1, rng=random.Random(SEED))
         v1.create()
         for key in original:
             with pool.tx_begin() as tx:
                 v1.insert(tx, key, key)
+        pool.close()
         upgrade = {}
+        upgrade["open"], pool = _counted(recover, path)
         if lane == "manual":
             upgrade["migrate"] = _opcodes(run_migration, pool,
                                           make_manual_migrator(kind, "change"))

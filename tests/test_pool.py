@@ -1,5 +1,6 @@
 """Pool lifecycle, object ids, allocation, and the on-disk header format."""
 
+import random
 import struct
 import zlib
 
@@ -24,7 +25,10 @@ from ledstore import (
     create_pool,
     delete_pool,
     open_pool,
+    recover,
 )
+from ledstore import pool as pool_mod
+from ledstore.pool import ST_ALLOCATED, ST_FREE
 
 MIB = 1024 * 1024
 
@@ -418,6 +422,191 @@ class TestAlloc:
         s = pool.stats
         assert s.bytes_total == s.bytes_user + s.bytes_log + s.bytes_meta
         assert s.bytes_user == 64
+
+
+def block_walk(handle, off):
+    """The block headers from `off` up to the first zero size, one block at a
+    time: (live payload -> size items in heap order, size -> free payloads
+    in heap order, where the walk ends)."""
+    buf, capacity = handle.buf, handle.capacity
+    live, free = [], {}
+    while off + 16 <= capacity:
+        size, status = struct.unpack_from("<QQ", buf, off)
+        if size == 0:
+            break
+        assert size % 16 == 0 and off + 16 + size <= capacity
+        assert status in (ST_ALLOCATED, ST_FREE)
+        if status == ST_ALLOCATED:
+            live.append((off + 16, size))
+        else:
+            free.setdefault(size, []).append(off + 16)
+        off += 16 + size
+    return live, free, off
+
+
+def assert_scan_is_block_walk(handle):
+    """A fresh scan builds the per-block walk's view, in its order: live
+    blocks, every free list and the frontier."""
+    handle._scan_heap()
+    assert (list(handle._live.items()), handle._free_lists, handle._frontier) \
+        == block_walk(handle, handle.blocks_offset)
+
+
+def fill(handle, tail):
+    """Allocate one block that leaves `tail` bytes after the last block."""
+    handle.raw_alloc(handle.capacity - handle._frontier - 16 - tail)
+    assert handle.capacity - handle._frontier == tail
+
+
+class TestHeapScan:
+    """_walk measures runs of equal block sizes with strided reads, and
+    compares their status words in bulk; a per-block walk of the same
+    headers is the reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_sizes_with_frees(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = str(tmp_path / "p.pool")
+        h = create_pool(path, "x", MIB)
+        sizes = rng.choice([(16,), (48, 112), (16, 32, 48, 1024), (16, 4096)])
+        ids = []
+        for _ in range(3000):
+            if ids and rng.random() < 0.3:
+                h.raw_free(ids.pop(rng.randrange(len(ids))))
+            else:
+                try:
+                    ids.append(h.raw_alloc(rng.choice(sizes)))
+                except OutOfSpace:
+                    break
+        assert_scan_is_block_walk(h)
+        h.close()
+        with recover(path) as re:
+            assert_scan_is_block_walk(re)
+
+    def test_free_runs_between_live_ones(self, pool):
+        # 3,000 16-byte blocks: a run longer than the widest window (2,048)
+        ids = [pool.raw_alloc(48) for _ in range(600)] + [pool.raw_alloc(16) for _ in range(3000)]
+        ids += [pool.raw_alloc(64) for _ in range(10)] + [pool.raw_alloc(112)]
+        freed = [*range(100, 400), 401, 403, 599, 600, 600 + 2047, 600 + 2048, 600 + 2049,
+                 *range(3100, 3600), *range(3600, 3610)]  # the 64-byte run all free
+        for i in freed:
+            pool.raw_free(ids[i])
+        assert_scan_is_block_walk(pool)
+        assert [len(pool._free_lists[s]) for s in (48, 16, 64)] == [303, 504, 10]
+
+    def test_run_longer_than_one_status_slice(self, pool):
+        ids = [pool.raw_alloc(16) for _ in range(9000)]  # _STATUSES is 8,192
+        for i in (0, 5, 8191, 8192, 8999):
+            pool.raw_free(ids[i])
+        assert_scan_is_block_walk(pool)
+        for i in range(8193, 8999):  # the second slice all free
+            pool.raw_free(ids[i])
+        assert_scan_is_block_walk(pool)
+
+    def test_run_length_reads_at_most_a_reach_past_the_run(self):
+        """Windows double up to _REACH bytes: the last word a window reads
+        lies no further than that past the run's last header."""
+        heap = bytearray(8 * MIB)
+        for i in range(1100):  # a run of 112-byte payloads, then zeros
+            struct.pack_into("<QQ", heap, 128 * i, 112, ST_ALLOCATED)
+
+        class Recorded:
+            def __init__(self, view):
+                self.view, self.last = view, 0
+
+            def __getitem__(self, window):
+                start, stop, step = window.indices(len(self.view))
+                self.last = max(self.last, start + (stop - start - 1) // step * step)
+                return self.view[window]
+
+        with memoryview(heap) as whole, whole.cast("Q") as words:
+            recorded = Recorded(words)
+            assert pool_mod._run_length(recorded, 0, 16, len(heap) // 128, heap[:8]) == 1100
+        assert 128 * 1100 <= 8 * recorded.last <= 128 * 1099 + pool_mod._REACH
+
+    @pytest.mark.parametrize("capacity, tail", [(MIB, 0), (MIB + 8, 8)])
+    def test_one_run_filled_to_capacity(self, tmp_path, capacity, tail):
+        path = str(tmp_path / "p.pool")
+        with create_pool(path, "x", capacity) as h:
+            while h.capacity - h._frontier >= 32:  # 16-byte blocks tile the heap
+                h.raw_alloc(16)
+            assert h.capacity - h._frontier == tail
+        with recover(path) as re:
+            assert_scan_is_block_walk(re)
+            assert re._frontier == capacity - tail
+
+    @pytest.mark.parametrize("capacity, tail", [(MIB, 0), (MIB, 16), (MIB + 8, 8),
+                                                (MIB + 8, 24)])
+    def test_heap_filled_to_capacity(self, tmp_path, capacity, tail):
+        """The last block ends at capacity, or the bytes after it hold no
+        header (tail 8) or a zero one; a capacity off the 16-byte grid."""
+        path = str(tmp_path / "p.pool")
+        h = create_pool(path, "x", capacity)
+        for size in (16, 16, 48, 16):
+            h.raw_alloc(size)
+        fill(h, tail)
+        assert_scan_is_block_walk(h)
+        assert h._frontier == capacity - tail
+        h.close()
+        with recover(path) as re:
+            assert_scan_is_block_walk(re)
+            assert re._frontier == capacity - tail
+
+    @pytest.mark.parametrize("capacity", [MIB, MIB + 8])
+    def test_abort_of_a_frontier_run_ending_at_the_last_block(self, tmp_path, capacity):
+        path = str(tmp_path / "p.pool")
+        h = create_pool(path, "x", capacity)
+        kept = [h.raw_alloc(32) for _ in range(3)]
+        h.raw_free(kept[1])
+        before = list(h._live.items()), h._frontier
+        start = h._frontier
+        with pytest.raises(RuntimeError), h.tx_begin() as tx:
+            for size in (32, 32, 32, 64):
+                tx.alloc_zeroed(size)
+            tx.alloc_zeroed(h.capacity - h._frontier - 16 - capacity % 16)
+            assert h.capacity - h._frontier < 16 and h._frontier > start
+            assert h._walk(start, {}, {}) == block_walk(h, start)[2] == h._frontier
+            raise RuntimeError("abort")
+        assert (list(h._live.items()), h._frontier) == before
+        assert bytes(h.buf[start:capacity]) == bytes(capacity - start)
+        assert_scan_is_block_walk(h)
+        h.close()
+
+    def test_abort_with_a_malformed_header_ends_the_transaction(self, pool):
+        """The rollback lands; the refused scan keeps the old view and still
+        ends the transaction."""
+        kept = pool.raw_alloc(32)
+        pool.store(kept, 0, b"k" * 32)
+        pool.raw_alloc(32)
+        view = dict(pool._live), pool._frontier
+        tx = pool.tx_begin()
+        tx.write(kept, 0, b"t" * 32)
+        pool.buf[kept.offset - 8 : kept.offset] = struct.pack("<Q", 0x1234)  # its status
+        with pytest.raises(OutOfBounds, match=f"block header at {kept.offset - 16}"):
+            tx.abort()
+        assert tx.state == "aborted" and pool._active_tx is None
+        assert (dict(pool._live), pool._frontier) == view
+        assert pool.load(kept, 0, 32) == b"k" * 32
+
+    @pytest.mark.parametrize("at", [1, 100])  # the second block, or one inside a long run
+    @pytest.mark.parametrize("forged", ["size past capacity", "payload 16 past capacity",
+                                        "status", "size off 16"])
+    def test_malformed_block_header_refused(self, tmp_path, forged, at):
+        """recover raises OutOfBounds, dropping its handle and lock: a second
+        recover raises the same, and the pool can be deleted."""
+        path = str(tmp_path / "p.pool")
+        with create_pool(path, "x", MIB) as h:
+            header = [h.raw_alloc(32) for _ in range(200)][at].offset - 16
+        size, status = {"size past capacity": (MIB, ST_ALLOCATED), "status": (32, 0x1234),
+                        "size off 16": (40, ST_ALLOCATED),
+                        "payload 16 past capacity": (MIB - header, ST_ALLOCATED)}[forged]
+        with open(path, "r+b") as f:
+            f.seek(header)
+            f.write(struct.pack("<QQ", size, status))
+        for _ in range(2):
+            with pytest.raises(OutOfBounds, match=f"block header at {header}"):
+                recover(path)
+        delete_pool(path)
 
 
 class TestCrashPlan:
