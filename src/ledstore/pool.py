@@ -15,7 +15,7 @@ live blocks (payload offset -> size), exact-size free lists and the
 frontier, is rebuilt from the block headers on open, recovery and abort,
 so no allocator state needs to be persisted or kept crash-safe. The one
 walk over the headers (`_walk`, which the rollback of a frontier run
-shares) costs bytecodes per run of equal headers, not per block, and
+shares) costs bytecodes per run of equal-size blocks, not per block, and
 refuses a malformed header with OutOfBounds. Only PoolHandle's block-heap
 methods read or write a block header or that view.
 
@@ -524,19 +524,20 @@ class PoolHandle:
         then _enter_run takes the rest of that run in bulk. So a heap of a
         few long runs costs a few hundred bytecodes, whatever its block
         count, and a heap of short runs about what a walk per block does."""
-        buf, base, capacity, unpack = self.buf, self.blocks_offset, self.capacity, BLOCK.unpack_from
+        buf, base, capacity = self.buf, self.blocks_offset, self.capacity
+        unpack, hdr = BLOCK.unpack_from, BLOCK.size
         if (off - base) % ALIGN:
             raise OutOfBounds(f"block walk from {off}, off the 16-byte grid from {base}")
-        hdr, last, same = BLOCK.size, -1, 0  # the last block's size, and how many in a row had it
+        last, same = -1, 0  # the last block's size, and how many in a row had it
         with memoryview(buf) as whole, \
                 whole[base : capacity - (capacity - base) % 8].cast("Q") as words:
             while off + hdr <= capacity:
                 size, status = unpack(buf, off)
                 if size != last:
-                    if size % ALIGN or not size:
-                        if size:
-                            raise _malformed(off, size, status)
+                    if not size:
                         break
+                    if size % ALIGN:
+                        raise _malformed(off, size, status)
                     last, same = size, 1
                 elif (same := same + 1) == _BULK:
                     off, last = _enter_run(words, base, off, size, capacity, live, free_lists), -1
@@ -549,7 +550,7 @@ class PoolHandle:
                 else:
                     raise _malformed(off, size, status)
                 off = payload + size
-        if off > capacity:  # only a block walked one by one gets past the loop's test
+        if off > capacity:  # the last block, walked one by one, ends past capacity
             raise _malformed(off - hdr - size, size, status)
         return off
 

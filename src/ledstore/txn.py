@@ -53,7 +53,7 @@ reclaims and zeroes the whole block anyway.
 Block headers and the heap view belong to pool.py; this module logs around
 its `_take`/`_claim`, `_release`, `_unclaim`, `_unclaim_run`, `_redo_frees`
 and `_scan_heap`. Abort still rebuilds the whole view with `_scan_heap`,
-whose cost grows with the runs of equal block headers, not the blocks.
+whose cost grows with the runs of equal-size blocks, not the blocks.
 
 `write` makes one state test, one `_resolve`, at most one snapshot, then the
 store. The log keeps no range dedupe: a range written twice is logged twice.

@@ -9,16 +9,17 @@ SRC_DIR (default: `src/` of this checkout) is the tree whose `ledstore` is
 imported, so a parent checkout and a change compare with one run each. For
 each kernel and lane, a version-1 pool gets KEYS (2,000) random keys, one
 transaction each, untraced, and is closed and reopened. The version-2
-program ("change": the key widened to 64 bits) then takes it over: the manual lane runs its migration pass
-first, the automatic lane upgrades lazily. Then OPS (400) inserts of new keys
-and OPS removes of original keys run, one transaction each, then OPS lookups
-of original keys that stay, outside any transaction. Like perfbench's
-read-skewed lookups, each is a hit, drawn from a hot set (OPS / 5 keys), so
-in the automatic lane at most a fifth of them materialize an extension and
-the rest find it. Everything after the inserts of version 1 runs under a
-`sys.settrace` opcode tracer. Prints, for each kernel and lane, the total
-bytecodes of `open` (the reopen, `recover(path)`: the header checks, the
-log check and the heap scan), of the two upgrade steps, `migrate` (the whole migration pass,
+program ("change": the key widened to 64 bits) then takes it over: the
+manual lane runs its migration pass first, the automatic lane upgrades
+lazily. Then OPS (400) inserts of new keys and OPS removes of original keys
+run, one transaction each, then OPS lookups of original keys that stay,
+outside any transaction. Like perfbench's read-skewed lookups, each is a
+hit, drawn from a hot set (OPS / 5 keys), so in the automatic lane at most
+a fifth of them materialize an extension and the rest find it. Everything
+after the inserts of version 1 runs under a `sys.settrace` opcode tracer.
+Prints, for each kernel and lane, the total bytecodes of `open` (the
+reopen, `recover(path)`: the header checks, the log check and the heap
+scan), of the two upgrade steps, `migrate` (the whole migration pass,
 manual lane only) and `attach` (the version-2 kernel's attach), and the
 mean bytecodes per op, then the same figures as one JSON object.
 """
