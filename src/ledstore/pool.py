@@ -116,7 +116,6 @@ _ALLOCATED_STATUS = _U64.pack(ST_ALLOCATED)
 _STATUS_BACK = BLOCK.size - BLOCK.offsets["status"]  # the status word's distance before a payload
 
 _NEVER = 1 << 63  # a trip ordinal no store count reaches
-_BULK = 4  # blocks of one size in a row after which _walk takes the run in bulk
 _REACH = 1 << 16  # bytes of heap one _run_length window spans, at most
 _STATUSES = 1 << 13  # status words _enter_run compares in one slice, at most
 
@@ -150,7 +149,7 @@ def _run_length(words, first: int, step: int, limit: int, word: bytes) -> int:
 
 def _enter_run(words, base: int, off: int, size: int, capacity: int, live: dict,
                free_lists: dict) -> int:
-    """_walk's bulk step: enter the blocks of `size` in a row from the header
+    """_walk's step: enter the blocks of `size` in a row from the header
     at `off` (`words` is the heap from `base` as u64 words), and return the
     offset past them. _run_length counts them at C speed; their status
     words are compared _STATUSES at a time, so a stretch all allocated or
@@ -507,7 +506,7 @@ class PoolHandle:
     def _scan_heap(self) -> None:
         """Rebuild the heap view from the block headers on file (open,
         recovery, abort): no allocator state is persisted. A refused walk
-        leaves the old view."""
+        leaves the old view; recover() and abort then close the handle."""
         live, free_lists = {}, {}
         self._frontier = self._walk(self.blocks_offset, live, free_lists)
         self._live, self._free_lists = live, free_lists
@@ -520,38 +519,23 @@ class PoolHandle:
         capacity, or a status other than ST_ALLOCATED or ST_FREE raises
         OutOfBounds. Stores nothing.
 
-        Blocks are walked one by one until _BULK in a row have one size;
-        then _enter_run takes the rest of that run in bulk. So a heap of a
-        few long runs costs a few hundred bytecodes, whatever its block
-        count, and a heap of short runs about what a walk per block does."""
+        Each run of equal-size blocks enters the view in one _enter_run, so
+        a heap of a few long runs costs a few hundred bytecodes, whatever
+        its block count."""
         buf, base, capacity = self.buf, self.blocks_offset, self.capacity
-        unpack, hdr = BLOCK.unpack_from, BLOCK.size
         if (off - base) % ALIGN:
             raise OutOfBounds(f"block walk from {off}, off the 16-byte grid from {base}")
-        last, same = -1, 0  # the last block's size, and how many in a row had it
         with memoryview(buf) as whole, \
                 whole[base : capacity - (capacity - base) % 8].cast("Q") as words:
-            while off + hdr <= capacity:
-                size, status = unpack(buf, off)
-                if size != last:
-                    if not size:
-                        break
-                    if size % ALIGN:
-                        raise _malformed(off, size, status)
-                    last, same = size, 1
-                elif (same := same + 1) == _BULK:
-                    off, last = _enter_run(words, base, off, size, capacity, live, free_lists), -1
-                    continue
-                payload = off + hdr
-                if status == ST_ALLOCATED:
-                    live[payload] = size
-                elif status == ST_FREE:
-                    free_lists.setdefault(size, []).append(payload)
-                else:
+            while off + BLOCK.size <= capacity:
+                size, status = BLOCK.unpack_from(buf, off)
+                if not size:
+                    break
+                # _enter_run enters no block when the first one's payload ends past capacity
+                if size % ALIGN or (end := _enter_run(words, base, off, size, capacity,
+                                                      live, free_lists)) == off:
                     raise _malformed(off, size, status)
-                off = payload + size
-        if off > capacity:  # the last block, walked one by one, ends past capacity
-            raise _malformed(off - hdr - size, size, status)
+                off = end
         return off
 
     @property
@@ -715,6 +699,9 @@ def _check_header(path: str, head: bytes, size: int) -> None:
     if heap < HEADER_SIZE or heap + log_capacity != blocks or blocks >= capacity:
         raise BadMagic(f"{path} header regions out of order: heap {heap}, "
                        f"log {log_capacity} bytes, blocks {blocks}")
+    if heap % ALIGN or blocks % ALIGN:
+        raise BadMagic(f"{path} header regions off the 16-byte grid: heap {heap}, "
+                       f"blocks {blocks}")
 
 
 def _map_existing(path: str) -> PoolHandle:

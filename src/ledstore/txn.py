@@ -224,7 +224,9 @@ class Transaction:
         self._end(TX_COMMITTED)
 
     def abort(self) -> None:
-        """Roll back exactly as crash recovery would, from the log on file."""
+        """Roll back exactly as crash recovery would, from the log on file.
+        A heap scan that refuses a block header closes the handle, as
+        recover() does, and still ends the transaction."""
         if self.state is not TX_ACTIVE:
             raise TxStateError(f"transaction is {self.state}")
         pool = self.pool
@@ -232,7 +234,10 @@ class Transaction:
         recover_log(pool)
         try:
             pool._scan_heap()  # the heap view is rebuilt rather than journaled
-        finally:  # the log is rolled back: a refused scan still ends the transaction
+        except BaseException:  # the rollback landed and the old view is stale: drop the handle
+            pool._die()
+            raise
+        finally:
             self._end(TX_ABORTED)
 
     def _end(self, state: str) -> None:

@@ -57,11 +57,6 @@ def _counted(fn, *args) -> tuple[int, object]:
     return n, result
 
 
-def _opcodes(fn, *args) -> int:
-    """Bytecodes executed by `fn(*args)`, callees included."""
-    return _counted(fn, *args)[0]
-
-
 def probe(kind: str, lane: str, workdir: str) -> dict:
     """Bytecodes of the upgrade steps, and mean bytecodes per insert, remove
     and lookup, for one kernel and lane."""
@@ -84,11 +79,11 @@ def probe(kind: str, lane: str, workdir: str) -> dict:
         upgrade = {}
         upgrade["open"], pool = _counted(recover, path)
         if lane == "manual":
-            upgrade["migrate"] = _opcodes(run_migration, pool,
-                                          make_manual_migrator(kind, "change"))
+            upgrade["migrate"] = _counted(run_migration, pool,
+                                          make_manual_migrator(kind, "change"))[0]
         kernel = make_kernel(pool, kind, mode=lane, version=2, change="change",
                              rng=random.Random(SEED + 1))
-        upgrade["attach"] = _opcodes(kernel.attach)
+        upgrade["attach"] = _counted(kernel.attach)[0]
 
         def insert(key):
             with pool.tx_begin() as tx:
@@ -106,9 +101,9 @@ def probe(kind: str, lane: str, workdir: str) -> dict:
         hot = rng.sample([key for key in original if key not in gone], OPS // 5)
         looked = [rng.choice(hot) for _ in range(OPS)]
         return {**upgrade,
-                "insert": sum(_opcodes(insert, key) for key in fresh) / OPS,
-                "remove": sum(_opcodes(remove, key) for key in removed) / OPS,
-                "lookup": sum(_opcodes(lookup, key) for key in looked) / OPS}
+                "insert": sum(_counted(insert, key)[0] for key in fresh) / OPS,
+                "remove": sum(_counted(remove, key)[0] for key in removed) / OPS,
+                "lookup": sum(_counted(lookup, key)[0] for key in looked) / OPS}
     finally:
         pool.close()
 

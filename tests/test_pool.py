@@ -182,6 +182,20 @@ class TestOpen:
             f.write(struct.pack("<Q", 9 * MIB))
         self._refused_twice(pool_path)
 
+    @pytest.mark.parametrize("moved", ["heap_offset", "blocks_offset"])
+    def test_regions_off_the_grid_rejected(self, pool, pool_path, moved):
+        """A region moved 8 bytes, the log resized to keep the regions in
+        order: a heap off the 16-byte grid would hand out payloads off it."""
+        pool.close()
+        offsets = pool_mod.HEADER.offsets
+        with open(pool_path, "r+b") as f:
+            for name, delta in ((moved, 8), ("log_capacity", -8 if moved == "heap_offset" else 8)):
+                f.seek(offsets[name])
+                value, = struct.unpack("<Q", f.read(8))
+                f.seek(offsets[name])
+                f.write(struct.pack("<Q", value + delta))
+        self._refused_twice(pool_path)
+
     def test_ids_stable_across_reopen(self, pool, pool_path):
         oids = [pool.raw_alloc(24) for _ in range(10)]
         payloads = {}
@@ -572,21 +586,33 @@ class TestHeapScan:
         assert_scan_is_block_walk(h)
         h.close()
 
-    def test_abort_with_a_malformed_header_ends_the_transaction(self, pool):
-        """The rollback lands; the refused scan keeps the old view and still
-        ends the transaction."""
+    def test_abort_with_a_malformed_header_closes_the_handle(self, pool, pool_path):
+        """The rollback lands; the refused scan ends the transaction and
+        closes the handle, whose view still lists the rolled-back claim.
+        With the header mended, a reopen refuses that claim's id."""
         kept = pool.raw_alloc(32)
         pool.store(kept, 0, b"k" * 32)
         pool.raw_alloc(32)
-        view = dict(pool._live), pool._frontier
+        frontier = pool._frontier
         tx = pool.tx_begin()
         tx.write(kept, 0, b"t" * 32)
-        pool.buf[kept.offset - 8 : kept.offset] = struct.pack("<Q", 0x1234)  # its status
+        claimed = tx.alloc_zeroed(64)
+        assert claimed.offset == frontier + 16
+        status = kept.offset - 8
+        pool.buf[status : kept.offset] = struct.pack("<Q", 0x1234)
         with pytest.raises(OutOfBounds, match=f"block header at {kept.offset - 16}"):
             tx.abort()
-        assert tx.state == "aborted" and pool._active_tx is None
-        assert (dict(pool._live), pool._frontier) == view
-        assert pool.load(kept, 0, 32) == b"k" * 32
+        assert tx.state == "aborted" and pool._active_tx is None and pool.closed
+        with open(pool_path, "r+b") as f:
+            f.seek(frontier)
+            assert f.read(16 + 64) == bytes(16 + 64)  # the frontier run, zeroed
+            f.seek(status)
+            f.write(struct.pack("<Q", ST_ALLOCATED))
+        with recover(pool_path) as re:
+            assert re.load(kept, 0, 32) == b"k" * 32
+            assert re._frontier == frontier
+            with pytest.raises(OutOfBounds):
+                re.load(claimed, 0, 64)
 
     @pytest.mark.parametrize("at", [1, 100])  # the second block, or one inside a long run
     @pytest.mark.parametrize("forged", ["size past capacity", "payload 16 past capacity",
